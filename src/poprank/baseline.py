@@ -3,14 +3,16 @@ six non-visual count features, trained end-to-end with MSE.
 
 The visual scorer summarizes the per-post feature vector into one scalar; the
 head is a 7-256-128-64-1 network over that scalar concatenated with the six
-ln(1+count)-transformed non-visual features. As an intrinsic-popularity
-ranker the baseline is scored by the visual branch alone, since both members
-of a mined pair share the same user statistics by construction.
+ln(1+count)-transformed non-visual features. Both are views into one
+parameter vector, visual scorer first, which `mlp.fit` trains end-to-end with
+a single Adam state. As an intrinsic-popularity ranker the baseline is scored
+by the visual branch alone, since both members of a mined pair share the same
+user statistics by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +20,8 @@ import numpy as np
 from . import evaluate, mlp
 from .features import FeatureSet
 from .mining import PDIP
-from .mlp import AdamState, MlpModel
-from .ranker import TrainConfig
-from .util import seeded_rng
+from .mlp import MlpModel, TrainConfig
+from .util import read_keyed_floats, seeded_rng
 
 HEAD_DIMS = [7, 256, 128, 64, 1]
 
@@ -48,15 +49,19 @@ class NonVisualFeatures:
 
 @dataclass
 class AbsolutePopModel:
+    """Visual scorer and head; construction copies both into one vector `params`."""
+
     visual_scorer: MlpModel
     head: MlpModel
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.head.layer_dims[0] != 1 + len(NONVISUAL_FIELDS):
             raise ValueError(f"head input dim must be {1 + len(NONVISUAL_FIELDS)}, got {self.head.layer_dims[0]}")
-
-    def copy(self) -> "AbsolutePopModel":
-        return AbsolutePopModel(visual_scorer=self.visual_scorer.copy(), head=self.head.copy())
+        self.params = np.concatenate([self.visual_scorer.params, self.head.params])
+        k = self.visual_scorer.params.size
+        self.visual_scorer = MlpModel.over(self.visual_scorer.layer_dims, self.params[:k])
+        self.head = MlpModel.over(self.head.layer_dims, self.params[k:])
 
 
 @dataclass(frozen=True)
@@ -79,27 +84,13 @@ class BaselineReport:
 
 def init_baseline(visual_dims: list[int], seed: int) -> AbsolutePopModel:
     rng = seeded_rng(seed, "baseline-init")
-    return AbsolutePopModel(
-        visual_scorer=mlp.init_model(visual_dims, rng),
-        head=mlp.init_model(HEAD_DIMS, rng),
-    )
-
-
-def baseline_forward(model: AbsolutePopModel, x_visual: np.ndarray, nv: NonVisualFeatures) -> float:
-    """Predicted log-likes for one post."""
-    q_vis = mlp.forward(model.visual_scorer, x_visual)
-    return mlp.forward(model.head, np.concatenate(([q_vis], nv.transformed())))
-
-
-def _forward_batch(model: AbsolutePopModel, xv: np.ndarray, nv_log: np.ndarray) -> np.ndarray:
-    q_vis = mlp.forward_batch(model.visual_scorer, xv)
-    return mlp.forward_batch(model.head, np.column_stack([q_vis, nv_log]))
+    return AbsolutePopModel(visual_scorer=mlp.init_model(visual_dims, rng), head=mlp.init_model(HEAD_DIMS, rng))
 
 
 def baseline_loss_and_grad(
     model: AbsolutePopModel, xv: np.ndarray, nv_log: np.ndarray, targets: np.ndarray
-) -> tuple[float, mlp.Gradients, mlp.Gradients]:
-    """Mean squared error and its exact gradients for both sub-networks.
+) -> tuple[float, np.ndarray]:
+    """Mean squared error and its exact gradient with respect to `model.params`.
 
     `nv_log` is the already ln(1+.)-transformed (n, 6) matrix; the head input
     gradient's first column backpropagates into the visual scorer.
@@ -112,7 +103,7 @@ def baseline_loss_and_grad(
     g_out = 2.0 * residuals / len(targets)
     grads_head = mlp.backward(model.head, cache_head, g_out)
     grads_vis = mlp.backward(model.visual_scorer, cache_vis, grads_head.inputs[:, 0])
-    return loss, grads_vis, grads_head
+    return loss, np.concatenate([grads_vis.params, grads_head.params])
 
 
 def mse_loss(preds, targets) -> float:
@@ -148,51 +139,29 @@ def train_baseline(
 ) -> BaselineReport:
     """End-to-end MSE training on log-likes targets; selects min-val-MSE epoch.
 
-    Same schedule as the pairwise ranker: seeded shuffle, minibatches, Adam
-    with coupled l2, multiplicative per-epoch learning-rate decay.
+    Same schedule as the pairwise ranker (`mlp.fit`): seeded shuffle,
+    minibatches, Adam with coupled l2 over the joint parameter vector,
+    multiplicative per-epoch learning-rate decay.
     """
     train_idx, val_idx = (np.asarray(ix, dtype=int) for ix in split)
-    if len(train_idx) == 0 or len(val_idx) == 0:
-        raise ValueError("train and validation splits must both be non-empty")
-    if set(train_idx.tolist()) & set(val_idx.tolist()):
-        raise ValueError("train and validation splits overlap")
-
     xv = np.stack([s.visual for s in samples])
     nv_log = np.stack([s.nonvisual.transformed() for s in samples])
     targets = np.array([s.target for s in samples], dtype=np.float64)
 
-    rng = seeded_rng(config.seed, "train-baseline")
-    state_vis = AdamState.for_model(model.visual_scorer)
-    state_head = AdamState.for_model(model.head)
-    lr = config.learning_rate
-    losses: list[float] = []
-    val_mses: list[float] = []
-    best_mse = np.inf
-    best_epoch = 0
-    best_model = model.copy()
+    def loss_and_grad(batch: np.ndarray) -> tuple[float, np.ndarray]:
+        rows = train_idx[batch]
+        return baseline_loss_and_grad(model, xv[rows], nv_log[rows], targets[rows])
 
-    n = len(train_idx)
-    for epoch in range(config.epochs):
-        order = train_idx[rng.permutation(n)]
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            loss, g_vis, g_head = baseline_loss_and_grad(model, xv[batch], nv_log[batch], targets[batch])
-            mlp.adam_step(state_vis, model.visual_scorer, g_vis, lr, config.l2_penalty,
-                          beta1=config.adam_beta1, beta2=config.adam_beta2, eps=config.adam_eps)
-            mlp.adam_step(state_head, model.head, g_head, lr, config.l2_penalty,
-                          beta1=config.adam_beta1, beta2=config.adam_beta2, eps=config.adam_eps)
-            epoch_loss += loss * len(batch)
-        losses.append(epoch_loss / n)
-        lr *= config.lr_decay_per_epoch
-        val_mse = mse_loss(_forward_batch(model, xv[val_idx], nv_log[val_idx]), targets[val_idx])
-        val_mses.append(val_mse)
-        if val_mse < best_mse:
-            best_mse = val_mse
-            best_epoch = epoch
-            best_model = model.copy()
+    def neg_val_mse() -> float:
+        q_vis = mlp.forward_batch(model.visual_scorer, xv[val_idx])
+        return -mse_loss(mlp.forward_batch(model.head, np.column_stack([q_vis, nv_log[val_idx]])), targets[val_idx])
 
-    return BaselineReport(train_loss=losses, val_mse=val_mses, selected_epoch=best_epoch, model=best_model)
+    losses, scores, best_epoch, best_params = mlp.fit(
+        model.params, split, lambda rng: loss_and_grad, neg_val_mse, config, seeded_rng(config.seed, "train-baseline")
+    )
+    best = AbsolutePopModel(model.visual_scorer, model.head)  # construction copies into a new vector
+    best.params[:] = best_params
+    return BaselineReport(losses, [-score for score in scores], best_epoch, best)
 
 
 def eval_baseline_as_intrinsic(model: AbsolutePopModel, pairs: list[PDIP], features: FeatureSet) -> evaluate.EvalResult:
@@ -224,17 +193,11 @@ def save_nonvisual(path: str | Path, nonvisual: dict[str, NonVisualFeatures]) ->
 
 
 def load_nonvisual(path: str | Path) -> dict[str, NonVisualFeatures]:
-    result: dict[str, NonVisualFeatures] = {}
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
-        expected = "post_id," + ",".join(NONVISUAL_FIELDS)
-        if header != expected:
+        if header != "post_id," + ",".join(NONVISUAL_FIELDS):
             raise ValueError(f"unexpected non-visual header: {header!r}")
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split(",")
-            if len(fields) != 1 + len(NONVISUAL_FIELDS):
-                raise ValueError(f"line {lineno}: expected {1 + len(NONVISUAL_FIELDS)} fields")
-            result[fields[0]] = NonVisualFeatures(*(float(x) for x in fields[1:]))
-    return result
+        return {
+            post_id: NonVisualFeatures(*values)
+            for post_id, values in read_keyed_floats(f, len(NONVISUAL_FIELDS))
+        }

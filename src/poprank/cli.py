@@ -8,13 +8,15 @@ Subcommands:
     eval    pairwise accuracy of a checkpoint on a pairs file
     score   score every post in a feature file (optional display rescaling)
     ablate  label-noise ablation table
-    rerun   re-execute a recorded manifest
+    rerun   re-execute a recorded manifest and verify its digests
 
 Every run writes its outputs plus a ``<command>_manifest.json`` recording the
 resolved configuration and input/output digests; re-running a manifest (or
-the same command line) reproduces every output byte for byte. Numeric
-defaults follow the reference operating point (threshold 0.95, sigma 0.3,
-learning rate 1e-4, l2 1e-4, batch 64, decay 0.95).
+the same command line) reproduces every output byte for byte. ``rerun``
+refuses inputs whose digests changed and exits 1 naming any output that
+differs from its recorded digest. Numeric defaults follow the reference
+operating point (threshold 0.95, sigma 0.3, learning rate 1e-4, l2 1e-4,
+batch 64, decay 0.95).
 
 Usage:
     poprank synth --out-dir runs/demo
@@ -180,8 +182,8 @@ HANDLERS = {
 }
 
 
-def run_command(command: str, config: dict, out_dir: str) -> None:
-    """Execute one subcommand and write its outputs plus a manifest."""
+def run_command(command: str, config: dict, out_dir: str) -> dict:
+    """Execute one subcommand, write its outputs plus a manifest, and return the manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     inputs, outputs = HANDLERS[command](config, out)
@@ -194,6 +196,22 @@ def run_command(command: str, config: dict, out_dir: str) -> None:
     with open(out / f"{command}_manifest.json", "w", encoding="utf-8", newline="\n") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
+    return manifest
+
+
+def rerun(manifest_path: str, out_dir: str) -> list[str]:
+    """Re-execute a manifest; return the outputs whose digests differ from it.
+
+    Every recorded input must still have its recorded sha256, else ValueError
+    before anything runs. Input paths are used as recorded.
+    """
+    with open(_require_file(manifest_path, "manifest"), "r", encoding="utf-8") as f:
+        recorded = json.load(f)
+    for label, entry in recorded["inputs"].items():
+        if sha256_file(_require_file(entry["path"], label)) != entry["sha256"]:
+            raise ValueError(f"{label} input {entry['path']} no longer matches the sha256 in {manifest_path}")
+    outputs = run_command(recorded["command"], recorded["config"], out_dir)["outputs"]
+    return sorted(name for name, digest in recorded["outputs"].items() if outputs.get(name) != digest)
 
 
 def _int_list(text: str) -> list[int]:
@@ -282,9 +300,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "rerun":
-            with open(_require_file(args.manifest, "manifest"), "r", encoding="utf-8") as f:
-                manifest = json.load(f)
-            run_command(manifest["command"], manifest["config"], args.out_dir)
+            differ = rerun(args.manifest, args.out_dir)
+            if differ:
+                print(f"error: outputs differ from {args.manifest}: {', '.join(differ)}", file=sys.stderr)
+                return 1
         else:
             config = {k: v for k, v in vars(args).items() if k not in ("command", "out_dir")}
             run_command(args.command, config, args.out_dir)

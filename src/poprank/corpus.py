@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,8 @@ log = logging.getLogger(__name__)
 SECONDS_PER_DAY = 86400
 MIN_LIKES = 50
 MIN_AGE_DAYS = 30
+
+_ID_FORBIDDEN = re.compile(r"[,\s\x00-\x1f\x7f-\x9f]")  # comma, Unicode whitespace, Unicode control (Cc)
 
 POST_FIELDS = ("post_id", "user_id", "upload_time", "likes", "caption", "media_count", "is_video")
 
@@ -73,16 +76,23 @@ class ParseReport:
     diagnostics: list[str]
 
 
+def _check_id(key: str, value) -> None:
+    """Ids are written unquoted into CSV files, so they exclude ',', whitespace and control characters."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{key} must be a non-empty string")
+    bad = _ID_FORBIDDEN.search(value)
+    if bad:
+        raise ValueError(f"{key} {value!r} contains {bad.group()!r}; ids exclude ',', whitespace and controls")
+
+
 def _coerce_post(record: dict) -> Post:
     """Validate one decoded record; raises ValueError on any schema violation."""
     missing = [k for k in POST_FIELDS if k not in record]
     if missing:
         raise ValueError(f"missing fields {missing}")
     post_id, user_id, caption = record["post_id"], record["user_id"], record["caption"]
-    if not isinstance(post_id, str) or not post_id:
-        raise ValueError("post_id must be a non-empty string")
-    if not isinstance(user_id, str) or not user_id:
-        raise ValueError("user_id must be a non-empty string")
+    _check_id("post_id", post_id)
+    _check_id("user_id", user_id)
     if not isinstance(caption, str):
         raise ValueError("caption must be a string")
     for key in ("upload_time", "likes", "media_count"):

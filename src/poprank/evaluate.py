@@ -19,7 +19,7 @@ from . import ranker as ranker_mod
 from .features import FeatureSet, feature_dim
 from .mining import PDIP
 from .mlp import init_model
-from .util import seeded_rng, split_indices
+from .util import read_keyed_floats, seeded_rng, split_indices
 
 POPULARITY_LEVELS = ("poor", "bad", "fair", "good", "excellent")  # ascending score order
 
@@ -213,14 +213,8 @@ def write_scores_csv(path: str | Path, scores: dict[str, float]) -> None:
 
 
 def read_scores_csv(path: str | Path) -> dict[str, float]:
-    scores: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         if header != "post_id,score":
             raise ValueError(f"unexpected scores header: {header!r}")
-        for line in f:
-            if not line.strip():
-                continue
-            post_id, value = line.rstrip("\n").split(",")
-            scores[post_id] = float(value)
-    return scores
+        return {post_id: values[0] for post_id, values in read_keyed_floats(f, 1)}

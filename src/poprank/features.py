@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import fmt_float
+from .util import fmt_float, read_keyed_floats
 
 FeatureSet = dict[str, np.ndarray]
 
@@ -45,22 +45,12 @@ def save_features(path: str | Path, features: FeatureSet) -> None:
 
 
 def load_features(path: str | Path) -> FeatureSet:
-    features: FeatureSet = {}
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         parts = header.split(",")
         if len(parts) != 2 or parts[0] != "post_id" or not parts[1].startswith("dim="):
             raise ValueError(f"unexpected feature header: {header!r}")
         dim = int(parts[1][4:])
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split(",")
-            if len(fields) != dim + 1:
-                raise ValueError(f"line {lineno}: expected {dim + 1} fields, got {len(fields)}")
-            post_id = fields[0]
-            if post_id in features:
-                raise ValueError(f"line {lineno}: duplicate post_id {post_id!r}")
-            features[post_id] = np.array([float(x) for x in fields[1:]])
+        features = {post_id: np.array(values) for post_id, values in read_keyed_floats(f, dim)}
     validate_features(features)
     return features

@@ -6,6 +6,10 @@ batch forward pass is ``Z = H @ W.T + b``. The backward pass returns exact
 analytic gradients for every parameter plus the gradient with respect to the
 input batch (needed when two networks are chained end-to-end).
 
+A model's parameters are one contiguous float64 vector, all weights in layer
+order then all biases; ``weights[l]``/``biases[l]`` are views into it, and
+gradients and Adam moments share the layout. `fit` is the one training loop.
+
 Checkpoints are a self-describing text format: a version tag, then one or more
 named model sections with layer dims and row-major weights/biases printed with
 17 significant digits, which round-trips float64 exactly.
@@ -13,8 +17,9 @@ named model sections with layer dims and row-major weights/biases printed with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -23,20 +28,38 @@ from .util import fmt_float
 CHECKPOINT_TAG = "poprank-checkpoint-v1"
 
 
-@dataclass
-class MlpModel:
-    """Layered scorer parameters: weights[l] is (dims[l+1], dims[l])."""
+def _layer_views(layer_dims: list[int], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into `flat` (all weights, then all biases)."""
+    shapes = list(zip(layer_dims[1:], layer_dims[:-1]))
+    sizes = [fan_out * fan_in for fan_out, fan_in in shapes] + [fan_out for fan_out, _ in shapes]
+    if sum(sizes) != flat.size:
+        raise ValueError(f"parameter vector has {flat.size} entries, dims {layer_dims} need {sum(sizes)}")
+    pos = 0
+    parts = [flat[pos : (pos := pos + size)] for size in sizes]
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)], parts[len(shapes) :]
 
-    layer_dims: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+
+class MlpModel:
+    """Layered scorer: weights[l] is a (dims[l+1], dims[l]) view into `params`."""
+
+    def __init__(self, layer_dims: list[int], weights: list[np.ndarray], biases: list[np.ndarray]):
+        shapes = list(zip(layer_dims[1:], layer_dims[:-1]))
+        if [np.shape(w) for w in weights] != shapes or [np.shape(b) for b in biases] != [(o,) for o, _ in shapes]:
+            raise ValueError(f"weight/bias shapes do not match layer dims {layer_dims}")
+        self.layer_dims = list(layer_dims)
+        self.params = np.concatenate([np.ravel(w) for w in weights] + [np.ravel(b) for b in biases], dtype=np.float64)
+        self.weights, self.biases = _layer_views(self.layer_dims, self.params)
+
+    @classmethod
+    def over(cls, layer_dims: list[int], params: np.ndarray) -> "MlpModel":
+        """A model whose parameters are `params` itself (no copy)."""
+        model = cls.__new__(cls)
+        model.layer_dims, model.params = list(layer_dims), params
+        model.weights, model.biases = _layer_views(model.layer_dims, params)
+        return model
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            layer_dims=list(self.layer_dims),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return MlpModel.over(self.layer_dims, self.params.copy())
 
     def n_layers(self) -> int:
         return len(self.weights)
@@ -79,13 +102,7 @@ def forward(model: MlpModel, x: np.ndarray) -> float:
 
 def forward_batch(model: MlpModel, xs: np.ndarray) -> np.ndarray:
     """Score a (n, D) batch; returns shape (n,)."""
-    h = _check_input(model, np.atleast_2d(xs))
-    last = model.n_layers() - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w.T + b
-        if l != last:
-            h = np.maximum(h, 0.0)
-    return h[:, 0]
+    return forward_cached(model, xs)[0]
 
 
 def forward_cached(model: MlpModel, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -101,13 +118,13 @@ def forward_cached(model: MlpModel, xs: np.ndarray) -> tuple[np.ndarray, list[np
     return h[:, 0], cache
 
 
-@dataclass
 class Gradients:
-    """Parameter gradients shaped like the model, plus the input gradient."""
+    """Parameter gradients in the model's flat layout, plus the input gradient."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    inputs: np.ndarray
+    def __init__(self, layer_dims: list[int], params: np.ndarray, inputs: np.ndarray | None = None):
+        self.params = params
+        self.weights, self.biases = _layer_views(layer_dims, params)
+        self.inputs = inputs
 
 
 def backward(model: MlpModel, cache: list[np.ndarray], upstream: np.ndarray) -> Gradients:
@@ -116,98 +133,131 @@ def backward(model: MlpModel, cache: list[np.ndarray], upstream: np.ndarray) -> 
     Returns gradients summed over the batch; ReLU uses the zero subgradient
     at the kink. `cache` must come from `forward_cached` on the same model.
     """
+    grads = Gradients(model.layer_dims, np.empty_like(model.params))
     delta = np.asarray(upstream, dtype=np.float64).reshape(-1, 1)
-    g_w: list[np.ndarray | None] = [None] * model.n_layers()
-    g_b: list[np.ndarray | None] = [None] * model.n_layers()
     for l in range(model.n_layers() - 1, -1, -1):
-        h_in = cache[l]
-        g_w[l] = delta.T @ h_in
-        g_b[l] = delta.sum(axis=0)
+        np.matmul(delta.T, cache[l], out=grads.weights[l])
+        grads.biases[l][...] = delta.sum(axis=0)
         d_in = delta @ model.weights[l]
         if l > 0:
             d_in = d_in * (cache[l] > 0.0)  # cache[l] is the ReLU output of layer l-1
         delta = d_in
-    return Gradients(weights=g_w, biases=g_b, inputs=delta)
-
-
-def zero_gradients(model: MlpModel) -> Gradients:
-    return Gradients(
-        weights=[np.zeros_like(w) for w in model.weights],
-        biases=[np.zeros_like(b) for b in model.biases],
-        inputs=np.zeros((0, model.layer_dims[0])),
-    )
-
-
-def add_gradients(a: Gradients, b: Gradients, scale_b: float = 1.0) -> Gradients:
-    return Gradients(
-        weights=[wa + scale_b * wb for wa, wb in zip(a.weights, b.weights)],
-        biases=[ba + scale_b * bb for ba, bb in zip(a.biases, b.biases)],
-        inputs=a.inputs,
-    )
-
-
-def scale_gradients(g: Gradients, scale: float) -> Gradients:
-    return Gradients(
-        weights=[w * scale for w in g.weights],
-        biases=[b * scale for b in g.biases],
-        inputs=g.inputs * scale,
-    )
+    grads.inputs = delta
+    return grads
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the shared step counter."""
+    """First/second moment accumulators over a flat parameter vector."""
 
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def for_model(cls, model: MlpModel) -> "AdamState":
-        return cls(
-            step=0,
-            m_w=[np.zeros_like(w) for w in model.weights],
-            v_w=[np.zeros_like(w) for w in model.weights],
-            m_b=[np.zeros_like(b) for b in model.biases],
-            v_b=[np.zeros_like(b) for b in model.biases],
-        )
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(
     state: AdamState,
-    model: MlpModel,
-    grads: Gradients,
+    params: np.ndarray,
+    grad: np.ndarray,
     effective_lr: float,
     l2_penalty: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place.
+    """One bias-corrected Adam update of the flat vector `params`, in place.
 
-    The l2 penalty is coupled: l2_penalty * theta is added to each gradient
+    The l2 penalty is coupled: l2_penalty * theta is added to the gradient
     before the moment updates (not decoupled weight decay).
     """
-    if len(grads.weights) != model.n_layers() or any(
-        gw.shape != w.shape for gw, w in zip(grads.weights, model.weights)
-    ):
-        raise ValueError("gradient shapes do not match model")
+    if grad.shape != params.shape or state.m.shape != params.shape:
+        raise ValueError(f"gradient/moment lengths {grad.shape}/{state.m.shape} do not match parameters {params.shape}")
     state.step += 1
     c1 = 1.0 - beta1**state.step
     c2 = 1.0 - beta2**state.step
-    for l in range(model.n_layers()):
-        for theta, g, m, v in (
-            (model.weights[l], grads.weights[l], state.m_w[l], state.v_w[l]),
-            (model.biases[l], grads.biases[l], state.m_b[l], state.v_b[l]),
-        ):
-            g = g + l2_penalty * theta
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            theta -= effective_lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    g = grad + l2_penalty * params
+    state.m *= beta1
+    state.m += (1.0 - beta1) * g
+    state.v *= beta2
+    state.v += (1.0 - beta2) * g * g
+    params -= effective_lr * (state.m / c1) / (np.sqrt(state.v / c2) + eps)
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Schedule of `fit`, shared by the pairwise ranker and the baseline."""
+
+    learning_rate: float = 1e-4
+    l2_penalty: float = 1e-4
+    batch_size: int = 64
+    epochs: int = 30
+    lr_decay_per_epoch: float = 0.95
+    seed: int = 0
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.999
+    adam_eps: float = 1e-8
+
+    def __post_init__(self):
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be >= 0")
+        if self.l2_penalty < 0:
+            raise ValueError("l2_penalty must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if not 0.0 < self.lr_decay_per_epoch <= 1.0:
+            raise ValueError("lr_decay_per_epoch must be in (0, 1]")
+
+
+def fit(
+    params: np.ndarray,
+    split: tuple[np.ndarray, np.ndarray],
+    loss_and_grad: Callable[[np.random.Generator], Callable[[np.ndarray], tuple[float, np.ndarray]]],
+    validate: Callable[[], float],
+    config: TrainConfig,
+    rng: np.random.Generator,
+) -> tuple[list[float], list[float], int, np.ndarray]:
+    """Minibatch Adam on the flat vector `params` (in place), keeping the best epoch.
+
+    `split` is (train_indices, val_indices), both non-empty and disjoint. Each
+    epoch shuffles the train positions with `rng`, then ``loss_and_grad(rng)``
+    returns the epoch's batch function (positions into the train split -> mean
+    loss, flat gradient), so per-epoch augmentation draws from the same stream.
+    ``validate()`` (higher is better) scores each epoch after the learning-rate
+    decay. Returns (losses, scores, best epoch, copy of the best parameters);
+    ties keep the earliest epoch.
+    """
+    train_idx, val_idx = (np.asarray(ix, dtype=int) for ix in split)
+    if len(train_idx) == 0 or len(val_idx) == 0:
+        raise ValueError("train and validation splits must both be non-empty")
+    if set(train_idx.tolist()) & set(val_idx.tolist()):
+        raise ValueError("train and validation splits overlap")
+
+    state = AdamState.for_params(params)
+    lr = config.learning_rate
+    losses, scores = [], []
+    best, best_epoch, best_params = -np.inf, 0, params.copy()
+    n = len(train_idx)
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        batch_loss_and_grad = loss_and_grad(rng)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            loss, grad = batch_loss_and_grad(batch)
+            adam_step(state, params, grad, lr, config.l2_penalty, config.adam_beta1, config.adam_beta2, config.adam_eps)
+            epoch_loss += loss * len(batch)
+        losses.append(epoch_loss / n)
+        lr *= config.lr_decay_per_epoch
+        scores.append(validate())
+        if scores[-1] > best:
+            best, best_epoch, best_params = scores[-1], epoch, params.copy()
+    return losses, scores, best_epoch, best_params
 
 
 def save_checkpoint(path: str | Path, models: dict[str, MlpModel]) -> None:
@@ -224,31 +274,39 @@ def save_checkpoint(path: str | Path, models: dict[str, MlpModel]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, MlpModel]:
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    """Read named model sections; a malformed or cut-short file is a ValueError naming the line."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines()
     if not lines or lines[0] != CHECKPOINT_TAG:
-        raise ValueError(f"not a recognized checkpoint file: {path}")
+        raise ValueError(f"line 1: not a recognized checkpoint file: {path}")
+    if not text.endswith("\n"):
+        raise ValueError(f"line {len(lines)}: checkpoint is cut off mid-line")
+
+    def values(i: int, width: int) -> list[float]:
+        fields = lines[i].split() if i < len(lines) else []
+        if len(fields) != width:
+            end = " (the checkpoint ends inside a model section)" if i >= len(lines) else ""
+            raise ValueError(f"line {i + 1}: expected {width} values, got {len(fields)}{end}")
+        try:
+            return [float(x) for x in fields]
+        except ValueError as exc:
+            raise ValueError(f"line {i + 1}: {exc}") from None
+
     models: dict[str, MlpModel] = {}
     pos = 1
-    while pos < len(lines):
-        if not lines[pos].startswith("model "):
-            raise ValueError(f"expected model section at line {pos + 1}")
-        name = lines[pos].split(" ", 1)[1]
-        pos += 1
-        if pos >= len(lines) or not lines[pos].startswith("dims "):
-            raise ValueError(f"expected dims line at line {pos + 1}")
-        dims = [int(d) for d in lines[pos].split()[1:]]
-        pos += 1
+    while pos < len(lines) or not models:
+        header = lines[pos : pos + 2]
+        if len(header) < 2 or not header[0].startswith("model ") or not header[1].startswith("dims "):
+            raise ValueError(f"line {pos + 1}: expected a 'model NAME' line followed by a 'dims' line")
+        dims = header[1].split()[1:]
+        if len(dims) < 2 or not all(d.isdecimal() and int(d) > 0 for d in dims):
+            raise ValueError(f"line {pos + 2}: model dims must be at least two positive integers")
+        name, dims = header[0][len("model ") :], [int(d) for d in dims]
+        pos += 2
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            rows = lines[pos : pos + fan_out]
-            pos += fan_out
-            weights.append(np.array([[float(x) for x in row.split()] for row in rows]))
-            biases.append(np.array([float(x) for x in lines[pos].split()]))
-            pos += 1
-        model = MlpModel(layer_dims=dims, weights=weights, biases=biases)
-        for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-            if w.shape != (dims[l + 1], dims[l]) or b.shape != (dims[l + 1],):
-                raise ValueError(f"layer {l} of model {name!r} has inconsistent shapes")
-        models[name] = model
+            weights.append(np.array([values(pos + r, fan_in) for r in range(fan_out)]))
+            biases.append(np.array(values(pos + fan_out, fan_out)))
+            pos += fan_out + 1
+        models[name] = MlpModel(layer_dims=dims, weights=weights, biases=biases)
     return models

@@ -12,9 +12,9 @@ evaluated in an overflow-safe arrangement. Pairs are stored canonically
 swapping A/B with seeded probability 0.5 and using label 0 for the swapped
 copies, which is exact because loss(O, label) = loss(-O, 1 - label).
 
-After every epoch the learning rate is multiplied by a decay factor and
-pairwise accuracy is measured on the validation split; the snapshot from the
-best-validation epoch is the trained model.
+After every epoch of `mlp.fit` the learning rate is multiplied by a decay
+factor and pairwise accuracy is measured on the validation split; the
+snapshot from the best-validation epoch is the trained model.
 """
 
 from __future__ import annotations
@@ -27,35 +27,10 @@ import numpy as np
 from . import mlp
 from .features import FeatureSet
 from .mining import PDIP
-from .mlp import AdamState, Gradients, MlpModel
+from .mlp import Gradients, MlpModel, TrainConfig
 from .util import seeded_rng
 
 DEFAULT_HIDDEN_DIMS = [64, 32]
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 1e-4
-    l2_penalty: float = 1e-4
-    batch_size: int = 64
-    epochs: int = 30
-    lr_decay_per_epoch: float = 0.95
-    seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 0.0 < self.lr_decay_per_epoch <= 1.0:
-            raise ValueError("lr_decay_per_epoch must be in (0, 1]")
 
 
 @dataclass
@@ -89,31 +64,24 @@ def pair_loss(o: float, label: float) -> float:
 
 
 def pair_grad(model: MlpModel, x_a: np.ndarray, x_b: np.ndarray, label: float) -> Gradients:
-    """Exact gradient of pair_loss(pair_logit(...)) w.r.t. the shared parameters.
+    """Exact gradient of pair_loss(pair_logit(...)) w.r.t. the shared parameters."""
+    return _batch_loss_and_grad(model, np.atleast_2d(x_a), np.atleast_2d(x_b), np.array([float(label)]))[1]
+
+
+def _batch_loss_and_grad(model: MlpModel, xa: np.ndarray, xb: np.ndarray, labels: np.ndarray) -> tuple[float, Gradients]:
+    """Mean pair loss and mean gradient over a batch, fully vectorized.
 
     Uses dloss/dO = P - label and sums the two streams' contributions.
     """
-    q_a, cache_a = mlp.forward_cached(model, x_a)
-    q_b, cache_b = mlp.forward_cached(model, x_b)
-    g = pair_probability(float(q_a[0] - q_b[0])) - label
-    grad_a = mlp.backward(model, cache_a, np.array([g]))
-    grad_b = mlp.backward(model, cache_b, np.array([-g]))
-    return mlp.add_gradients(grad_a, grad_b)
-
-
-def _batch_loss_and_grad(
-    model: MlpModel, xa: np.ndarray, xb: np.ndarray, labels: np.ndarray
-) -> tuple[float, Gradients]:
-    """Mean pair loss and mean gradient over a batch, fully vectorized."""
     q_a, cache_a = mlp.forward_cached(model, xa)
     q_b, cache_b = mlp.forward_cached(model, xb)
     o = q_a - q_b
     p = np.where(o >= 0, 1.0 / (1.0 + np.exp(-np.abs(o))), np.exp(-np.abs(o)) / (1.0 + np.exp(-np.abs(o))))
     loss = float(np.mean(np.where(o > 0, (1.0 - labels) * o, -labels * o) + np.log1p(np.exp(-np.abs(o)))))
     g = (p - labels) / len(labels)
-    grad_a = mlp.backward(model, cache_a, g)
-    grad_b = mlp.backward(model, cache_b, -g)
-    return loss, mlp.add_gradients(grad_a, grad_b)
+    grads = mlp.backward(model, cache_a, g)
+    grads.params += mlp.backward(model, cache_b, -g).params
+    return loss, grads
 
 
 def resolve_pair_features(pairs: list[PDIP], features: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
@@ -124,11 +92,6 @@ def resolve_pair_features(pairs: list[PDIP], features: FeatureSet) -> tuple[np.n
     xa = np.stack([features[p.id_a] for p in pairs]) if pairs else np.zeros((0, 0))
     xb = np.stack([features[p.id_b] for p in pairs]) if pairs else np.zeros((0, 0))
     return xa, xb
-
-
-def _validation_accuracy(model: MlpModel, xa: np.ndarray, xb: np.ndarray) -> float:
-    """Fraction of validation pairs with f(A) > f(B); ties count as incorrect."""
-    return float(np.mean(mlp.forward_batch(model, xa) > mlp.forward_batch(model, xb)))
 
 
 def train(
@@ -146,51 +109,27 @@ def train(
     given config.seed.
     """
     train_idx, val_idx = (np.asarray(ix, dtype=int) for ix in split)
-    if len(train_idx) == 0 or len(val_idx) == 0:
-        raise ValueError("train and validation splits must both be non-empty")
-    if set(train_idx.tolist()) & set(val_idx.tolist()):
-        raise ValueError("train and validation splits overlap")
-
     xa, xb = resolve_pair_features(pairs, features)
-    xa_tr, xb_tr = xa[train_idx], xb[train_idx]
-    xa_va, xb_va = xa[val_idx], xb[val_idx]
 
-    rng = seeded_rng(config.seed, "train")
-    state = AdamState.for_model(model)
-    lr = config.learning_rate
-    losses: list[float] = []
-    val_accs: list[float] = []
-    best_acc = -1.0
-    best_epoch = 0
-    best_model = model.copy()
+    def epoch_batches(rng: np.random.Generator):
+        swap = rng.random(len(train_idx)) < 0.5
 
-    n = len(train_idx)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        swap = rng.random(n) < 0.5
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            s = swap[batch]
-            a = np.where(s[:, None], xb_tr[batch], xa_tr[batch])
-            b = np.where(s[:, None], xa_tr[batch], xb_tr[batch])
-            labels = np.where(s, 0.0, 1.0)
-            loss, grads = _batch_loss_and_grad(model, a, b, labels)
-            mlp.adam_step(
-                state, model, grads, lr, config.l2_penalty,
-                beta1=config.adam_beta1, beta2=config.adam_beta2, eps=config.adam_eps,
-            )
-            epoch_loss += loss * len(batch)
-        losses.append(epoch_loss / n)
-        lr *= config.lr_decay_per_epoch
-        acc = _validation_accuracy(model, xa_va, xb_va)
-        val_accs.append(acc)
-        if acc > best_acc:
-            best_acc = acc
-            best_epoch = epoch
-            best_model = model.copy()
+        def loss_and_grad(batch: np.ndarray) -> tuple[float, np.ndarray]:
+            rows, s = train_idx[batch], swap[batch]
+            a = np.where(s[:, None], xb[rows], xa[rows])
+            b = np.where(s[:, None], xa[rows], xb[rows])
+            loss, grads = _batch_loss_and_grad(model, a, b, np.where(s, 0.0, 1.0))
+            return loss, grads.params
 
-    return TrainReport(train_loss=losses, val_accuracy=val_accs, selected_epoch=best_epoch, model=best_model)
+        return loss_and_grad
+
+    def val_accuracy() -> float:  # share of validation pairs with f(A) > f(B); ties count as incorrect
+        return float(np.mean(mlp.forward_batch(model, xa[val_idx]) > mlp.forward_batch(model, xb[val_idx])))
+
+    losses, accs, best_epoch, best = mlp.fit(
+        model.params, split, epoch_batches, val_accuracy, config, seeded_rng(config.seed, "train")
+    )
+    return TrainReport(losses, accs, best_epoch, MlpModel.over(model.layer_dims, best))
 
 
 def score_batch(model: MlpModel, features: FeatureSet) -> dict[str, float]:

@@ -21,7 +21,7 @@ from pathlib import Path
 from .corpus import SECONDS_PER_DAY, Post
 from .features import FeatureSet
 from .mining import PDIP
-from .util import fmt_float, seeded_rng
+from .util import fmt_float, read_keyed_floats, seeded_rng
 
 BASE_TIME = 1_600_000_000  # fixed epoch origin of synthetic upload times
 
@@ -132,14 +132,8 @@ def save_latents(path: str | Path, latent_mu: dict[str, float]) -> None:
 
 
 def load_latents(path: str | Path) -> dict[str, float]:
-    latents: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         if header != "post_id,mu":
             raise ValueError(f"unexpected latents header: {header!r}")
-        for line in f:
-            if not line.strip():
-                continue
-            post_id, value = line.rstrip("\n").split(",")
-            latents[post_id] = float(value)
-    return latents
+        return {post_id: values[0] for post_id, values in read_keyed_floats(f, 1)}

@@ -1,9 +1,10 @@
-"""Shared helpers: named deterministic RNG streams, digests, splits, formatting."""
+"""Shared helpers: named deterministic RNG streams, digests, splits, formatting, keyed CSV rows."""
 
 from __future__ import annotations
 
 import hashlib
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -41,3 +42,28 @@ def sha256_file(path: str | Path) -> str:
 def fmt_float(x: float) -> str:
     """Decimal text form that round-trips float64 exactly (17 significant digits)."""
     return format(float(x), ".17g")
+
+
+def read_keyed_floats(lines: Iterable[str], n_values: int) -> Iterator[tuple[str, list[float]]]:
+    """Yield (post_id, values) from CSV rows of an id and `n_values` floats.
+
+    `lines` are the lines after a file's one-line header; blank ones are
+    skipped. A wrong field count, a non-numeric value or a repeated id raises
+    a ValueError naming the line.
+    """
+    seen: set[str] = set()
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split(",")
+        if len(fields) != n_values + 1:
+            raise ValueError(f"line {lineno}: expected {n_values + 1} fields, got {len(fields)}")
+        post_id = fields[0]
+        if post_id in seen:
+            raise ValueError(f"line {lineno}: duplicate post_id {post_id!r}")
+        seen.add(post_id)
+        try:
+            values = list(map(float, fields[1:]))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        yield post_id, values

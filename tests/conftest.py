@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from poprank import synthgen
+from poprank import mlp, synthgen
 from poprank.corpus import SECONDS_PER_DAY, Post, analyze_caption, log_likes
 from poprank.mining import PDIP, MinerConfig
 
@@ -90,6 +90,36 @@ def audit_pairs(pairs: list[PDIP], posts: list[Post], config: MinerConfig) -> li
             violations.append(f"{pair.id_a}/{pair.id_b}: probability {prob} below threshold")
     violations.extend(f"{pid}: appears in {n} pairs" for pid, n in usage.items() if n > 1)
     return violations
+
+
+def zero_gradients(model: mlp.MlpModel) -> mlp.Gradients:
+    """All-zero gradients in the model's layout, for driving Adam by hand."""
+    return mlp.Gradients(model.layer_dims, np.zeros_like(model.params), inputs=np.zeros((0, model.layer_dims[0])))
+
+
+def baseline_forward(model, x_visual: np.ndarray, nv) -> float:
+    """Predicted log-likes for one post, through the single-row forward pass."""
+    q_vis = mlp.forward(model.visual_scorer, x_visual)
+    return mlp.forward(model.head, np.concatenate(([q_vis], nv.transformed())))
+
+
+def per_layer_adam_step(moments, model, grads, effective_lr, l2_penalty, step,
+                        beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    """Adam with coupled l2, one array at a time, as a reference for the flat update.
+
+    `moments` is a list of (m, v) pairs, one per weight matrix and then one per
+    bias vector; `step` is the 1-based step number.
+    """
+    c1 = 1.0 - beta1**step
+    c2 = 1.0 - beta2**step
+    thetas = model.weights + model.biases
+    for theta, g, (m, v) in zip(thetas, grads.weights + grads.biases, moments):
+        g = g + l2_penalty * theta
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        theta -= effective_lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def add_user_engagement(

@@ -9,7 +9,6 @@ from poprank.baseline import (
     AbsolutePopModel,
     BaselineSample,
     NonVisualFeatures,
-    baseline_forward,
     baseline_loss_and_grad,
     eval_baseline_as_intrinsic,
     init_baseline,
@@ -26,7 +25,7 @@ from poprank.mining import PDIP
 from poprank.ranker import TrainConfig
 from poprank.util import seeded_rng, split_indices
 
-from conftest import add_user_engagement
+from conftest import add_user_engagement, baseline_forward
 
 
 def _nv(**overrides):
@@ -77,7 +76,7 @@ class TestBaselineForward:
         xv = rng.normal(size=(4, 3))
         nv_log = np.abs(rng.normal(size=(4, 6)))
         targets = rng.normal(size=4)
-        _, g_vis, g_head = baseline_loss_and_grad(model, xv, nv_log, targets)
+        _, grad = baseline_loss_and_grad(model, xv, nv_log, targets)
 
         def loss():
             q = mlp.forward_batch(model.visual_scorer, xv)
@@ -86,21 +85,15 @@ class TestBaselineForward:
 
         h = 1e-5
         worst = 0.0
-        for net, grads in ((model.visual_scorer, g_vis), (model.head, g_head)):
-            for l in range(net.n_layers()):
-                for arr, g in ((net.weights[l], grads.weights[l]), (net.biases[l], grads.biases[l])):
-                    it = np.nditer(arr, flags=["multi_index"])
-                    for _ in it:
-                        idx = it.multi_index
-                        orig = arr[idx]
-                        arr[idx] = orig + h
-                        up = loss()
-                        arr[idx] = orig - h
-                        dn = loss()
-                        arr[idx] = orig
-                        fd = (up - dn) / (2 * h)
-                        denom = max(abs(fd), abs(g[idx]), 1e-6)
-                        worst = max(worst, abs(fd - g[idx]) / denom)
+        for i in range(model.params.size):  # the sub-networks' weights and biases are views into params
+            orig = model.params[i]
+            model.params[i] = orig + h
+            up = loss()
+            model.params[i] = orig - h
+            dn = loss()
+            model.params[i] = orig
+            fd = (up - dn) / (2 * h)
+            worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6))
         assert worst < 1e-4
 
 
@@ -276,3 +269,16 @@ class TestBaselineIo:
         path = tmp_path / "nv.csv"
         save_nonvisual(path, nonvisual)
         assert load_nonvisual(path) == nonvisual
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["p1,1,2,3,4,5,6", "p1,1,2,3,4,5,6"], "line 3: duplicate post_id 'p1'"),
+            (["p1,1,2,3,4,5,6", "p2,1,2,3,4,5"], "line 3: expected 7 fields, got 6"),
+        ],
+    )
+    def test_nonvisual_malformed_rows_name_the_line(self, tmp_path, rows, message):
+        path = tmp_path / "nv.csv"
+        path.write_text("post_id," + ",".join(bl.NONVISUAL_FIELDS) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_nonvisual(path)

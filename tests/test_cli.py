@@ -102,6 +102,24 @@ class TestMine:
         err = capsys.readouterr().err
         assert "line 2" in err
 
+    def test_comma_ids_are_skipped_and_train_reads_the_pairs(self, pipeline, tmp_path, capsys):
+        lines = (pipeline / "posts.jsonl").read_text().splitlines()
+        bad = []
+        for i, line in enumerate(lines[:4]):
+            record = json.loads(line)
+            record["post_id"] = f"p,{i}"
+            bad.append(json.dumps(record))
+        posts_file = tmp_path / "posts.jsonl"
+        posts_file.write_text("\n".join(lines + bad) + "\n")
+        assert _run(["mine", "--posts", posts_file, "--reference-time", REF, "--out-dir", tmp_path]) == 0
+        err = capsys.readouterr().err
+        for i in range(4):
+            assert f"line {len(lines) + i + 1}: post_id 'p,{i}'" in err
+        assert all("p," not in pid for p in read_pairs(tmp_path / "pairs.csv") for pid in (p.id_a, p.id_b))
+        assert (tmp_path / "pairs.csv").read_bytes() == (pipeline / "pairs.csv").read_bytes()
+        assert _run(["train", "--pairs", tmp_path / "pairs.csv", "--features", pipeline / "features.csv",
+                     "--epochs", "1", "--out-dir", tmp_path]) == 0
+
     def test_missing_posts_file_fails(self, tmp_path, capsys):
         code = _run(["mine", "--posts", tmp_path / "nope.jsonl", "--reference-time", REF, "--out-dir", tmp_path])
         assert code == 1
@@ -163,6 +181,14 @@ class TestEvalScoreAblate:
         scores = read_scores_csv(tmp_path / "scores.csv")
         assert len(scores) == 80 * 8
 
+    def test_score_on_cut_checkpoint_is_a_one_line_error(self, pipeline, tmp_path, capsys):
+        cut = tmp_path / "cut.txt"
+        cut.write_text("".join((pipeline / "checkpoint.txt").read_text().splitlines(keepends=True)[:40]))
+        code = _run(["score", "--checkpoint", cut, "--features", pipeline / "features.csv", "--out-dir", tmp_path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: line 41: ") and err.count("\n") == 1
+
     def test_ablate_writes_table(self, pipeline, tmp_path):
         code = _run(["ablate", "--pairs", pipeline / "pairs.csv", "--features", pipeline / "features.csv",
                      "--noise-levels", "0,0.3", "--epochs", "2", "--learning-rate", "1e-3",
@@ -203,3 +229,35 @@ class TestRerun:
 
     def test_rerun_missing_manifest(self, tmp_path, capsys):
         assert _run(["rerun", tmp_path / "none.json", "--out-dir", tmp_path]) == 1
+
+    def _mine_copy(self, pipeline, tmp_path):
+        """Mine a private copy of the posts, so the test may edit it."""
+        posts_file = tmp_path / "posts.jsonl"
+        posts_file.write_bytes((pipeline / "posts.jsonl").read_bytes())
+        out = tmp_path / "mined"
+        assert _run(["mine", "--posts", posts_file, "--reference-time", REF, "--out-dir", out]) == 0
+        return posts_file, out / "mine_manifest.json"
+
+    def test_unchanged_rerun_exits_zero(self, pipeline, tmp_path):
+        _, manifest = self._mine_copy(pipeline, tmp_path)
+        assert _run(["rerun", manifest, "--out-dir", tmp_path / "redo"]) == 0
+
+    def test_edited_input_is_refused_before_running(self, pipeline, tmp_path, capsys):
+        posts_file, manifest = self._mine_copy(pipeline, tmp_path)
+        lines = posts_file.read_text().splitlines(keepends=True)
+        posts_file.write_text("".join(lines[1:]))
+        capsys.readouterr()
+        assert _run(["rerun", manifest, "--out-dir", tmp_path / "redo"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: posts input ") and "sha256" in err and err.count("\n") == 1
+        assert not (tmp_path / "redo").exists()
+
+    def test_differing_outputs_are_named(self, pipeline, tmp_path, capsys):
+        _, manifest = self._mine_copy(pipeline, tmp_path)
+        recorded = json.loads(manifest.read_text())
+        recorded["outputs"]["pair_stats.csv"] = "0" * 64
+        manifest.write_text(json.dumps(recorded))
+        capsys.readouterr()
+        assert _run(["rerun", manifest, "--out-dir", tmp_path / "redo"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: outputs differ from ") and err.rstrip().endswith(": pair_stats.csv")

@@ -62,6 +62,16 @@ class TestParsePosts:
         report = parse_posts([record])
         assert report.posts == [] and len(report.diagnostics) == 1
 
+    @pytest.mark.parametrize("key", ["post_id", "user_id"])
+    @pytest.mark.parametrize("bad_id", ["p,0", "p 0", "p\t0", "p\u00a00", "p\x000", "p\x7f"])
+    def test_ids_unsafe_for_csv_are_diagnosed(self, key, bad_id):
+        bad = make_post(**{"post_id": "x", key: bad_id})
+        lines = [serialize_post(make_post(post_id="ok")), serialize_post(bad)]
+        report = parse_posts(lines)
+        assert [p.post_id for p in report.posts] == ["ok"]
+        assert len(report.diagnostics) == 1
+        assert report.diagnostics[0].startswith("line 2: ") and key in report.diagnostics[0]
+
     def test_round_trip_through_file(self, tmp_path, small_corpus):
         path = tmp_path / "posts.jsonl"
         write_posts(path, small_corpus.posts)

@@ -14,7 +14,9 @@ from poprank.evaluate import (
     noise_ablation,
     pairwise_accuracy,
     popularity_levels,
+    read_scores_csv,
     rescale_for_display,
+    write_scores_csv,
 )
 from poprank.mining import PDIP
 from poprank.ranker import TrainConfig
@@ -250,3 +252,26 @@ class TestHistogram:
         lines = path.read_text().splitlines()
         assert lines[0] == "bin_left,bin_right,density"
         assert len(lines) == 3
+
+
+class TestScoresFile:
+    def test_round_trip(self, tmp_path):
+        scores = {"p1": 0.25, "p2": -1.5}
+        path = tmp_path / "scores.csv"
+        write_scores_csv(path, scores)
+        assert read_scores_csv(path) == scores
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("p1,0.5\np2,1.0\np1,2.0\n", "line 4: duplicate post_id 'p1'"),
+            ("p1,0.5\np2,1.0,3.0\n", "line 3: expected 2 fields, got 3"),
+            ("p1\n", "line 2: expected 2 fields, got 1"),
+            ("p1,high\n", "line 2:"),
+        ],
+    )
+    def test_malformed_rows_name_the_line(self, tmp_path, body, message):
+        path = tmp_path / "scores.csv"
+        path.write_text("post_id,score\n" + body)
+        with pytest.raises(ValueError, match=message):
+            read_scores_csv(path)

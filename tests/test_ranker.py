@@ -233,8 +233,8 @@ class TestTrain:
         xa, xb = ranker.resolve_pair_features(pairs, features)
         labels = np.ones(len(pairs))
         loss0, grads = ranker._batch_loss_and_grad(model, xa, xb, labels)
-        state = mlp.AdamState.for_model(model)
-        mlp.adam_step(state, model, grads, effective_lr=1e-6, l2_penalty=0.0)
+        state = mlp.AdamState.for_params(model.params)
+        mlp.adam_step(state, model.params, grads.params, effective_lr=1e-6, l2_penalty=0.0)
         loss1, _ = ranker._batch_loss_and_grad(model, xa, xb, labels)
         assert loss1 < loss0
 

@@ -171,3 +171,16 @@ class TestLatentsFile:
         path.write_text("a,b\n")
         with pytest.raises(ValueError):
             load_latents(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("p1,6.0\np1,5.0\n", "line 3: duplicate post_id 'p1'"),
+            ("p1,6.0\np2,5.0,1.0\n", "line 3: expected 2 fields, got 3"),
+        ],
+    )
+    def test_malformed_rows_name_the_line(self, tmp_path, body, message):
+        path = tmp_path / "latents.csv"
+        path.write_text("post_id,mu\n" + body)
+        with pytest.raises(ValueError, match=message):
+            load_latents(path)
