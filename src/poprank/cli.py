@@ -11,12 +11,13 @@ Subcommands:
     rerun   re-execute a recorded manifest and verify its digests
 
 Every run writes its outputs plus a ``<command>_manifest.json`` recording the
-resolved configuration and input/output digests; re-running a manifest (or
-the same command line) reproduces every output byte for byte. ``rerun``
-refuses inputs whose digests changed and exits 1 naming any output that
-differs from its recorded digest. Numeric defaults follow the reference
-operating point (threshold 0.95, sigma 0.3, learning rate 1e-4, l2 1e-4,
-batch 64, decay 0.95).
+resolved configuration, the input paths (relative to the manifest) with their
+digests, and the output digests; re-running a manifest (or the same command
+line) reproduces every output byte for byte. ``rerun`` refuses a malformed
+manifest or inputs whose digests changed, writes the outputs only, and exits 1
+naming any output that differs from its recorded digest. Numeric defaults
+follow the reference operating point (threshold 0.95, sigma 0.3, learning rate
+1e-4, l2 1e-4, batch 64, decay 0.95).
 
 Usage:
     poprank synth --out-dir runs/demo
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -182,16 +184,30 @@ HANDLERS = {
 }
 
 
-def run_command(command: str, config: dict, out_dir: str) -> dict:
-    """Execute one subcommand, write its outputs plus a manifest, and return the manifest."""
-    out = Path(out_dir)
+def _execute(command: str, config: dict, out: Path) -> tuple[dict, dict]:
+    """Run one subcommand into `out`; return its input paths and its output digests."""
     out.mkdir(parents=True, exist_ok=True)
     inputs, outputs = HANDLERS[command](config, out)
+    return inputs, {name: sha256_file(out / name) for name in outputs}
+
+
+def run_command(command: str, config: dict, out_dir: str) -> dict:
+    """Execute one subcommand, write its outputs plus a manifest, and return the manifest.
+
+    Input paths are recorded relative to the manifest's directory, so the
+    manifest can be rerun from any working directory, and still holds when
+    the manifest and its inputs move together.
+    """
+    out = Path(out_dir)
+    inputs, outputs = _execute(command, config, out)
     manifest = {
         "command": command,
         "config": config,
-        "inputs": {label: {"path": str(path), "sha256": sha256_file(path)} for label, path in inputs.items()},
-        "outputs": {name: sha256_file(out / name) for name in outputs},
+        "inputs": {
+            label: {"path": os.path.relpath(Path(path).resolve(), out.resolve()), "sha256": sha256_file(path)}
+            for label, path in inputs.items()
+        },
+        "outputs": outputs,
     }
     with open(out / f"{command}_manifest.json", "w", encoding="utf-8", newline="\n") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -199,18 +215,42 @@ def run_command(command: str, config: dict, out_dir: str) -> dict:
     return manifest
 
 
-def rerun(manifest_path: str, out_dir: str) -> list[str]:
-    """Re-execute a manifest; return the outputs whose digests differ from it.
-
-    Every recorded input must still have its recorded sha256, else ValueError
-    before anything runs. Input paths are used as recorded.
-    """
-    with open(_require_file(manifest_path, "manifest"), "r", encoding="utf-8") as f:
+def _read_manifest(path: str) -> dict:
+    """Load a manifest and check its shape; anything malformed is a ValueError."""
+    with open(_require_file(path, "manifest"), "r", encoding="utf-8") as f:
         recorded = json.load(f)
+    if not isinstance(recorded, dict):
+        raise ValueError(f"manifest {path} is not a JSON object")
+    command = recorded.get("command")
+    if not isinstance(command, str) or command not in HANDLERS:
+        raise ValueError(f"manifest {path}: command {command!r} is not one of {', '.join(HANDLERS)}")
+    for key in ("config", "inputs", "outputs"):
+        if not isinstance(recorded.get(key), dict):
+            raise ValueError(f"manifest {path}: {key!r} must be a JSON object")
     for label, entry in recorded["inputs"].items():
-        if sha256_file(_require_file(entry["path"], label)) != entry["sha256"]:
-            raise ValueError(f"{label} input {entry['path']} no longer matches the sha256 in {manifest_path}")
-    outputs = run_command(recorded["command"], recorded["config"], out_dir)["outputs"]
+        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str) and isinstance(entry.get("sha256"), str)):
+            raise ValueError(f"manifest {path}: input {label!r} must have a string 'path' and 'sha256'")
+    return recorded
+
+
+def rerun(manifest_path: str, out_dir: str) -> list[str]:
+    """Re-execute a manifest into `out_dir`; return the outputs whose digests differ from it.
+
+    Input paths resolve against the manifest's directory, and every input
+    must still have its recorded sha256, else ValueError before anything
+    runs. Only the outputs are written: the manifest stays the record of the run.
+    """
+    recorded = _read_manifest(manifest_path)
+    config = dict(recorded["config"])
+    for label, entry in recorded["inputs"].items():
+        path = Path(manifest_path).parent / entry["path"]
+        if sha256_file(_require_file(str(path), label)) != entry["sha256"]:
+            raise ValueError(f"{label} input {path} no longer matches the sha256 in {manifest_path}")
+        config[label] = str(path)
+    try:
+        _, outputs = _execute(recorded["command"], config, Path(out_dir))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"manifest {manifest_path}: config does not fit {recorded['command']}: {exc!r}") from exc
     return sorted(name for name, digest in recorded["outputs"].items() if outputs.get(name) != digest)
 
 

@@ -22,11 +22,15 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import SECONDS_PER_DAY, CaptionInfo, Post, analyze_caption, log_likes
 
 # Zelen & Severo polynomial for the standard normal CDF (abs error <= 7.5e-8).
 _CDF_P = 0.2316419
 _CDF_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
+
+BLOCK_POSTS = 2048  # candidate posts of whole users scored together; bounds the pair arrays
 
 
 @dataclass(frozen=True)
@@ -69,95 +73,129 @@ class PairStats:
     mean_interval_days: float
 
 
-def normal_cdf(z: float) -> float:
+def normal_cdf(z: float | np.ndarray) -> float | np.ndarray:
     """Standard normal CDF, absolute error <= 7.5e-8 on [-8, 8], clamped to [0, 1].
 
     Rational polynomial approximation in 1/(1 + p|z|) weighted by the normal
     density; the negative branch uses the exact symmetry Phi(-z) = 1 - Phi(z).
+    `z` is a float or an array; an array is mapped element by element with the
+    same operations, so each element equals the scalar call bit for bit (the
+    exponential is `math.exp`, whose last bit `np.exp` does not always match).
     """
-    if not math.isfinite(z):
-        raise ValueError(f"normal_cdf requires finite z, got {z}")
-    if z == 0.0:
-        return 0.5
-    az = abs(z)
+    za = np.asarray(z, dtype=float)
+    bad = za[~np.isfinite(za)]
+    if bad.size:
+        raise ValueError(f"normal_cdf requires finite z, got {bad[0]}")
+    az = np.abs(za)
     t = 1.0 / (1.0 + _CDF_P * az)
     poly = t * (_CDF_B[0] + t * (_CDF_B[1] + t * (_CDF_B[2] + t * (_CDF_B[3] + t * _CDF_B[4]))))
-    upper = 1.0 - poly * math.exp(-0.5 * az * az) / math.sqrt(2.0 * math.pi)
-    p = upper if z > 0 else 1.0 - upper
-    return min(1.0, max(0.0, p))
+    arg = -0.5 * az * az
+    density = np.fromiter(map(math.exp, arg.ravel().tolist()), float, count=arg.size).reshape(arg.shape)
+    upper = 1.0 - poly * density / math.sqrt(2.0 * math.pi)
+    p = np.where(za == 0.0, 0.5, np.where(za > 0, upper, 1.0 - upper))
+    p = np.minimum(1.0, np.maximum(0.0, p))
+    return float(p) if p.ndim == 0 else p
 
 
-def pdip_probability(s_a: float, s_b: float, sigma: float) -> float:
-    """Probability that the post with evidence s_a is intrinsically more popular."""
+def pdip_probability(s_a: float | np.ndarray, s_b: float | np.ndarray, sigma: float) -> float | np.ndarray:
+    """Probability that the post with evidence s_a is intrinsically more popular.
+
+    `s_a` and `s_b` are floats or arrays of the same shape.
+    """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     return normal_cdf((s_a - s_b) / (math.sqrt(2.0) * sigma))
 
 
-def captions_compatible(a: CaptionInfo, b: CaptionInfo, max_words: int) -> bool:
-    """True iff both captions are short and share identical hashtag/mention multisets."""
-    return (
-        a.word_count <= max_words
-        and b.word_count <= max_words
-        and a.hashtags == b.hashtags
-        and a.mentions == b.mentions
-    )
+def caption_key(info: CaptionInfo, max_words: int) -> tuple[frozenset, frozenset] | None:
+    """Caption context that pairs must share: the hashtag and mention multisets.
+
+    Two short captions are compatible iff their keys are equal (`analyze_caption`
+    stores no zero counts, so this is `Counter` equality). A caption with more
+    than `max_words` plain words pairs with nothing and has the key None.
+    """
+    if info.word_count > max_words:
+        return None
+    return frozenset(info.hashtags.items()), frozenset(info.mentions.items())
 
 
 def mine_pairs(posts: list[Post], features_present: set[str] | None, config: MinerConfig) -> list[PDIP]:
     """Mine constraint-satisfying pairs from an already-filtered candidate pool.
 
-    Within each user, candidates are enumerated over a sliding window of
-    `max_interval_days` on the time-sorted posts, then matched greedily in
-    descending probability order (ties broken by pair ids) so that no post
-    joins more than one pair. `features_present` of None admits every post.
-    The result is sorted by (user_id, id_a) and fully deterministic.
+    Each post gets a bucket: its user and caption key. Within a bucket, posts
+    sorted by (upload_time, post_id) are paired with every later post at most
+    `max_interval_days` after them, and the pairs clearing the threshold are
+    matched greedily in descending probability order (ties broken by pair ids)
+    so that no post joins more than one pair. Users are scored in blocks of
+    about BLOCK_POSTS posts. `features_present` of None admits every post; a
+    repeated post_id is a ValueError. The result is sorted by (user_id, id_a)
+    and fully deterministic.
     """
-    by_user: dict[str, list[Post]] = {}
+    seen: set[str] = set()
+    codes: dict[tuple, int] = {}  # (user_id, caption key) -> bucket code
+    by_user: dict[str, list[tuple[int, Post]]] = {}
     for post in posts:
-        by_user.setdefault(post.user_id, []).append(post)
+        if post.post_id in seen:
+            raise ValueError(f"repeated post_id {post.post_id!r}")
+        seen.add(post.post_id)
+        if features_present is None or post.post_id in features_present:
+            key = caption_key(analyze_caption(post.caption), config.max_caption_words)
+            if key is not None:
+                code = codes.setdefault((post.user_id, key), len(codes))
+                by_user.setdefault(post.user_id, []).append((code, post))
 
-    max_interval = config.max_interval_days * SECONDS_PER_DAY
     result: list[PDIP] = []
-    for user_id in sorted(by_user):
-        group = sorted(by_user[user_id], key=lambda p: (p.upload_time, p.post_id))
-        if features_present is not None:
-            group = [p for p in group if p.post_id in features_present]
-        captions = [analyze_caption(p.caption) for p in group]
-        scores = [log_likes(p.likes) for p in group]
-
-        candidates: list[PDIP] = []
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                if group[j].upload_time - group[i].upload_time > max_interval:
-                    break
-                if not captions_compatible(captions[i], captions[j], config.max_caption_words):
-                    continue
-                hi, lo = (i, j) if scores[i] >= scores[j] else (j, i)
-                prob = pdip_probability(scores[hi], scores[lo], config.sigma)
-                if prob < config.threshold:
-                    continue
-                candidates.append(
-                    PDIP(
-                        id_a=group[hi].post_id,
-                        id_b=group[lo].post_id,
-                        user_id=user_id,
-                        prob=prob,
-                        delta_s=scores[hi] - scores[lo],
-                    )
-                )
-
-        candidates.sort(key=lambda c: (-c.prob, c.id_a, c.id_b))
-        used: set[str] = set()
-        for cand in candidates:
-            if cand.id_a in used or cand.id_b in used:
-                continue
-            used.add(cand.id_a)
-            used.add(cand.id_b)
-            result.append(cand)
-
+    block: list[tuple[int, Post]] = []
+    for group in by_user.values():
+        block.extend(group)
+        if len(block) >= BLOCK_POSTS:
+            result.extend(_mine_block(block, config))
+            block = []
+    result.extend(_mine_block(block, config))
     result.sort(key=lambda c: (c.user_id, c.id_a))
     return result
+
+
+def _mine_block(block: list[tuple[int, Post]], config: MinerConfig) -> list[PDIP]:
+    """Pairs among (bucket code, post) items of whole users; a bucket holds one user's posts."""
+    if not block:
+        return []
+    t0 = min(post.upload_time for _, post in block)
+    t_range = max(post.upload_time for _, post in block) - t0
+    window = min(config.max_interval_days * SECONDS_PER_DAY, t_range)  # a longer window pairs no more
+    span = t_range + window + 1
+    if (max(code for code, _ in block) + 1) * span >= 2**63:
+        raise ValueError(f"upload times span {t_range} s, too wide to mine")
+    # code * span + (t - t0) orders by (bucket, time), and a window never reaches the next bucket
+    keyed = sorted((code * span + post.upload_time - t0, post.post_id, post) for code, post in block)
+    key = np.array([k for k, _, _ in keyed], dtype=np.int64)
+    group = [post for _, _, post in keyed]
+    n = len(group)
+
+    ends = np.searchsorted(key, key + window, side="right")
+    counts = ends - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), counts)
+    later = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts) + first + 1
+    scores = np.array([log_likes(post.likes) for post in group])
+    first_hi = scores[first] >= scores[later]
+    hi = np.where(first_hi, first, later)
+    lo = np.where(first_hi, later, first)
+    prob = pdip_probability(scores[hi], scores[lo], config.sigma)
+    keep = prob >= config.threshold
+    hi, lo, prob = hi[keep], lo[keep], prob[keep]
+
+    rank = np.empty(n, dtype=np.int64)
+    rank[sorted(range(n), key=lambda k: group[k].post_id)] = np.arange(n)
+    order = np.lexsort((rank[lo], rank[hi], -prob))
+    s = scores.tolist()
+    used = bytearray(n)
+    pairs: list[PDIP] = []
+    for a, b, p in zip(hi[order].tolist(), lo[order].tolist(), prob[order].tolist()):
+        if used[a] or used[b]:
+            continue
+        used[a] = used[b] = 1
+        pairs.append(PDIP(group[a].post_id, group[b].post_id, group[a].user_id, p, s[a] - s[b]))
+    return pairs
 
 
 def pair_stats(pairs: list[PDIP], posts: list[Post]) -> PairStats:

@@ -17,6 +17,10 @@ from poprank import mlp, synthgen
 from poprank.corpus import SECONDS_PER_DAY, Post, analyze_caption, log_likes
 from poprank.mining import PDIP, MinerConfig
 
+# Zelen & Severo coefficients, as in poprank.mining
+_CDF_P = 0.2316419
+_CDF_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
+
 BASE = synthgen.BASE_TIME
 DAY = SECONDS_PER_DAY
 
@@ -36,6 +40,22 @@ def make_post(
 def exact_normal_cdf(z: float) -> float:
     """High-precision oracle via the standard library's correctly rounded erf."""
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+
+def scalar_normal_cdf(z: float) -> float:
+    """The miner's CDF approximation in plain float arithmetic, one value at a time.
+
+    Same operations in the same order as `poprank.mining.normal_cdf`, so the
+    two agree bit for bit; kept as the scalar reference for the array path.
+    """
+    if z == 0.0:
+        return 0.5
+    az = abs(z)
+    t = 1.0 / (1.0 + _CDF_P * az)
+    poly = t * (_CDF_B[0] + t * (_CDF_B[1] + t * (_CDF_B[2] + t * (_CDF_B[3] + t * _CDF_B[4]))))
+    upper = 1.0 - poly * math.exp(-0.5 * az * az) / math.sqrt(2.0 * math.pi)
+    p = upper if z > 0 else 1.0 - upper
+    return min(1.0, max(0.0, p))
 
 
 def _caption_parts(caption: str) -> tuple[Counter, Counter, int]:
@@ -90,6 +110,55 @@ def audit_pairs(pairs: list[PDIP], posts: list[Post], config: MinerConfig) -> li
             violations.append(f"{pair.id_a}/{pair.id_b}: probability {prob} below threshold")
     violations.extend(f"{pid}: appears in {n} pairs" for pid, n in usage.items() if n > 1)
     return violations
+
+
+def reference_mine_pairs(posts: list[Post], features_present: set[str] | None, config: MinerConfig) -> list[PDIP]:
+    """The miner as a nested loop over each user's time-sorted posts: the oracle for `mine_pairs`.
+
+    Every pair inside the time window with equal hashtag and mention multisets
+    and short captions is scored with `scalar_normal_cdf`; the pairs clearing
+    the threshold are matched greedily by (-prob, id_a, id_b).
+    """
+    by_user: dict[str, list[Post]] = {}
+    for post in posts:
+        by_user.setdefault(post.user_id, []).append(post)
+
+    max_interval = config.max_interval_days * DAY
+    result: list[PDIP] = []
+    for user_id in sorted(by_user):
+        group = sorted(by_user[user_id], key=lambda p: (p.upload_time, p.post_id))
+        if features_present is not None:
+            group = [p for p in group if p.post_id in features_present]
+        captions = [_caption_parts(p.caption) for p in group]
+        scores = [math.log1p(p.likes) for p in group]
+
+        candidates: list[PDIP] = []
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                if group[j].upload_time - group[i].upload_time > max_interval:
+                    break
+                (tags_i, ats_i, words_i), (tags_j, ats_j, words_j) = captions[i], captions[j]
+                if words_i > config.max_caption_words or words_j > config.max_caption_words:
+                    continue
+                if tags_i != tags_j or ats_i != ats_j:
+                    continue
+                hi, lo = (i, j) if scores[i] >= scores[j] else (j, i)
+                prob = scalar_normal_cdf((scores[hi] - scores[lo]) / (math.sqrt(2.0) * config.sigma))
+                if prob < config.threshold:
+                    continue
+                candidates.append(PDIP(group[hi].post_id, group[lo].post_id, user_id, prob, scores[hi] - scores[lo]))
+
+        candidates.sort(key=lambda c: (-c.prob, c.id_a, c.id_b))
+        used: set[str] = set()
+        for cand in candidates:
+            if cand.id_a in used or cand.id_b in used:
+                continue
+            used.add(cand.id_a)
+            used.add(cand.id_b)
+            result.append(cand)
+
+    result.sort(key=lambda c: (c.user_id, c.id_a))
+    return result
 
 
 def zero_gradients(model: mlp.MlpModel) -> mlp.Gradients:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line pipeline and its manifests."""
 
 import json
+import os
 
 import pytest
 
@@ -261,3 +262,75 @@ class TestRerun:
         assert _run(["rerun", manifest, "--out-dir", tmp_path / "redo"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: outputs differ from ") and err.rstrip().endswith(": pair_stats.csv")
+
+    def test_relative_paths_rerun_from_another_directory(self, pipeline, tmp_path, monkeypatch):
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        (corpus_dir / "posts.jsonl").write_bytes((pipeline / "posts.jsonl").read_bytes())
+        monkeypatch.chdir(corpus_dir)
+        assert _run(["mine", "--posts", "posts.jsonl", "--reference-time", REF, "--out-dir", "."]) == 0
+        recorded = json.loads((corpus_dir / "mine_manifest.json").read_text())
+        assert recorded["inputs"]["posts"]["path"] == "posts.jsonl"
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert _run(["rerun", os.path.join("..", "corpus", "mine_manifest.json"), "--out-dir", "redo"]) == 0
+        assert (elsewhere / "redo" / "pairs.csv").read_bytes() == (corpus_dir / "pairs.csv").read_bytes()
+
+    def test_input_path_recorded_relative_to_manifest(self, pipeline, tmp_path):
+        _, manifest = self._mine_copy(pipeline, tmp_path)
+        assert json.loads(manifest.read_text())["inputs"]["posts"]["path"] == os.path.join("..", "posts.jsonl")
+
+
+def _valid_mine_manifest(pipeline, tmp_path):
+    out = tmp_path / "mined"
+    assert _run(["mine", "--posts", pipeline / "posts.jsonl", "--reference-time", REF, "--out-dir", out]) == 0
+    return json.loads((out / "mine_manifest.json").read_text()), out / "mine_manifest.json"
+
+
+def _without(recorded, key):
+    return {k: v for k, v in recorded.items() if k != key}
+
+
+class TestMalformedManifest:
+    """Every malformed manifest ends in one `error:` line and exit 1, with nothing run."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: ["not", "an", "object"],
+            lambda m: _without(m, "command"),
+            lambda m: {**m, "command": "nope"},
+            lambda m: {**m, "command": ["mine"]},
+            lambda m: _without(m, "config"),
+            lambda m: {**m, "config": "posts.jsonl"},
+            lambda m: _without(m, "inputs"),
+            lambda m: {**m, "inputs": []},
+            lambda m: _without(m, "outputs"),
+            lambda m: {**m, "outputs": None},
+            lambda m: {**m, "inputs": {"posts": "posts.jsonl"}},
+            lambda m: {**m, "inputs": {"posts": {"path": "../posts.jsonl"}}},
+            lambda m: {**m, "config": _without(m["config"], "threshold")},
+            lambda m: {"command": "mine"},
+        ],
+        ids=[
+            "not-object", "no-command", "unknown-command", "command-not-string", "no-config",
+            "config-not-object", "no-inputs", "inputs-not-object", "no-outputs", "outputs-not-object",
+            "input-not-object", "input-without-sha256", "config-missing-field", "command-only",
+        ],
+    )
+    def test_one_line_error(self, pipeline, tmp_path, capsys, edit):
+        recorded, manifest = _valid_mine_manifest(pipeline, tmp_path)
+        manifest.write_text(json.dumps(edit(recorded)))
+        capsys.readouterr()
+        assert _run(["rerun", manifest, "--out-dir", tmp_path / "redo"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "redo" / "pairs.csv").exists()
+
+    def test_not_json(self, tmp_path, capsys):
+        manifest = tmp_path / "mine_manifest.json"
+        manifest.write_text("{not json")
+        assert _run(["rerun", manifest, "--out-dir", tmp_path / "redo"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

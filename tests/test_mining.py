@@ -4,14 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from poprank import corpus, synthgen
 from poprank.corpus import analyze_caption
 from poprank.mining import (
+    BLOCK_POSTS,
     MinerConfig,
     PDIP,
-    captions_compatible,
+    caption_key,
     mine_pairs,
     normal_cdf,
     pair_stats,
@@ -20,7 +23,15 @@ from poprank.mining import (
     write_pairs,
 )
 
-from conftest import BASE, DAY, audit_pairs, exact_normal_cdf, make_post
+from conftest import (
+    BASE,
+    DAY,
+    audit_pairs,
+    exact_normal_cdf,
+    make_post,
+    reference_mine_pairs,
+    scalar_normal_cdf,
+)
 
 
 class TestNormalCdf:
@@ -48,6 +59,23 @@ class TestNormalCdf:
         for z in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
                 normal_cdf(z)
+
+    def test_array_equals_scalar_bitwise(self):
+        zs = np.append(np.random.default_rng(5).uniform(-8.0, 8.0, size=100_000), 0.0)
+        batch = normal_cdf(zs)
+        assert batch.shape == zs.shape and batch[-1] == 0.5
+        scalar = zs.tolist()
+        assert batch.tolist() == [normal_cdf(z) for z in scalar]
+        assert batch.tolist() == [scalar_normal_cdf(z) for z in scalar]
+
+    def test_array_keeps_shape(self):
+        zs = np.array([[0.0, 1.0], [-1.0, 2.5]])
+        assert normal_cdf(zs).tolist() == [[normal_cdf(z) for z in row] for row in zs.tolist()]
+
+    def test_array_non_finite_element_rejected(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                normal_cdf(np.array([0.5, bad, 1.0]))
 
 
 class TestPdipProbability:
@@ -87,27 +115,39 @@ class TestPdipProbability:
             with pytest.raises(ValueError):
                 pdip_probability(1.0, 0.0, sigma)
 
+    def test_arrays(self):
+        s_a, s_b = np.array([3.3, 1.0, 0.0]), np.array([3.3, 0.0, 1.0])
+        assert pdip_probability(s_a, s_b, 0.3).tolist() == [
+            pdip_probability(a, b, 0.3) for a, b in zip(s_a.tolist(), s_b.tolist())
+        ]
 
-class TestCaptionsCompatible:
+
+def _key(caption, max_words=6):
+    return caption_key(analyze_caption(caption), max_words)
+
+
+class TestCaptionKey:
     def test_both_empty(self):
-        assert captions_compatible(analyze_caption(""), analyze_caption(""), 6)
+        assert _key("") is not None and _key("") == _key("")
 
     def test_multiset_counts_matter(self):
-        assert not captions_compatible(analyze_caption("#a"), analyze_caption("#a #a"), 6)
+        assert _key("#a") != _key("#a #a")
 
     def test_word_limit(self):
-        long = analyze_caption("one two three four five six seven")
-        short = analyze_caption("one two")
-        assert not captions_compatible(long, short, 6)
-        assert captions_compatible(analyze_caption("one two three four five six"), short, 6)
+        assert _key("one two three four five six seven") is None
+        assert _key("one two three four five six") == _key("one two")
 
     def test_same_tags_different_words_ok(self):
-        a = analyze_caption("lovely day #sun @kim")
-        b = analyze_caption("gloomy skies again #sun @kim")
-        assert captions_compatible(a, b, 6)
+        assert _key("lovely day #sun @kim") == _key("gloomy skies again #sun @kim")
 
     def test_mention_mismatch(self):
-        assert not captions_compatible(analyze_caption("@kim"), analyze_caption("@jan"), 6)
+        assert _key("@kim") != _key("@jan")
+
+    def test_tags_and_mentions_kept_apart(self):
+        assert _key("#kim") != _key("@kim")
+
+    def test_hashable(self):
+        assert len({_key("#a #b @c"), _key("@c #b #a"), _key("#a")}) == 2
 
 
 def _pair_posts(likes_a=1000, likes_b=100, days_apart=3, caption_a="", caption_b="", user="u1"):
@@ -190,12 +230,106 @@ class TestMinePairs:
         candidates = corpus.filter_candidates(small_corpus.posts, ref)
         assert mine_pairs(candidates, None, config) == mine_pairs(list(candidates), None, config)
 
+    def test_threshold_inclusive(self):
+        exact = pdip_probability(math.log1p(300), math.log1p(100), 0.3)
+        config = MinerConfig(threshold=exact, sigma=0.3, reference_time=BASE)
+        pairs = mine_pairs(_pair_posts(likes_a=300, likes_b=100), None, config)
+        assert [(p.id_a, p.id_b, p.prob) for p in pairs] == [("pa", "pb", exact)]
+
+    def test_equal_probabilities_ordered_by_id_a_then_id_b(self):
+        # ln(1 + likes) of 383, 143, 53 has two bitwise-equal gaps, so (a, m) and
+        # (m, b) tie on probability; "a" < "m" picks (a, m) although "b" < "m"
+        assert math.log1p(383) - math.log1p(143) == math.log1p(143) - math.log1p(53)
+        old = BASE - 60 * DAY
+        posts = [
+            make_post(post_id="a", likes=383, upload_time=old),
+            make_post(post_id="m", likes=143, upload_time=old + 8 * DAY),
+            make_post(post_id="b", likes=53, upload_time=old + 16 * DAY),
+        ]
+        pairs = mine_pairs(posts, None, self.config)
+        assert [(p.id_a, p.id_b) for p in pairs] == [("a", "m")]
+        assert pairs == reference_mine_pairs(posts, None, self.config)
+
+    def test_repeated_post_id_rejected(self):
+        posts = _pair_posts()
+        posts[1] = make_post(post_id="pa", likes=100, upload_time=posts[1].upload_time)
+        with pytest.raises(ValueError, match="'pa'"):
+            mine_pairs(posts, None, self.config)
+
+    def test_upload_times_too_far_apart_for_int64_keys(self):
+        posts = [make_post(post_id="pa", user_id="u1", upload_time=-(2**62)), make_post(post_id="pb", user_id="u2")]
+        with pytest.raises(ValueError, match="too wide"):
+            mine_pairs(posts, None, self.config)
+
     def test_input_order_invariance(self, small_corpus):
         ref = synthgen.reference_time_for(synthgen.SynthConfig(n_users=60, posts_per_user=8, time_span_days=60, seed=99))
         config = MinerConfig(reference_time=ref)
         candidates = corpus.filter_candidates(small_corpus.posts, ref)
         reversed_pairs = mine_pairs(list(reversed(candidates)), None, config)
         assert reversed_pairs == mine_pairs(candidates, None, config)
+
+
+# hashtag/mention parts of captions: "#a #A" repeats a hashtag, "#a #b" and "#b #a" are one multiset
+_TAG_PARTS = ["", "", "#a", "#a #A", "#a #b", "#b #a", "@k", "#a @k"]
+
+
+@st.composite
+def _corpora(draw):
+    """Small corpora that hit every tie and boundary of the miner's constraints."""
+    row = st.tuples(
+        st.sampled_from(["u1", "u2", "u3"]),
+        st.sampled_from([0, 1, 5, 10, 11, 20]),  # day: equal times and exact 10-day gaps
+        st.sampled_from([0, 0, 1, 3600]),  # seconds past the day
+        # repeats give dS = 0; ln(1 + likes) of 53, 143, 383 has two bitwise-equal gaps
+        st.sampled_from([50, 51, 53, 100, 100, 143, 300, 383, 1000, 5000]),
+        st.sampled_from(_TAG_PARTS),
+        st.sampled_from([0, 1, 6, 7]),  # plain words around the 6-word limit
+    )
+    rows = [draw(row) for _ in range(draw(st.integers(0, 40)))]
+    ids = draw(st.permutations(range(len(rows))))  # id order independent of upload order
+    old = BASE - 60 * DAY
+    posts = [
+        make_post(post_id=f"p{k}", user_id=user, upload_time=old + day * DAY + sec, likes=likes,
+                  caption=" ".join([tag_part] + ["w"] * words))
+        for k, (user, day, sec, likes, tag_part, words) in zip(ids, rows)
+    ]
+    present = draw(st.none() | st.sets(st.sampled_from([p.post_id for p in posts]))) if posts else None
+    sigma = draw(st.sampled_from([0.3, 1.0]))
+    exact = scalar_normal_cdf((math.log1p(300) - math.log1p(100)) / (math.sqrt(2.0) * sigma))  # P of a likely pair
+    config = MinerConfig(
+        threshold=draw(st.sampled_from([0.55, 0.95, exact])),
+        sigma=sigma,
+        max_interval_days=draw(st.sampled_from([1, 10])),
+        reference_time=BASE,
+    )
+    return posts, present, config
+
+
+class TestMinePairsMatchesOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_corpora())
+    def test_equals_nested_loop(self, case):
+        posts, present, config = case
+        assert mine_pairs(posts, present, config) == reference_mine_pairs(posts, present, config)
+
+    def test_more_posts_than_one_block(self):
+        rng = np.random.default_rng(11)
+        old = BASE - 400 * DAY
+        posts = []
+        # forty ordinary users, then one user with more posts than a block holds
+        for user, n_posts, span_days in [(f"u{k:02d}", 60, 60) for k in range(40)] + [("big", BLOCK_POSTS + 7, 400)]:
+            times = old + rng.integers(0, span_days * DAY, size=n_posts)
+            likes = np.maximum(50, np.round(np.exp(rng.normal(6.0, 1.0, size=n_posts)))).astype(int)
+            tags = rng.integers(0, 3, size=n_posts)
+            for k in range(n_posts):
+                caption = ["", "#sun", "#sun #sun @kim"][tags[k]]
+                posts.append(make_post(post_id=f"{user}-{k}", user_id=user, upload_time=int(times[k]),
+                                       likes=int(likes[k]), caption=caption))
+        assert len(posts) > 2 * BLOCK_POSTS
+        config = MinerConfig(reference_time=BASE)
+        pairs = mine_pairs(posts, None, config)
+        assert len(pairs) > 500
+        assert pairs == reference_mine_pairs(posts, None, config)
 
 
 class TestMinerConfig:
