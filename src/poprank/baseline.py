@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluate, mlp
+from . import evaluate, mlp, ranker
 from .features import FeatureSet
 from .mining import PDIP
 from .mlp import MlpModel, TrainConfig
@@ -165,13 +165,8 @@ def train_baseline(
 
 
 def eval_baseline_as_intrinsic(model: AbsolutePopModel, pairs: list[PDIP], features: FeatureSet) -> evaluate.EvalResult:
-    """Pairwise accuracy of the visual branch alone on a mined pair list."""
-    ids = {pid for p in pairs for pid in (p.id_a, p.id_b)}
-    missing = sorted(pid for pid in ids if pid not in features)
-    if missing:
-        raise ValueError(f"pairs reference post_ids without features: {missing[:5]}" + (" ..." if len(missing) > 5 else ""))
-    scores = {pid: mlp.forward(model.visual_scorer, features[pid]) for pid in ids}
-    return evaluate.pairwise_accuracy(scores, pairs)
+    """Pairwise accuracy of the visual branch alone on a mined pair list, scoring every feature row."""
+    return evaluate.pairwise_accuracy(ranker.score_batch(model.visual_scorer, features), pairs)
 
 
 def save_baseline(path: str | Path, model: AbsolutePopModel) -> None:

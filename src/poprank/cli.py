@@ -110,7 +110,7 @@ def run_mine(config: dict, out: Path) -> tuple[dict, list[str]]:
 def run_train(config: dict, out: Path) -> tuple[dict, list[str]]:
     pairs = mining.read_pairs(_require_file(config["pairs"], "pairs"))
     feats = features_mod.load_features(_require_file(config["features"], "features"))
-    dims = [features_mod.feature_dim(feats)] + list(config["hidden_dims"]) + [1]
+    dims = [feats.dim] + list(config["hidden_dims"]) + [1]
     train_idx, val_idx = split_indices(
         len(pairs), config["val_fraction"], seeded_rng(config["seed"], "train-split")
     )
@@ -129,12 +129,7 @@ def run_eval(config: dict, out: Path) -> tuple[dict, list[str]]:
     model = _load_scorer(config["checkpoint"])
     pairs = mining.read_pairs(_require_file(config["pairs"], "pairs"))
     feats = features_mod.load_features(_require_file(config["features"], "features"))
-    ids = {pid for p in pairs for pid in (p.id_a, p.id_b)}
-    missing = sorted(ids - feats.keys())
-    if missing:
-        raise ValueError(f"pairs reference post_ids without features: {missing[:5]}")
-    scores = ranker.score_batch(model, {pid: feats[pid] for pid in ids})
-    result = evaluate.pairwise_accuracy(scores, pairs)
+    result = evaluate.pairwise_accuracy(ranker.score_batch(model, feats), pairs)  # the scores `score` writes
     evaluate.write_eval_csv(out / "eval_result.csv", result)
     print(f"pairwise accuracy {result.accuracy:.4f} on {result.n_pairs} pairs ({result.n_ties} ties)")
     return {

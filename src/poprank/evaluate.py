@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ranker as ranker_mod
-from .features import FeatureSet, feature_dim
+from .features import FeatureSet
 from .mining import PDIP
 from .mlp import init_model
 from .util import read_keyed_floats, seeded_rng, split_indices
@@ -100,7 +100,7 @@ def noise_ablation(
         raise ValueError(f"noise levels must lie in [0, 0.5), got {noise_levels}")
     if not noise_levels:
         return []
-    dims = [feature_dim(features)] + list(hidden_dims or ranker_mod.DEFAULT_HIDDEN_DIMS) + [1]
+    dims = [features.dim] + list(hidden_dims or ranker_mod.DEFAULT_HIDDEN_DIMS) + [1]
     rest_idx, test_idx = split_indices(len(pairs), test_fraction, seeded_rng(config.seed, "ablation-split"))
     tr_rel, va_rel = split_indices(len(rest_idx), val_fraction, seeded_rng(config.seed, "ablation-val-split"))
     train_idx, val_idx = rest_idx[tr_rel], rest_idx[va_rel]
@@ -114,9 +114,7 @@ def noise_ablation(
             noisy[i] = pair
         model = init_model(dims, seeded_rng(config.seed, "ablation-init"))
         report = ranker_mod.train(model, noisy, features, (train_idx, val_idx), config)
-        ids = {pid for p in test_pairs for pid in (p.id_a, p.id_b)}
-        scores = ranker_mod.score_batch(report.model, {pid: features[pid] for pid in ids})
-        table.append((q, pairwise_accuracy(scores, test_pairs).accuracy))
+        table.append((q, pairwise_accuracy(ranker_mod.score_batch(report.model, features), test_pairs).accuracy))
     return table
 
 
@@ -150,8 +148,8 @@ def popularity_levels(scores: dict[str, float]) -> dict[str, str]:
 
 def rescale_for_display(scores: dict[str, float], new_max: float) -> dict[str, float]:
     """Order-preserving affine map of the scores onto [0, new_max]; display only."""
-    if new_max <= 0:
-        raise ValueError(f"new_max must be positive, got {new_max}")
+    if not 0.0 < new_max < math.inf:
+        raise ValueError(f"new_max must be positive and finite, got {new_max}")
     if not scores:
         return {}
     values = list(scores.values())

@@ -46,8 +46,8 @@ class MinerConfig:
     def __post_init__(self):
         if not 0.5 < self.threshold < 1.0:
             raise ValueError(f"threshold must be in (0.5, 1), got {self.threshold}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.max_interval_days <= 0:
             raise ValueError(f"max_interval_days must be positive, got {self.max_interval_days}")
         if self.max_caption_words < 0:
@@ -102,8 +102,8 @@ def pdip_probability(s_a: float | np.ndarray, s_b: float | np.ndarray, sigma: fl
 
     `s_a` and `s_b` are floats or arrays of the same shape.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     return normal_cdf((s_a - s_b) / (math.sqrt(2.0) * sigma))
 
 

@@ -17,6 +17,7 @@ named model sections with layer dims and row-major weights/biases printed with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -26,6 +27,7 @@ import numpy as np
 from .util import fmt_float
 
 CHECKPOINT_TAG = "poprank-checkpoint-v1"
+SCORE_ROWS = 4096  # rows per `forward_cached` pass in `forward_batch`, so the activations held stay small
 
 
 def _layer_views(layer_dims: list[int], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -82,32 +84,18 @@ def init_model(layer_dims: list[int], seed: int | np.random.Generator) -> MlpMod
     return MlpModel(layer_dims=list(layer_dims), weights=weights, biases=biases)
 
 
-def _check_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != model.layer_dims[0]:
-        raise ValueError(f"input dim {x.shape[-1]} does not match model input dim {model.layer_dims[0]}")
-    return x
-
-
-def forward(model: MlpModel, x: np.ndarray) -> float:
-    """Score one feature vector: affine + ReLU composition ending in a scalar."""
-    h = _check_input(model, x)
-    last = model.n_layers() - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w.T + b
-        if l != last:
-            h = np.maximum(h, 0.0)
-    return float(h[0])
-
-
 def forward_batch(model: MlpModel, xs: np.ndarray) -> np.ndarray:
-    """Score a (n, D) batch; returns shape (n,)."""
-    return forward_cached(model, xs)[0]
+    """Scores of a (n, D) batch or of one D-vector, shape (n,); their last bits may depend on the batch."""
+    xs = np.atleast_2d(xs)
+    starts = range(0, len(xs), SCORE_ROWS) or [0]  # an empty batch makes one empty pass
+    return np.concatenate([forward_cached(model, xs[i : i + SCORE_ROWS])[0] for i in starts])
 
 
 def forward_cached(model: MlpModel, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Batch forward keeping post-activation layer inputs for the backward pass."""
-    h = _check_input(model, np.atleast_2d(xs))
+    h = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    if h.shape[-1] != model.layer_dims[0]:
+        raise ValueError(f"input dim {h.shape[-1]} does not match model input dim {model.layer_dims[0]}")
     cache = [h]
     last = model.n_layers() - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -202,10 +190,9 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.l2_penalty < 0:
-            raise ValueError("l2_penalty must be >= 0")
+        for name in ("learning_rate", "l2_penalty"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
@@ -288,9 +275,12 @@ def load_checkpoint(path: str | Path) -> dict[str, MlpModel]:
             end = " (the checkpoint ends inside a model section)" if i >= len(lines) else ""
             raise ValueError(f"line {i + 1}: expected {width} values, got {len(fields)}{end}")
         try:
-            return [float(x) for x in fields]
+            row = [float(x) for x in fields]
         except ValueError as exc:
             raise ValueError(f"line {i + 1}: {exc}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"line {i + 1}: non-finite value")
+        return row
 
     models: dict[str, MlpModel] = {}
     pos = 1

@@ -44,8 +44,8 @@ class TrainReport:
 
 
 def pair_logit(model: MlpModel, x_a: np.ndarray, x_b: np.ndarray) -> float:
-    """Score difference O = f(A) - f(B); exactly antisymmetric under swap."""
-    return mlp.forward(model, x_a) - mlp.forward(model, x_b)
+    """Score difference O = f(A) - f(B) of two feature vectors; exactly antisymmetric under swap."""
+    return float(mlp.forward_batch(model, x_a)[0] - mlp.forward_batch(model, x_b)[0])
 
 
 def pair_probability(o: float) -> float:
@@ -84,16 +84,6 @@ def _batch_loss_and_grad(model: MlpModel, xa: np.ndarray, xb: np.ndarray, labels
     return loss, grads
 
 
-def resolve_pair_features(pairs: list[PDIP], features: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
-    """Stack (XA, XB) matrices for a pair list; missing ids are an error."""
-    missing = sorted({pid for p in pairs for pid in (p.id_a, p.id_b) if pid not in features})
-    if missing:
-        raise ValueError(f"pairs reference post_ids without features: {missing[:5]}" + (" ..." if len(missing) > 5 else ""))
-    xa = np.stack([features[p.id_a] for p in pairs]) if pairs else np.zeros((0, 0))
-    xb = np.stack([features[p.id_b] for p in pairs]) if pairs else np.zeros((0, 0))
-    return xa, xb
-
-
 def train(
     model: MlpModel,
     pairs: list[PDIP],
@@ -109,7 +99,8 @@ def train(
     given config.seed.
     """
     train_idx, val_idx = (np.asarray(ix, dtype=int) for ix in split)
-    xa, xb = resolve_pair_features(pairs, features)
+    rows = features.rows([pid for p in pairs for pid in (p.id_a, p.id_b)])
+    xa, xb = features.matrix[rows[0::2]], features.matrix[rows[1::2]]
 
     def epoch_batches(rng: np.random.Generator):
         swap = rng.random(len(train_idx)) < 0.5
@@ -132,16 +123,12 @@ def train(
     return TrainReport(losses, accs, best_epoch, MlpModel.over(model.layer_dims, best))
 
 
-def score_batch(model: MlpModel, features: FeatureSet) -> dict[str, float]:
-    """Score every feature vector; order-independent result keyed by post_id."""
-    scores: dict[str, float] = {}
-    for post_id, values in features.items():
-        if len(values) != model.layer_dims[0]:
-            raise ValueError(
-                f"feature vector for {post_id!r} has dim {len(values)}, model expects {model.layer_dims[0]}"
-            )
-        scores[post_id] = mlp.forward(model, values)
-    return scores
+def score_batch(model: MlpModel, features: FeatureSet | dict[str, np.ndarray]) -> dict[str, float]:
+    """Score every feature vector with one `mlp.forward_batch` over the feature matrix; keyed by post_id."""
+    if not features:
+        return {}
+    features = FeatureSet.of(features)
+    return dict(zip(features.ids, mlp.forward_batch(model, features.matrix).tolist()))
 
 
 def write_train_report_csv(path, report: TrainReport) -> None:

@@ -15,8 +15,10 @@ parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .corpus import SECONDS_PER_DAY, Post
 from .features import FeatureSet
@@ -44,19 +46,19 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_users < 1 or self.posts_per_user < 1:
             raise ValueError("n_users and posts_per_user must be >= 1")
-        if not 0 <= self.n_informative <= self.feature_dim:
-            raise ValueError(f"n_informative must be in [0, feature_dim], got {self.n_informative}")
-        if self.mu_std < 0 or self.sigma_true < 0 or self.feature_noise_std < 0:
-            raise ValueError("std parameters must be >= 0")
+        if self.feature_dim < 1 or not 0 <= self.n_informative <= self.feature_dim:
+            raise ValueError("feature_dim must be >= 1 and n_informative in [0, feature_dim]")
+        if not all(0.0 <= std < math.inf for std in (self.mu_std, self.sigma_true, self.feature_noise_std)):
+            raise ValueError("std parameters must be finite and >= 0")
         if self.time_span_days < 1:
             raise ValueError("time_span_days must be >= 1")
 
 
 @dataclass
 class SynthCorpus:
-    posts: list[Post] = field(default_factory=list)
-    features: FeatureSet = field(default_factory=dict)
-    latent_mu: dict[str, float] = field(default_factory=dict)
+    posts: list[Post]
+    features: FeatureSet
+    latent_mu: dict[str, float]
 
 
 def reference_time_for(config: SynthConfig) -> int:
@@ -70,7 +72,8 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
         0.5, 1.5, size=config.n_informative
     )
     span_s = config.time_span_days * SECONDS_PER_DAY
-    corpus = SynthCorpus()
+    posts, latent_mu = [], {}
+    matrix = np.empty((config.n_users * config.posts_per_user, config.feature_dim))
     for u in range(config.n_users):
         user_id = f"u{u:05d}"
         rng = seeded_rng(config.seed, "user", user_id)
@@ -103,10 +106,10 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
             values[: config.n_informative] = informative * mu + rng.normal(
                 0.0, config.feature_noise_std, size=config.n_informative
             )
-            corpus.posts.append(post)
-            corpus.features[post_id] = values
-            corpus.latent_mu[post_id] = mu
-    return corpus
+            matrix[len(posts)] = values
+            posts.append(post)
+            latent_mu[post_id] = mu
+    return SynthCorpus(posts, FeatureSet([p.post_id for p in posts], matrix), latent_mu)
 
 
 def oracle_label(pair: PDIP, latent: dict[str, float]) -> bool:

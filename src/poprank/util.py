@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -48,8 +49,8 @@ def read_keyed_floats(lines: Iterable[str], n_values: int) -> Iterator[tuple[str
     """Yield (post_id, values) from CSV rows of an id and `n_values` floats.
 
     `lines` are the lines after a file's one-line header; blank ones are
-    skipped. A wrong field count, a non-numeric value or a repeated id raises
-    a ValueError naming the line.
+    skipped. A wrong field count, a non-numeric or non-finite value or a
+    repeated id raises a ValueError naming the line.
     """
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=2):
@@ -66,4 +67,6 @@ def read_keyed_floats(lines: Iterable[str], n_values: int) -> Iterator[tuple[str
             values = list(map(float, fields[1:]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):  # finite values can sum to inf
+            raise ValueError(f"line {lineno}: non-finite value for post_id {post_id!r}")
         yield post_id, values

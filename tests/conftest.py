@@ -166,10 +166,21 @@ def zero_gradients(model: mlp.MlpModel) -> mlp.Gradients:
     return mlp.Gradients(model.layer_dims, np.zeros_like(model.params), inputs=np.zeros((0, model.layer_dims[0])))
 
 
+def row_forward(model: mlp.MlpModel, x: np.ndarray) -> float:
+    """Score of one feature vector, one vector-matrix product per layer (no batch)."""
+    h = np.asarray(x, dtype=np.float64)
+    last = model.n_layers() - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        h = h @ w.T + b
+        if l != last:
+            h = np.maximum(h, 0.0)
+    return float(h[0])
+
+
 def baseline_forward(model, x_visual: np.ndarray, nv) -> float:
     """Predicted log-likes for one post, through the single-row forward pass."""
-    q_vis = mlp.forward(model.visual_scorer, x_visual)
-    return mlp.forward(model.head, np.concatenate(([q_vis], nv.transformed())))
+    q_vis = row_forward(model.visual_scorer, x_visual)
+    return row_forward(model.head, np.concatenate(([q_vis], nv.transformed())))
 
 
 def per_layer_adam_step(moments, model, grads, effective_lr, l2_penalty, step,

@@ -25,7 +25,7 @@ from poprank.mining import PDIP
 from poprank.ranker import TrainConfig
 from poprank.util import seeded_rng, split_indices
 
-from conftest import add_user_engagement, baseline_forward
+from conftest import add_user_engagement, baseline_forward, row_forward
 
 
 def _nv(**overrides):
@@ -46,9 +46,9 @@ class TestBaselineForward:
         model = init_baseline([3, 2, 1], seed=1)
         x = np.array([0.4, -1.0, 2.0])
         nv = _nv()
-        q_vis = mlp.forward(model.visual_scorer, x)
+        q_vis = row_forward(model.visual_scorer, x)
         head_in = np.concatenate([[q_vis], np.log1p([100.0, 50.0, 20.0, 1.0, 0.0, 3.0])])
-        expected = mlp.forward(model.head, head_in)
+        expected = row_forward(model.head, head_in)
         assert baseline_forward(model, x, nv) == pytest.approx(expected, abs=1e-12)
 
     def test_head_dim_enforced(self):

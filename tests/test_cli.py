@@ -200,6 +200,64 @@ class TestEvalScoreAblate:
         assert len(lines) == 3
 
 
+class TestEvalMatchesScore:
+    def test_eval_is_a_recount_of_scores_csv(self, pipeline, tmp_path):
+        common = ["--checkpoint", pipeline / "checkpoint.txt", "--features", pipeline / "features.csv",
+                  "--out-dir", tmp_path]
+        assert _run(["score"] + common) == 0
+        assert _run(["eval", "--pairs", pipeline / "pairs.csv"] + common) == 0
+        scores = read_scores_csv(tmp_path / "scores.csv")
+        pairs = read_pairs(pipeline / "pairs.csv")
+        correct = sum(scores[p.id_a] > scores[p.id_b] for p in pairs)
+        ties = sum(scores[p.id_a] == scores[p.id_b] for p in pairs)
+        row = (tmp_path / "eval_result.csv").read_text().splitlines()[1]
+        assert row == f"{len(pairs)},{correct / len(pairs)!r},{ties}"
+
+
+class TestOneLineErrors:
+    """Bad numbers and bad files end in one `error:` line and exit 1."""
+
+    @pytest.mark.parametrize("flag", ["--learning-rate", "--l2-penalty"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-4"])
+    def test_train_rejects_bad_rate(self, pipeline, tmp_path, capsys, flag, value):
+        code = _run(["train", "--pairs", pipeline / "pairs.csv", "--features", pipeline / "features.csv",
+                     "--epochs", "1", f"{flag}={value}", "--out-dir", tmp_path])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "checkpoint.txt").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_score_rejects_bad_rescale_max(self, pipeline, tmp_path, capsys, value):
+        code = _run(["score", "--checkpoint", pipeline / "checkpoint.txt", "--features", pipeline / "features.csv",
+                     "--rescale-max", value, "--out-dir", tmp_path])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: new_max") and err.count("\n") == 1
+        assert not (tmp_path / "scores.csv").exists()
+
+    def test_score_rejects_nan_checkpoint(self, pipeline, tmp_path, capsys):
+        lines = (pipeline / "checkpoint.txt").read_text().splitlines()
+        lines[3] = " ".join(["nan"] + lines[3].split()[1:])
+        bad = tmp_path / "nan.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        code = _run(["score", "--checkpoint", bad, "--features", pipeline / "features.csv", "--out-dir", tmp_path])
+        assert code == 1 and capsys.readouterr().err == "error: line 4: non-finite value\n"
+
+    def test_synth_rejects_feature_dim_zero(self, tmp_path, capsys):
+        code = _run(SYNTH_ARGS + ["--feature-dim", "0", "--n-informative", "0", "--out-dir", tmp_path])
+        err = capsys.readouterr().err
+        assert code == 1 and "feature_dim" in err and err.count("\n") == 1
+        assert not (tmp_path / "features.csv").exists()
+
+    @pytest.mark.parametrize("dim", ["abc", "-1"])
+    def test_bad_features_header(self, pipeline, tmp_path, capsys, dim):
+        bad = tmp_path / "features.csv"
+        bad.write_text(f"post_id,dim={dim}\n" + "".join((pipeline / "features.csv").read_text().splitlines(True)[1:]))
+        code = _run(["score", "--checkpoint", pipeline / "checkpoint.txt", "--features", bad, "--out-dir", tmp_path])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: line 1: expected the header 'post_id,dim=D'")
+        assert err.count("\n") == 1
+
+
 class TestStats:
     def test_stats_csv(self, pipeline, tmp_path):
         assert _run(["stats", "--posts", pipeline / "posts.jsonl", "--out-dir", tmp_path]) == 0

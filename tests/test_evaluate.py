@@ -18,6 +18,7 @@ from poprank.evaluate import (
     rescale_for_display,
     write_scores_csv,
 )
+from poprank.features import FeatureSet
 from poprank.mining import PDIP
 from poprank.ranker import TrainConfig
 
@@ -130,6 +131,7 @@ class TestNoiseAblation:
         for p in pairs:
             features[p.id_a][0] += 2.0  # plant signal in dim 0
         config = TrainConfig(learning_rate=1e-2, epochs=3, batch_size=16, seed=5)
+        features = FeatureSet.of(features)
         t1 = noise_ablation(pairs, features, config, [0.0, 0.4], hidden_dims=[4])
         t2 = noise_ablation(pairs, features, config, [0.0, 0.4], hidden_dims=[4])
         assert t1 == t2
@@ -214,6 +216,11 @@ class TestRescaleForDisplay:
 
     def test_degenerate_range(self):
         assert rescale_for_display({"a": 3.0, "b": 3.0}, 7.0) == {"a": 7.0, "b": 7.0}
+
+    @pytest.mark.parametrize("new_max", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_new_max(self, new_max):
+        with pytest.raises(ValueError, match="new_max"):
+            rescale_for_display({"a": 2.0, "b": 3.0}, new_max)
 
 
 class TestHistogram:

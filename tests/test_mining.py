@@ -111,7 +111,7 @@ class TestPdipProbability:
         assert all(p > 0.5 for p in probs)
 
     def test_bad_sigma(self):
-        for sigma in (0.0, -1.0):
+        for sigma in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 pdip_probability(1.0, 0.0, sigma)
 
@@ -339,8 +339,9 @@ class TestMinerConfig:
                 MinerConfig(threshold=bad)
 
     def test_sigma_positive(self):
-        with pytest.raises(ValueError):
-            MinerConfig(sigma=0.0)
+        for bad in (0.0, -0.3, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                MinerConfig(sigma=bad)
 
 
 class TestPairStats:

@@ -1,5 +1,7 @@
 """Tests for the from-scratch MLP: init, forward, backward, Adam, checkpoints."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from poprank import mlp
 from poprank.mlp import (
     AdamState,
     MlpModel,
+    TrainConfig,
     adam_step,
-    forward,
     forward_batch,
     forward_cached,
     init_model,
@@ -16,7 +18,7 @@ from poprank.mlp import (
     save_checkpoint,
 )
 
-from conftest import per_layer_adam_step, zero_gradients
+from conftest import per_layer_adam_step, row_forward, zero_gradients
 
 
 def _oracle_forward(model, x):
@@ -65,13 +67,13 @@ class TestForward:
         model = init_model([3, 2, 1], seed=0)
         for w in model.weights:
             w[:] = 0.0
-        assert forward(model, np.array([1.0, -2.0, 3.0])) == 0.0
+        assert forward_batch(model, np.array([[1.0, -2.0, 3.0]]))[0] == 0.0
 
     def test_single_linear_layer(self):
         w = np.array([[0.5, -1.5, 2.0]])
         model = MlpModel(layer_dims=[3, 1], weights=[w], biases=[np.array([0.25])])
         x = np.array([1.0, 2.0, 3.0])
-        assert forward(model, x) == pytest.approx(float((w @ x)[0]) + 0.25, abs=1e-15)
+        assert forward_batch(model, x[None])[0] == pytest.approx(float((w @ x)[0]) + 0.25, abs=1e-15)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(12)
@@ -79,8 +81,11 @@ class TestForward:
             model = init_model([5, 4, 3, 1], seed=int(rng.integers(1 << 30)))
             for b in model.biases:
                 b[:] = rng.normal(size=b.shape)
-            x = rng.normal(size=5)
-            assert forward(model, x) == pytest.approx(_oracle_forward(model, x), abs=1e-9)
+            xs = rng.normal(size=(3, 5))
+            batch = forward_batch(model, xs)
+            for x, score in zip(xs, batch):
+                assert score == pytest.approx(_oracle_forward(model, x), abs=1e-9)
+                assert row_forward(model, x) == pytest.approx(_oracle_forward(model, x), abs=1e-9)
 
     def test_batch_agrees_with_single(self):
         rng = np.random.default_rng(3)
@@ -88,12 +93,35 @@ class TestForward:
         xs = rng.normal(size=(11, 6))
         batch = forward_batch(model, xs)
         for i in range(11):
-            assert batch[i] == pytest.approx(forward(model, xs[i]), abs=1e-12)
+            assert batch[i] == pytest.approx(row_forward(model, xs[i]), abs=1e-12)
 
     def test_dimension_mismatch(self):
         model = init_model([4, 1], seed=0)
         with pytest.raises(ValueError):
-            forward(model, np.ones(5))
+            forward_batch(model, np.ones((2, 5)))
+        with pytest.raises(ValueError):
+            forward_batch(model, np.ones(5))
+
+    def test_sub_batches_match_full_matrix(self):
+        # a row's score depends on its batch only in the last bits
+        rng = np.random.default_rng(8)
+        model = init_model([16, 64, 32, 1], seed=4)
+        for b in model.biases:
+            b[:] = rng.normal(0, 0.1, size=b.shape)
+        xs = rng.normal(size=(300, 16))
+        full = forward_batch(model, xs)
+        for size in (1, 2, 7, 64):
+            parts = np.concatenate([forward_batch(model, xs[i : i + size]) for i in range(0, len(xs), size)])
+            assert np.max(np.abs(parts - full)) <= 1e-12
+
+    def test_long_batch_and_empty_batch(self):
+        rng = np.random.default_rng(10)
+        model = init_model([3, 4, 1], seed=6)
+        xs = rng.normal(size=(2 * mlp.SCORE_ROWS + 5, 3))
+        scores = forward_batch(model, xs)
+        assert scores.shape == (len(xs),)
+        assert np.max(np.abs(scores - forward_cached(model, xs)[0])) <= 1e-12
+        assert forward_batch(model, np.zeros((0, 3))).shape == (0,)
 
 
 class TestFlatLayout:
@@ -136,7 +164,7 @@ class TestBackward:
             xp, xm = x.copy(), x.copy()
             xp[i] += h
             xm[i] -= h
-            fd = (forward(model, xp) - forward(model, xm)) / (2 * h)
+            fd = (row_forward(model, xp) - row_forward(model, xm)) / (2 * h)
             assert grads.inputs[0, i] == pytest.approx(fd, abs=1e-6)
 
 
@@ -208,6 +236,17 @@ class TestAdamStep:
             per_layer_adam_step(moments, oracle, grads, lr, 1e-3, step)
         assert state.step == 200
         assert np.array_equal(model.params, oracle.params)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["learning_rate", "l2_penalty"])
+    @pytest.mark.parametrize("value", [-1e-4, math.nan, math.inf])
+    def test_rejects_negative_and_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_allowed(self):
+        assert TrainConfig(learning_rate=0.0, l2_penalty=0.0).learning_rate == 0.0
 
 
 class TestCheckpoint:
@@ -289,4 +328,13 @@ class TestCheckpointDamage:
         path = tmp_path / "bad.txt"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"^line 5: "):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_its_line(self, text, tmp_path, value):
+        lines = text.splitlines()
+        lines[4] = " ".join(lines[4].split()[:-1] + [value])
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"^line 5: non-finite"):
             load_checkpoint(path)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from poprank import mlp, ranker
+from poprank.features import FeatureSet
 from poprank.mining import PDIP
 from poprank.mlp import init_model
 from poprank.ranker import (
@@ -18,6 +19,8 @@ from poprank.ranker import (
     train,
 )
 from poprank.util import seeded_rng, split_indices
+
+from conftest import row_forward
 
 
 def _flatten(grads):
@@ -76,7 +79,7 @@ class TestPairLogit:
     def test_matches_forward_difference(self):
         model = init_model([3, 2, 1], seed=4)
         a, b = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.5, 0.0])
-        assert pair_logit(model, a, b) == mlp.forward(model, a) - mlp.forward(model, b)
+        assert pair_logit(model, a, b) == row_forward(model, a) - row_forward(model, b)
 
 
 class TestPairProbability:
@@ -192,7 +195,7 @@ def _toy_training_setup(n_pairs=200, dim=6, seed=0):
         features[id_b] = np.concatenate([[qb], rng.normal(size=dim - 1)])
         pairs.append(PDIP(id_a=id_a, id_b=id_b, user_id=f"u{i}", prob=0.99, delta_s=qa - qb))
     split = split_indices(n_pairs, 0.2, seeded_rng(seed, "toy-split"))
-    return pairs, features, split
+    return pairs, FeatureSet.of(features), split
 
 
 class TestTrain:
@@ -230,7 +233,8 @@ class TestTrain:
     def test_first_step_decreases_fixed_batch_loss(self):
         pairs, features, _ = _toy_training_setup(n_pairs=16)
         model = init_model([6, 4, 1], seed=7)
-        xa, xb = ranker.resolve_pair_features(pairs, features)
+        xa = features.matrix[features.rows([p.id_a for p in pairs])]
+        xb = features.matrix[features.rows([p.id_b for p in pairs])]
         labels = np.ones(len(pairs))
         loss0, grads = ranker._batch_loss_and_grad(model, xa, xb, labels)
         state = mlp.AdamState.for_params(model.params)
@@ -240,7 +244,7 @@ class TestTrain:
 
     def test_missing_feature_fails_before_training(self):
         pairs, features, split = _toy_training_setup(n_pairs=20)
-        del features["a3"]
+        features = FeatureSet.of({pid: features[pid] for pid in features if pid != "a3"})
         model = init_model([6, 4, 1], seed=0)
         before = [w.copy() for w in model.weights]
         with pytest.raises(ValueError, match="a3"):
@@ -269,7 +273,7 @@ class TestScoreBatch:
     def test_singleton_matches_forward(self):
         model = init_model([4, 2, 1], seed=9)
         x = np.array([0.1, 0.2, 0.3, 0.4])
-        assert score_batch(model, {"p": x}) == {"p": mlp.forward(model, x)}
+        assert score_batch(model, {"p": x}) == {"p": row_forward(model, x)}
 
     def test_mismatch_names_offender(self):
         model = init_model([4, 1], seed=0)

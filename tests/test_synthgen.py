@@ -97,6 +97,13 @@ class TestGenerateCorpus:
             SynthConfig(n_users=0)
         with pytest.raises(ValueError):
             SynthConfig(n_informative=20, feature_dim=16)
+        with pytest.raises(ValueError):
+            SynthConfig(feature_dim=0, n_informative=0)
+        for std in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SynthConfig(mu_std=std)
+            with pytest.raises(ValueError):
+                SynthConfig(feature_noise_std=std)
 
 
 class TestOracleLabel:
