@@ -3,8 +3,8 @@
 Pipeline: filter raw post records into a candidate pool (`corpus`), mine
 popularity-discriminable pairs under a paired-comparison model of log-likes
 (`mining`), train a shared-weight pairwise ranking scorer over per-post
-feature vectors (`ranker`, `mlp`), and evaluate with pairwise accuracy,
-noise ablations and score summaries (`evaluate`). `baseline` holds the
+feature vectors (`ranker`, `mlp`), and evaluate with pairwise accuracy and
+noise ablations (`evaluate`). `baseline` holds the
 absolute-popularity regression baseline and `synthgen` generates corpora
 with known ground truth. `cli` ties it together behind subcommands.
 """

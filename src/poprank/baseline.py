@@ -13,7 +13,6 @@ user statistics by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from . import evaluate, mlp, ranker
 from .features import FeatureSet
 from .mining import PDIP
 from .mlp import MlpModel, TrainConfig
-from .util import read_keyed_floats, seeded_rng
+from .util import seeded_rng
 
 HEAD_DIMS = [7, 256, 128, 64, 1]
 
@@ -117,20 +116,6 @@ def mse_loss(preds, targets) -> float:
     return float(np.mean((preds - targets) ** 2))
 
 
-def pearson(preds, targets) -> float:
-    """Sample Pearson correlation coefficient in [-1, 1]."""
-    preds = np.asarray(preds, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if preds.shape != targets.shape or preds.size < 2:
-        raise ValueError("pearson requires two equal-length vectors of size >= 2")
-    dp = preds - preds.mean()
-    dt = targets - targets.mean()
-    denom = np.sqrt(np.sum(dp**2) * np.sum(dt**2))
-    if denom == 0.0:
-        raise ValueError("pearson is undefined for zero-variance input")
-    return float(np.clip(np.sum(dp * dt) / denom, -1.0, 1.0))
-
-
 def train_baseline(
     model: AbsolutePopModel,
     samples: list[BaselineSample],
@@ -167,32 +152,3 @@ def train_baseline(
 def eval_baseline_as_intrinsic(model: AbsolutePopModel, pairs: list[PDIP], features: FeatureSet) -> evaluate.EvalResult:
     """Pairwise accuracy of the visual branch alone on a mined pair list, scoring every feature row."""
     return evaluate.pairwise_accuracy(ranker.score_batch(model.visual_scorer, features), pairs)
-
-
-def save_baseline(path: str | Path, model: AbsolutePopModel) -> None:
-    mlp.save_checkpoint(path, {"visual": model.visual_scorer, "head": model.head})
-
-
-def load_baseline(path: str | Path) -> AbsolutePopModel:
-    models = mlp.load_checkpoint(path)
-    if set(models) != {"visual", "head"}:
-        raise ValueError(f"baseline checkpoint must contain 'visual' and 'head' sections, got {sorted(models)}")
-    return AbsolutePopModel(visual_scorer=models["visual"], head=models["head"])
-
-
-def save_nonvisual(path: str | Path, nonvisual: dict[str, NonVisualFeatures]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("post_id," + ",".join(NONVISUAL_FIELDS) + "\n")
-        for post_id, nv in nonvisual.items():
-            f.write(post_id + "," + ",".join(repr(float(getattr(nv, k))) for k in NONVISUAL_FIELDS) + "\n")
-
-
-def load_nonvisual(path: str | Path) -> dict[str, NonVisualFeatures]:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "post_id," + ",".join(NONVISUAL_FIELDS):
-            raise ValueError(f"unexpected non-visual header: {header!r}")
-        return {
-            post_id: NonVisualFeatures(*values)
-            for post_id, values in read_keyed_floats(f, len(NONVISUAL_FIELDS))
-        }

@@ -102,7 +102,7 @@ def run_mine(config: dict, out: Path) -> tuple[dict, list[str]]:
     candidates = corpus.filter_candidates(posts, miner.reference_time)
     pairs = mining.mine_pairs(candidates, None, miner)
     mining.write_pairs(out / "pairs.csv", pairs)
-    mining.write_pair_stats_csv(out / "pair_stats.csv", mining.pair_stats(pairs, candidates))
+    corpus.write_stats_csv(out / "pair_stats.csv", mining.pair_stats(pairs, candidates))
     print(f"mined {len(pairs)} pairs from {len(candidates)} candidates ({len(posts)} posts)")
     return {"posts": config["posts"]}, ["pairs.csv", "pair_stats.csv"]
 

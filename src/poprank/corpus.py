@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
+from .util import open_csv
+
 log = logging.getLogger(__name__)
 
 SECONDS_PER_DAY = 86400
@@ -223,10 +225,8 @@ def corpus_stats(posts: list[Post]) -> CorpusStats:
     )
 
 
-def write_stats_csv(path: str | Path, stats: CorpusStats) -> None:
-    """Emit statistics as a two-column CSV (name,value)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("name,value\n")
+def write_stats_csv(path: str | Path, stats) -> None:
+    """Emit the fields of a statistics dataclass (`CorpusStats`, `mining.PairStats`) as CSV rows of name,value."""
+    with open_csv(path, "name,value") as f:
         for field in dataclasses.fields(stats):
-            value = getattr(stats, field.name)
-            f.write(f"{field.name},{value!r}\n" if isinstance(value, float) else f"{field.name},{value}\n")
+            f.write(f"{field.name},{getattr(stats, field.name)!r}\n")  # ints and floats: repr is the decimal form

@@ -1,5 +1,4 @@
-"""Evaluation protocols: pairwise accuracy, label-noise ablation, score
-distribution summaries, popularity levels, display rescaling.
+"""Evaluation protocols: pairwise accuracy, label-noise ablation, display rescaling.
 
 A pair counts as correctly ranked iff the more-popular member scores strictly
 higher; exact ties are tallied separately and count as incorrect, so the
@@ -13,15 +12,11 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import ranker as ranker_mod
 from .features import FeatureSet
 from .mining import PDIP
 from .mlp import init_model
-from .util import read_keyed_floats, seeded_rng, split_indices
-
-POPULARITY_LEVELS = ("poor", "bad", "fair", "good", "excellent")  # ascending score order
+from .util import open_csv, seeded_rng, split_indices
 
 
 @dataclass(frozen=True)
@@ -29,21 +24,6 @@ class EvalResult:
     n_pairs: int
     accuracy: float
     n_ties: int
-
-
-@dataclass(frozen=True)
-class GaussianFit:
-    mean: float
-    std: float  # sample std, n-1 denominator
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Equal-width bins over [min, max]; masses sum to 1, density = mass/width."""
-
-    edges: np.ndarray  # length n_bins + 1
-    masses: np.ndarray
-    densities: np.ndarray
 
 
 def pairwise_accuracy(scores: dict[str, float], pairs: list[PDIP]) -> EvalResult:
@@ -118,34 +98,6 @@ def noise_ablation(
     return table
 
 
-def fit_gaussian(scores: list[float]) -> GaussianFit:
-    """Moment-matching normal fit: sample mean and sample std (n-1)."""
-    values = np.asarray(scores, dtype=np.float64)
-    if values.size < 2:
-        raise ValueError("fit_gaussian requires at least 2 scores")
-    return GaussianFit(mean=float(values.mean()), std=float(values.std(ddof=1)))
-
-
-def popularity_levels(scores: dict[str, float]) -> dict[str, str]:
-    """Assign each score to one of five equal-width levels over the score range.
-
-    The maximum lands in "excellent"; a degenerate range maps everything to
-    "excellent".
-    """
-    if not scores:
-        raise ValueError("popularity_levels requires at least one score")
-    values = np.array(list(scores.values()), dtype=np.float64)
-    lo, hi = float(values.min()), float(values.max())
-    if hi == lo:
-        return {pid: POPULARITY_LEVELS[-1] for pid in scores}
-    width = (hi - lo) / len(POPULARITY_LEVELS)
-    levels = {}
-    for pid, s in scores.items():
-        idx = min(int((s - lo) / width), len(POPULARITY_LEVELS) - 1)
-        levels[pid] = POPULARITY_LEVELS[idx]
-    return levels
-
-
 def rescale_for_display(scores: dict[str, float], new_max: float) -> dict[str, float]:
     """Order-preserving affine map of the scores onto [0, new_max]; display only."""
     if not 0.0 < new_max < math.inf:
@@ -160,59 +112,18 @@ def rescale_for_display(scores: dict[str, float], new_max: float) -> dict[str, f
     return {pid: new_max * ((s - lo) / span) for pid, s in scores.items()}
 
 
-def histogram(scores: list[float], n_bins: int) -> Histogram:
-    """Normalized histogram with equal-width bins spanning [min, max].
-
-    Masses sum to 1; densities integrate to 1 (for a degenerate range the
-    bin width is taken as 1, making mass and density coincide).
-    """
-    values = np.asarray(scores, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("histogram requires at least one score")
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    lo, hi = float(values.min()), float(values.max())
-    edges = np.linspace(lo, hi, n_bins + 1)
-    if hi == lo:
-        masses = np.zeros(n_bins)
-        masses[-1] = 1.0
-        return Histogram(edges=edges, masses=masses, densities=masses.copy())
-    width = (hi - lo) / n_bins
-    idx = np.minimum(((values - lo) / width).astype(int), n_bins - 1)
-    masses = np.bincount(idx, minlength=n_bins) / values.size
-    return Histogram(edges=edges, masses=masses, densities=masses / width)
-
-
 def write_eval_csv(path: str | Path, result: EvalResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("n_pairs,accuracy,n_ties\n")
+    with open_csv(path, "n_pairs,accuracy,n_ties") as f:
         f.write(f"{result.n_pairs},{result.accuracy!r},{result.n_ties}\n")
 
 
 def write_ablation_csv(path: str | Path, table: list[tuple[float, float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("noise_level,test_accuracy\n")
+    with open_csv(path, "noise_level,test_accuracy") as f:
         for q, acc in table:
             f.write(f"{q!r},{acc!r}\n")
 
 
-def write_histogram_csv(path: str | Path, hist: Histogram) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("bin_left,bin_right,density\n")
-        for i in range(len(hist.masses)):
-            f.write(f"{hist.edges[i]!r},{hist.edges[i + 1]!r},{hist.densities[i]!r}\n")
-
-
 def write_scores_csv(path: str | Path, scores: dict[str, float]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("post_id,score\n")
+    with open_csv(path, "post_id,score") as f:
         for post_id in sorted(scores):
             f.write(f"{post_id},{scores[post_id]!r}\n")
-
-
-def read_scores_csv(path: str | Path) -> dict[str, float]:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "post_id,score":
-            raise ValueError(f"unexpected scores header: {header!r}")
-        return {post_id: values[0] for post_id, values in read_keyed_floats(f, 1)}

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import fmt_float, read_keyed_floats
+from .util import fmt_float, open_csv, read_keyed_floats
 
 
 class FeatureSet(Mapping):
@@ -64,8 +64,7 @@ class FeatureSet(Mapping):
 
 
 def save_features(path: str | Path, features: FeatureSet) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"post_id,dim={features.dim}\n")
+    with open_csv(path, f"post_id,dim={features.dim}") as f:
         for post_id, row in zip(features.ids, features.matrix):
             f.write(post_id + "," + ",".join(map(fmt_float, row.tolist())) + "\n")
 

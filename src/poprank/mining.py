@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import SECONDS_PER_DAY, CaptionInfo, Post, analyze_caption, log_likes
+from .util import open_csv
 
 # Zelen & Severo polynomial for the standard normal CDF (abs error <= 7.5e-8).
 _CDF_P = 0.2316419
@@ -218,13 +219,13 @@ def pair_stats(pairs: list[PDIP], posts: list[Post]) -> PairStats:
 
 def write_pairs(path: str | Path, pairs: list[PDIP]) -> None:
     """Emit pairs as CSV: id_a, id_b, user_id, prob (6 decimals), delta_s."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("id_a,id_b,user_id,prob,delta_s\n")
+    with open_csv(path, "id_a,id_b,user_id,prob,delta_s") as f:
         for p in pairs:
             f.write(f"{p.id_a},{p.id_b},{p.user_id},{p.prob:.6f},{format(p.delta_s, '.17g')}\n")
 
 
 def read_pairs(path: str | Path) -> list[PDIP]:
+    """Read a pairs file; a malformed row is a ValueError naming the line."""
     pairs = []
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
@@ -236,16 +237,14 @@ def read_pairs(path: str | Path) -> list[PDIP]:
             parts = line.rstrip("\n").split(",")
             if len(parts) != 5:
                 raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-            pairs.append(
-                PDIP(id_a=parts[0], id_b=parts[1], user_id=parts[2], prob=float(parts[3]), delta_s=float(parts[4]))
-            )
+            id_a, id_b, user_id = parts[:3]
+            if id_a == id_b:
+                raise ValueError(f"line {lineno}: post_id {id_a!r} is paired with itself")
+            try:
+                prob, delta_s = float(parts[3]), float(parts[4])
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            if not 0.0 <= prob <= 1.0 or not math.isfinite(delta_s):
+                raise ValueError(f"line {lineno}: prob must be in [0, 1] and delta_s finite, got {parts[3]}, {parts[4]}")
+            pairs.append(PDIP(id_a, id_b, user_id, prob, delta_s))
     return pairs
-
-
-def write_pair_stats_csv(path: str | Path, stats: PairStats) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("name,value\n")
-        f.write(f"n_pairs,{stats.n_pairs}\n")
-        f.write(f"n_users,{stats.n_users}\n")
-        f.write(f"mean_prob,{stats.mean_prob!r}\n")
-        f.write(f"mean_interval_days,{stats.mean_interval_days!r}\n")

@@ -28,6 +28,7 @@ from .util import fmt_float
 
 CHECKPOINT_TAG = "poprank-checkpoint-v1"
 SCORE_ROWS = 4096  # rows per `forward_cached` pass in `forward_batch`, so the activations held stay small
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates and denominator floor of `adam_step`
 
 
 def _layer_views(layer_dims: list[int], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -59,9 +60,6 @@ class MlpModel:
         model.layer_dims, model.params = list(layer_dims), params
         model.weights, model.biases = _layer_views(model.layer_dims, params)
         return model
-
-    def copy(self) -> "MlpModel":
-        return MlpModel.over(self.layer_dims, self.params.copy())
 
     def n_layers(self) -> int:
         return len(self.weights)
@@ -147,16 +145,7 @@ class AdamState:
         return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def adam_step(
-    state: AdamState,
-    params: np.ndarray,
-    grad: np.ndarray,
-    effective_lr: float,
-    l2_penalty: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, effective_lr: float, l2_penalty: float) -> None:
     """One bias-corrected Adam update of the flat vector `params`, in place.
 
     The l2 penalty is coupled: l2_penalty * theta is added to the gradient
@@ -165,14 +154,14 @@ def adam_step(
     if grad.shape != params.shape or state.m.shape != params.shape:
         raise ValueError(f"gradient/moment lengths {grad.shape}/{state.m.shape} do not match parameters {params.shape}")
     state.step += 1
-    c1 = 1.0 - beta1**state.step
-    c2 = 1.0 - beta2**state.step
+    c1 = 1.0 - ADAM_BETA1**state.step
+    c2 = 1.0 - ADAM_BETA2**state.step
     g = grad + l2_penalty * params
-    state.m *= beta1
-    state.m += (1.0 - beta1) * g
-    state.v *= beta2
-    state.v += (1.0 - beta2) * g * g
-    params -= effective_lr * (state.m / c1) / (np.sqrt(state.v / c2) + eps)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * g * g
+    params -= effective_lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -185,9 +174,6 @@ class TrainConfig:
     epochs: int = 30
     lr_decay_per_epoch: float = 0.95
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         for name in ("learning_rate", "l2_penalty"):
@@ -237,7 +223,7 @@ def fit(
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             loss, grad = batch_loss_and_grad(batch)
-            adam_step(state, params, grad, lr, config.l2_penalty, config.adam_beta1, config.adam_beta2, config.adam_eps)
+            adam_step(state, params, grad, lr, config.l2_penalty)
             epoch_loss += loss * len(batch)
         losses.append(epoch_loss / n)
         lr *= config.lr_decay_per_epoch

@@ -28,7 +28,7 @@ from . import mlp
 from .features import FeatureSet
 from .mining import PDIP
 from .mlp import Gradients, MlpModel, TrainConfig
-from .util import seeded_rng
+from .util import open_csv, seeded_rng
 
 DEFAULT_HIDDEN_DIMS = [64, 32]
 
@@ -46,14 +46,6 @@ class TrainReport:
 def pair_logit(model: MlpModel, x_a: np.ndarray, x_b: np.ndarray) -> float:
     """Score difference O = f(A) - f(B) of two feature vectors; exactly antisymmetric under swap."""
     return float(mlp.forward_batch(model, x_a)[0] - mlp.forward_batch(model, x_b)[0])
-
-
-def pair_probability(o: float) -> float:
-    """Logistic exp(o)/(1+exp(o)) in overflow-safe form; range (0, 1)."""
-    if o >= 0:
-        return 1.0 / (1.0 + math.exp(-o))
-    e = math.exp(o)
-    return e / (1.0 + e)
 
 
 def pair_loss(o: float, label: float) -> float:
@@ -132,7 +124,6 @@ def score_batch(model: MlpModel, features: FeatureSet | dict[str, np.ndarray]) -
 
 
 def write_train_report_csv(path, report: TrainReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("epoch,train_loss,val_accuracy,selected\n")
+    with open_csv(path, "epoch,train_loss,val_accuracy,selected") as f:
         for e, (loss, acc) in enumerate(zip(report.train_loss, report.val_accuracy)):
             f.write(f"{e},{loss!r},{acc!r},{int(e == report.selected_epoch)}\n")

@@ -15,6 +15,7 @@ parallel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,9 +24,10 @@ import numpy as np
 from .corpus import SECONDS_PER_DAY, Post
 from .features import FeatureSet
 from .mining import PDIP
-from .util import fmt_float, read_keyed_floats, seeded_rng
+from .util import fmt_float, open_csv, seeded_rng
 
 BASE_TIME = 1_600_000_000  # fixed epoch origin of synthetic upload times
+LOG_FLOAT_MAX = math.log(sys.float_info.max)  # like counts are round(exp(log-likes) - 1)
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,11 @@ class SynthConfig:
             raise ValueError("std parameters must be finite and >= 0")
         if self.time_span_days < 1:
             raise ValueError("time_span_days must be >= 1")
+        if self.hashtag_vocab < 1 or self.mention_vocab < 1:
+            raise ValueError("hashtag_vocab and mention_vocab must be >= 1")
+        # numpy's normal draws stay within about 14 stds; with 40, exp(log-likes) and the features stay finite
+        if not abs(self.mu_mean) + 40.0 * (self.mu_std + self.sigma_true) < LOG_FLOAT_MAX:
+            raise ValueError(f"mu_mean must be finite, with |mu_mean| + 40 * (mu_std + sigma_true) < {LOG_FLOAT_MAX:.2f}")
 
 
 @dataclass
@@ -128,15 +135,6 @@ def latent_consistency(pairs: list[PDIP], latent: dict[str, float]) -> float:
 
 
 def save_latents(path: str | Path, latent_mu: dict[str, float]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("post_id,mu\n")
+    with open_csv(path, "post_id,mu") as f:
         for post_id, mu in latent_mu.items():
             f.write(f"{post_id},{fmt_float(mu)}\n")
-
-
-def load_latents(path: str | Path) -> dict[str, float]:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != "post_id,mu":
-            raise ValueError(f"unexpected latents header: {header!r}")
-        return {post_id: values[0] for post_id, values in read_keyed_floats(f, 1)}

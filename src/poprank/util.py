@@ -1,11 +1,11 @@
-"""Shared helpers: named deterministic RNG streams, digests, splits, formatting, keyed CSV rows."""
+"""Shared helpers: named deterministic RNG streams, digests, splits, formatting, CSV files."""
 
 from __future__ import annotations
 
 import hashlib
 import math
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -43,6 +43,13 @@ def sha256_file(path: str | Path) -> str:
 def fmt_float(x: float) -> str:
     """Decimal text form that round-trips float64 exactly (17 significant digits)."""
     return format(float(x), ".17g")
+
+
+def open_csv(path: str | Path, header: str) -> TextIO:
+    """Open `path` for writing as UTF-8 with LF line ends and write the `header` line; the caller closes it."""
+    f = open(path, "w", encoding="utf-8", newline="\n")
+    f.write(header + "\n")
+    return f
 
 
 def read_keyed_floats(lines: Iterable[str], n_values: int) -> Iterator[tuple[str, list[float]]]:

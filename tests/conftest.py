@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from poprank import mlp, synthgen
 from poprank.corpus import SECONDS_PER_DAY, Post, analyze_caption, log_likes
@@ -23,6 +25,9 @@ _CDF_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
 
 BASE = synthgen.BASE_TIME
 DAY = SECONDS_PER_DAY
+
+# ids as `corpus.parse_posts` accepts them: no ',', whitespace or control characters (and no surrogates)
+legal_ids = st.text(st.characters(exclude_categories=("Cc", "Cs", "Z"), exclude_characters=","), min_size=1, max_size=8)
 
 
 def make_post(
@@ -159,6 +164,18 @@ def reference_mine_pairs(posts: list[Post], features_present: set[str] | None, c
 
     result.sort(key=lambda c: (c.user_id, c.id_a))
     return result
+
+
+def logistic(o: float) -> float:
+    """P(A above B) for the pair logit o; the pair loss's derivative in o is logistic(o) - label."""
+    return 1.0 / (1.0 + math.exp(-o))
+
+
+def read_id_values(path, header: str) -> dict[str, float]:
+    """{post_id: value} from a two-column CSV such as scores.csv or latents.csv, checking its header."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    assert lines[0] == header
+    return {post_id: float(value) for post_id, value in (line.split(",") for line in lines[1:])}
 
 
 def zero_gradients(model: mlp.MlpModel) -> mlp.Gradients:

@@ -7,8 +7,9 @@ import pytest
 
 from poprank import synthgen
 from poprank.cli import main
-from poprank.evaluate import read_scores_csv
 from poprank.mining import read_pairs
+
+from conftest import read_id_values
 
 REF = str(synthgen.reference_time_for(synthgen.SynthConfig(time_span_days=45)))
 
@@ -171,7 +172,7 @@ class TestEvalScoreAblate:
         code = _run(["score", "--checkpoint", pipeline / "checkpoint.txt", "--features", pipeline / "features.csv",
                      "--rescale-max", "100", "--out-dir", tmp_path])
         assert code == 0
-        scores = read_scores_csv(tmp_path / "scores.csv")
+        scores = read_id_values(tmp_path / "scores.csv", "post_id,score")
         assert max(scores.values()) == 100.0
         assert min(scores.values()) == 0.0
 
@@ -179,7 +180,7 @@ class TestEvalScoreAblate:
         code = _run(["score", "--checkpoint", pipeline / "checkpoint.txt", "--features", pipeline / "features.csv",
                      "--out-dir", tmp_path])
         assert code == 0
-        scores = read_scores_csv(tmp_path / "scores.csv")
+        scores = read_id_values(tmp_path / "scores.csv", "post_id,score")
         assert len(scores) == 80 * 8
 
     def test_score_on_cut_checkpoint_is_a_one_line_error(self, pipeline, tmp_path, capsys):
@@ -206,7 +207,7 @@ class TestEvalMatchesScore:
                   "--out-dir", tmp_path]
         assert _run(["score"] + common) == 0
         assert _run(["eval", "--pairs", pipeline / "pairs.csv"] + common) == 0
-        scores = read_scores_csv(tmp_path / "scores.csv")
+        scores = read_id_values(tmp_path / "scores.csv", "post_id,score")
         pairs = read_pairs(pipeline / "pairs.csv")
         correct = sum(scores[p.id_a] > scores[p.id_b] for p in pairs)
         ties = sum(scores[p.id_a] == scores[p.id_b] for p in pairs)
@@ -247,6 +248,35 @@ class TestOneLineErrors:
         err = capsys.readouterr().err
         assert code == 1 and "feature_dim" in err and err.count("\n") == 1
         assert not (tmp_path / "features.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, option",
+        [("--hashtag-vocab", "0", "hashtag_vocab"), ("--mention-vocab", "0", "mention_vocab"),
+         ("--mu-mean", "nan", "mu_mean"), ("--mu-mean", "inf", "mu_mean"), ("--mu-mean", "800", "mu_mean")],
+    )
+    def test_synth_rejects_bad_option(self, tmp_path, capsys, flag, value, option):
+        code = _run(SYNTH_ARGS + [flag, value, "--out-dir", tmp_path])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and option in err and err.count("\n") == 1
+        assert not (tmp_path / "posts.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("a,b,u,abc,1.0", "line 3: could not convert string to float: 'abc'"),
+         ("a,b,u,nan,1.0", "line 3: prob must be in [0, 1]"),
+         ("a,b,u,0.99,inf", "line 3: prob must be in [0, 1] and delta_s finite"),
+         ("a,a,u,0.99,1.0", "line 3: post_id 'a' is paired with itself")],
+    )
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_bad_pairs_row(self, pipeline, tmp_path, capsys, row, message, command):
+        lines = (pipeline / "pairs.csv").read_text().splitlines()
+        bad = tmp_path / "pairs.csv"
+        bad.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n")
+        args = [command, "--pairs", bad, "--features", pipeline / "features.csv", "--out-dir", tmp_path]
+        args += ["--checkpoint", pipeline / "checkpoint.txt"] if command == "eval" else ["--epochs", "1"]
+        code = _run(args)
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith(f"error: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("dim", ["abc", "-1"])
     def test_bad_features_header(self, pipeline, tmp_path, capsys, dim):

@@ -1,26 +1,24 @@
-"""Tests for accuracy, label flipping, ablation wiring, fits, levels, histograms."""
+"""Tests for accuracy, label flipping, ablation wiring, display rescaling, the scores file."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poprank import evaluate
 from poprank.evaluate import (
-    POPULARITY_LEVELS,
-    fit_gaussian,
     flip_labels,
-    histogram,
     noise_ablation,
     pairwise_accuracy,
-    popularity_levels,
-    read_scores_csv,
     rescale_for_display,
     write_scores_csv,
 )
 from poprank.features import FeatureSet
 from poprank.mining import PDIP
 from poprank.ranker import TrainConfig
+
+from conftest import legal_ids, read_id_values
 
 
 def _pairs(n, user="u"):
@@ -139,58 +137,6 @@ class TestNoiseAblation:
         assert all(0.0 <= acc <= 1.0 for _, acc in t1)
 
 
-class TestFitGaussian:
-    def test_hand_arithmetic(self):
-        fit = fit_gaussian([1.0, 2.0, 3.0])
-        assert fit.mean == pytest.approx(2.0)
-        assert fit.std == pytest.approx(1.0)  # n-1 denominator
-
-    def test_constant_list_gives_zero_std(self):
-        fit = fit_gaussian([4.2, 4.2, 4.2])
-        assert fit.mean == pytest.approx(4.2) and fit.std == 0.0
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            fit_gaussian([1.0])
-
-    def test_matches_numpy_oracle(self):
-        rng = np.random.default_rng(6)
-        xs = rng.normal(3, 2, size=500)
-        fit = fit_gaussian(list(xs))
-        assert fit.mean == pytest.approx(float(np.mean(xs)), abs=1e-12)
-        assert fit.std == pytest.approx(float(np.std(xs, ddof=1)), abs=1e-12)
-
-
-class TestPopularityLevels:
-    def test_single_score_is_excellent(self):
-        assert popularity_levels({"p": 1.23}) == {"p": "excellent"}
-
-    def test_hand_binning(self):
-        scores = {f"p{v}": float(v) for v in range(6)}
-        scores["q"] = 4.2
-        levels = popularity_levels(scores)
-        assert levels["q"] == "excellent"
-        assert levels["p0"] == "poor"
-        assert levels["p1"] == "bad"
-        assert levels["p2"] == "fair"
-        assert levels["p3"] == "good"
-        assert levels["p4"] == "excellent"
-        assert levels["p5"] == "excellent"
-
-    def test_monotone_in_score(self):
-        rng = np.random.default_rng(14)
-        scores = {f"p{i}": float(rng.normal()) for i in range(100)}
-        levels = popularity_levels(scores)
-        rank = {name: i for i, name in enumerate(POPULARITY_LEVELS)}
-        ordered = sorted(scores.items(), key=lambda kv: kv[1])
-        ranks = [rank[levels[k]] for k, _ in ordered]
-        assert all(b >= a for a, b in zip(ranks[:-1], ranks[1:]))
-
-    def test_empty_error(self):
-        with pytest.raises(ValueError):
-            popularity_levels({})
-
-
 class TestRescaleForDisplay:
     def test_two_point(self):
         assert rescale_for_display({"a": 0.0, "b": 5.0}, 100.0) == {"a": 0.0, "b": 100.0}
@@ -223,62 +169,17 @@ class TestRescaleForDisplay:
             rescale_for_display({"a": 2.0, "b": 3.0}, new_max)
 
 
-class TestHistogram:
-    def test_single_bin_all_equal(self):
-        hist = histogram([2.0, 2.0, 2.0], 1)
-        assert hist.masses.tolist() == [1.0]
-        assert hist.densities.tolist() == [1.0]
-
-    def test_uniform_grid(self):
-        # exactly 100 points per bin over [0, 1], endpoints included
-        scores = [0.0, 1.0] + [0.05 + 0.1 * i for i in range(10) for _ in range(99 if i in (0, 9) else 100)]
-        hist = histogram(scores, 10)
-        assert np.allclose(hist.masses, 0.1)
-        assert np.allclose(hist.densities, 1.0)
-
-    def test_density_normalization(self):
-        rng = np.random.default_rng(18)
-        scores = list(rng.normal(size=400))
-        hist = histogram(scores, 17)
-        widths = np.diff(hist.edges)
-        assert float(np.sum(hist.densities * widths)) == pytest.approx(1.0, abs=1e-9)
-        assert float(np.sum(hist.masses)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_max_lands_in_last_bin(self):
-        hist = histogram([0.0, 0.5, 1.0], 2)
-        assert hist.masses.tolist() == [pytest.approx(1 / 3), pytest.approx(2 / 3)]
-
-    def test_empty_error(self):
-        with pytest.raises(ValueError):
-            histogram([], 3)
-
-    def test_csv(self, tmp_path):
-        hist = histogram([0.0, 1.0, 2.0, 3.0], 2)
-        path = tmp_path / "hist.csv"
-        evaluate.write_histogram_csv(path, hist)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "bin_left,bin_right,density"
-        assert len(lines) == 3
-
-
 class TestScoresFile:
     def test_round_trip(self, tmp_path):
         scores = {"p1": 0.25, "p2": -1.5}
         path = tmp_path / "scores.csv"
         write_scores_csv(path, scores)
-        assert read_scores_csv(path) == scores
+        assert read_id_values(path, "post_id,score") == scores
 
-    @pytest.mark.parametrize(
-        "body, message",
-        [
-            ("p1,0.5\np2,1.0\np1,2.0\n", "line 4: duplicate post_id 'p1'"),
-            ("p1,0.5\np2,1.0,3.0\n", "line 3: expected 2 fields, got 3"),
-            ("p1\n", "line 2: expected 2 fields, got 1"),
-            ("p1,high\n", "line 2:"),
-        ],
-    )
-    def test_malformed_rows_name_the_line(self, tmp_path, body, message):
-        path = tmp_path / "scores.csv"
-        path.write_text("post_id,score\n" + body)
-        with pytest.raises(ValueError, match=message):
-            read_scores_csv(path)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.dictionaries(legal_ids, st.floats(allow_nan=False, allow_infinity=False), max_size=12))
+    def test_round_trip_is_bitwise(self, tmp_path_factory, scores):
+        path = tmp_path_factory.mktemp("scores") / "scores.csv"
+        write_scores_csv(path, scores)
+        loaded = read_id_values(path, "post_id,score")
+        assert {pid: s.hex() for pid, s in loaded.items()} == {pid: s.hex() for pid, s in scores.items()}

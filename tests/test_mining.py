@@ -28,6 +28,7 @@ from conftest import (
     DAY,
     audit_pairs,
     exact_normal_cdf,
+    legal_ids,
     make_post,
     reference_mine_pairs,
     scalar_normal_cdf,
@@ -401,3 +402,17 @@ class TestPairsFile:
         path.write_text("who,what\n")
         with pytest.raises(ValueError):
             read_pairs(path)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(
+        st.builds(PDIP, legal_ids, legal_ids, legal_ids, st.floats(0.0, 1.0), st.floats(allow_nan=False, allow_infinity=False))
+        .filter(lambda p: p.id_a != p.id_b),
+        max_size=12,
+    ))
+    def test_round_trip_of_any_legal_pairs(self, tmp_path_factory, pairs):
+        path = tmp_path_factory.mktemp("pairs") / "pairs.csv"
+        write_pairs(path, pairs)
+        loaded = read_pairs(path)
+        assert [(p.id_a, p.id_b, p.user_id) for p in loaded] == [(p.id_a, p.id_b, p.user_id) for p in pairs]
+        assert [p.delta_s.hex() for p in loaded] == [p.delta_s.hex() for p in pairs]
+        assert [p.prob for p in loaded] == [float(f"{p.prob:.6f}") for p in pairs]

@@ -14,13 +14,12 @@ from poprank.ranker import (
     pair_grad,
     pair_logit,
     pair_loss,
-    pair_probability,
     score_batch,
     train,
 )
 from poprank.util import seeded_rng, split_indices
 
-from conftest import row_forward
+from conftest import logistic, row_forward
 
 
 def _flatten(grads):
@@ -82,24 +81,6 @@ class TestPairLogit:
         assert pair_logit(model, a, b) == row_forward(model, a) - row_forward(model, b)
 
 
-class TestPairProbability:
-    def test_half_at_zero(self):
-        assert pair_probability(0.0) == 0.5
-
-    def test_logistic_reference(self):
-        assert pair_probability(1.0) == pytest.approx(0.7311, abs=1e-4)
-        assert pair_probability(1.0) == pytest.approx(math.exp(1) / (1 + math.exp(1)), abs=1e-15)
-
-    def test_saturation_without_overflow(self):
-        assert pair_probability(500.0) == pytest.approx(1.0, abs=1e-12)
-        assert pair_probability(-500.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_open_interval_in_representable_range(self):
-        # float64 saturates to exactly 0/1 beyond |o| ~ 37; test inside it
-        for o in np.linspace(-36.0, 36.0, 101):
-            assert 0.0 < pair_probability(float(o)) < 1.0
-
-
 class TestPairLoss:
     def test_uninformative_logit(self):
         assert pair_loss(0.0, 1) == pytest.approx(math.log(2.0), abs=1e-15)
@@ -142,7 +123,7 @@ class TestPairGrad:
         for o in rng.normal(0, 4, size=50):
             for label in (0, 1):
                 fd = (pair_loss(float(o) + h, label) - pair_loss(float(o) - h, label)) / (2 * h)
-                assert fd == pytest.approx(pair_probability(float(o)) - label, abs=1e-7)
+                assert fd == pytest.approx(logistic(float(o)) - label, abs=1e-7)
 
     def test_saturated_gradient_vanishes(self):
         model = init_model([2, 1], seed=1)

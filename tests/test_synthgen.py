@@ -11,11 +11,12 @@ from poprank.synthgen import (
     SynthConfig,
     generate_corpus,
     latent_consistency,
-    load_latents,
     oracle_label,
     reference_time_for,
     save_latents,
 )
+
+from conftest import read_id_values
 
 
 class TestGenerateCorpus:
@@ -104,6 +105,14 @@ class TestGenerateCorpus:
                 SynthConfig(mu_std=std)
             with pytest.raises(ValueError):
                 SynthConfig(feature_noise_std=std)
+        for vocab in ("hashtag_vocab", "mention_vocab"):
+            with pytest.raises(ValueError, match=vocab):
+                SynthConfig(**{vocab: 0})
+        for mu_mean in (math.nan, math.inf, -math.inf, 800.0, -800.0):
+            with pytest.raises(ValueError, match="mu_mean"):
+                SynthConfig(mu_mean=mu_mean)
+        with pytest.raises(ValueError, match="mu_mean"):
+            SynthConfig(mu_std=1e300)  # a finite mean whose draws overflow a like count
 
 
 class TestOracleLabel:
@@ -171,23 +180,4 @@ class TestLatentsFile:
         latents = {"p1": 6.25, "p2": 4.75, "p3": -0.5}
         path = tmp_path / "latents.csv"
         save_latents(path, latents)
-        assert load_latents(path) == latents
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n")
-        with pytest.raises(ValueError):
-            load_latents(path)
-
-    @pytest.mark.parametrize(
-        "body, message",
-        [
-            ("p1,6.0\np1,5.0\n", "line 3: duplicate post_id 'p1'"),
-            ("p1,6.0\np2,5.0,1.0\n", "line 3: expected 2 fields, got 3"),
-        ],
-    )
-    def test_malformed_rows_name_the_line(self, tmp_path, body, message):
-        path = tmp_path / "latents.csv"
-        path.write_text("post_id,mu\n" + body)
-        with pytest.raises(ValueError, match=message):
-            load_latents(path)
+        assert read_id_values(path, "post_id,mu") == latents
