@@ -151,6 +151,8 @@ def run_score(config: dict, out: Path) -> tuple[dict, list[str]]:
 
 
 def run_ablate(config: dict, out: Path) -> tuple[dict, list[str]]:
+    if not config["noise_levels"]:
+        raise ValueError("--noise-levels must name at least one level")
     pairs = mining.read_pairs(_require_file(config["pairs"], "pairs"))
     feats = features_mod.load_features(_require_file(config["features"], "features"))
     table = evaluate.noise_ablation(

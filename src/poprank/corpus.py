@@ -13,21 +13,18 @@ import dataclasses
 import json
 import logging
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .util import open_csv
+from .util import _check_id, open_csv
 
 log = logging.getLogger(__name__)
 
 SECONDS_PER_DAY = 86400
 MIN_LIKES = 50
 MIN_AGE_DAYS = 30
-
-_ID_FORBIDDEN = re.compile(r"[,\s\x00-\x1f\x7f-\x9f]")  # comma, Unicode whitespace, Unicode control (Cc)
 
 POST_FIELDS = ("post_id", "user_id", "upload_time", "likes", "caption", "media_count", "is_video")
 
@@ -76,15 +73,6 @@ class ParseReport:
 
     posts: list[Post]
     diagnostics: list[str]
-
-
-def _check_id(key: str, value) -> None:
-    """Ids are written unquoted into CSV files, so they exclude ',', whitespace and control characters."""
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"{key} must be a non-empty string")
-    bad = _ID_FORBIDDEN.search(value)
-    if bad:
-        raise ValueError(f"{key} {value!r} contains {bad.group()!r}; ids exclude ',', whitespace and controls")
 
 
 def _coerce_post(record: dict) -> Post:
@@ -154,7 +142,7 @@ def parse_posts_file(path: str | Path) -> ParseReport:
 
 def serialize_post(post: Post) -> str:
     """One-line JSON form of a post; `parse_posts` inverts it exactly."""
-    return json.dumps(dataclasses.asdict(post), sort_keys=True, ensure_ascii=True)
+    return json.dumps({key: getattr(post, key) for key in POST_FIELDS}, sort_keys=True, ensure_ascii=True)
 
 
 def write_posts(path: str | Path, posts: Iterable[Post]) -> None:

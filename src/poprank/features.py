@@ -10,11 +10,17 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping, Sequence
+from itertools import repeat
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
-from .util import fmt_float, open_csv, read_keyed_floats
+from .util import _ID_FORBIDDEN, open_csv, read_keyed_floats
+
+FEATURE_VALUES = 1 << 15  # values per numpy parse when reading a features file: bounds the memory a block takes
+# float() does not strip these around a number and numpy's reader does (both strip the other whitespace)
+_LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 
 
 class FeatureSet(Mapping):
@@ -64,20 +70,76 @@ class FeatureSet(Mapping):
 
 
 def save_features(path: str | Path, features: FeatureSet) -> None:
+    row_format = "%s" + ",%.17g" * features.dim + "\n"  # fmt_float's form; one row at a time keeps memory flat
     with open_csv(path, f"post_id,dim={features.dim}") as f:
         for post_id, row in zip(features.ids, features.matrix):
-            f.write(post_id + "," + ",".join(map(fmt_float, row.tolist())) + "\n")
+            f.write(row_format % (post_id, *row.tolist()))
 
 
 def load_features(path: str | Path) -> FeatureSet:
-    """Read a feature file; a malformed header or row is a ValueError naming the line."""
+    """Read a feature file; a malformed header or row is a ValueError naming the line.
+
+    Rows are parsed by numpy's C reader, FEATURE_VALUES values at a time. A
+    file that reader does not take as it is, and one with a bad or repeated
+    id or a non-finite value, is read again row by row by `read_keyed_floats`,
+    which names the first bad line.
+    """
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         name, sep, dim = header.partition(",dim=")
         if name != "post_id" or not sep or not dim.isdecimal() or int(dim) < 1:
             raise ValueError(f"line 1: expected the header 'post_id,dim=D' with D a positive integer, got {header!r}")
-        ids, flat = [], array("d")  # one flat buffer: a list per row would take several times the memory
-        for post_id, values in read_keyed_floats(f, int(dim)):
-            ids.append(post_id)
-            flat.extend(values)
-    return FeatureSet(ids, np.frombuffer(flat, dtype=np.float64).reshape(len(ids), int(dim)))
+        dim = int(dim)
+        parsed = _read_blocks(f, dim)
+        if parsed is not None:
+            try:
+                return FeatureSet(*parsed)
+            except ValueError:  # a repeated id or a non-finite value
+                pass
+        f.seek(0)
+        f.readline()
+        return FeatureSet(*_read_rows(f, dim))
+
+
+def _read_rows(f: TextIO, dim: int) -> tuple[list[str], np.ndarray]:
+    ids, flat = [], array("d")  # one flat buffer: a list per row would take several times the memory
+    for post_id, values in read_keyed_floats(f, dim):
+        ids.append(post_id)
+        flat.extend(values)
+    return ids, np.frombuffer(flat, dtype=np.float64).reshape(len(ids), dim)
+
+
+def _read_blocks(f: TextIO, dim: int) -> tuple[list[str], np.ndarray] | None:
+    """The ids and the matrix of the rows after the header, or None where the row parser must judge a row."""
+    ids, rows, flat = [], [], array("d")
+    rows_per_block = max(1, FEATURE_VALUES // dim)
+    for line in f:
+        if line.isspace():
+            continue
+        if line.count(",") != dim:
+            return None
+        post_id, _, values = line.partition(",")
+        ids.append(post_id)
+        rows.append(values)
+        if len(rows) == rows_per_block and not _parse_rows(rows, flat):
+            return None
+    if not _parse_rows(rows, flat) or not all(ids) or _ID_FORBIDDEN.search("".join(ids)):
+        return None
+    return ids, np.frombuffer(flat, dtype=np.float64).reshape(len(ids), dim)
+
+
+def _parse_rows(rows: list[str], flat: array) -> bool:
+    """Append the values of `rows` to `flat` and empty `rows`; False where numpy's reader and float() may differ."""
+    if not rows:
+        return True
+    if "\n" in rows or "" in rows:  # numpy skips an empty row, where float("") is an error
+        return False
+    if any(any(map(str.__contains__, rows, repeat(space))) for space in _LOADTXT_ONLY_SPACES):
+        return False
+    try:
+        block = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return False
+    flat.frombytes(memoryview(block).cast("B"))
+    rows.clear()
+    return True

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import SECONDS_PER_DAY, CaptionInfo, Post, analyze_caption, log_likes
-from .util import open_csv
+from .util import _check_id, open_csv
 
 # Zelen & Severo polynomial for the standard normal CDF (abs error <= 7.5e-8).
 _CDF_P = 0.2316419
@@ -225,7 +225,7 @@ def write_pairs(path: str | Path, pairs: list[PDIP]) -> None:
 
 
 def read_pairs(path: str | Path) -> list[PDIP]:
-    """Read a pairs file; a malformed row is a ValueError naming the line."""
+    """Read a pairs file; a malformed row or an id that breaks the id rule is a ValueError naming the line."""
     pairs = []
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
@@ -238,13 +238,15 @@ def read_pairs(path: str | Path) -> list[PDIP]:
             if len(parts) != 5:
                 raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
             id_a, id_b, user_id = parts[:3]
-            if id_a == id_b:
-                raise ValueError(f"line {lineno}: post_id {id_a!r} is paired with itself")
             try:
+                for key, value in zip(("id_a", "id_b", "user_id"), parts):
+                    _check_id(key, value)
+                if id_a == id_b:
+                    raise ValueError(f"post_id {id_a!r} is paired with itself")
                 prob, delta_s = float(parts[3]), float(parts[4])
+                if not 0.0 <= prob <= 1.0 or not math.isfinite(delta_s):
+                    raise ValueError(f"prob must be in [0, 1] and delta_s finite, got {parts[3]}, {parts[4]}")
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-            if not 0.0 <= prob <= 1.0 or not math.isfinite(delta_s):
-                raise ValueError(f"line {lineno}: prob must be in [0, 1] and delta_s finite, got {parts[3]}, {parts[4]}")
             pairs.append(PDIP(id_a, id_b, user_id, prob, delta_s))
     return pairs

@@ -28,6 +28,10 @@ from .util import fmt_float, open_csv, seeded_rng
 
 BASE_TIME = 1_600_000_000  # fixed epoch origin of synthetic upload times
 LOG_FLOAT_MAX = math.log(sys.float_info.max)  # like counts are round(exp(log-likes) - 1)
+# A post's hashtag and mention counts: an entry drawn by a uniform index, which gives
+# the values and leaves the generator state that rng.choice over the same list does.
+_HASHTAG_COUNTS = (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2)
+_MENTION_COUNTS = (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,8 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
             s = float(rng.normal(mu, config.sigma_true))
             likes = max(0, round(math.exp(s) - 1.0))
 
-            n_hash = int(rng.choice([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2]))
-            n_ment = int(rng.choice([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 2]))
+            n_hash = _HASHTAG_COUNTS[int(rng.integers(0, len(_HASHTAG_COUNTS)))]
+            n_ment = _MENTION_COUNTS[int(rng.integers(0, len(_MENTION_COUNTS)))]
             n_words = 0 if rng.random() < 0.15 else int(rng.geometric(0.4))
             tokens = [f"word{int(k):03d}" for k in rng.integers(0, 50, size=n_words)]
             tokens += [hash_pool[int(k)] for k in rng.integers(0, len(hash_pool), size=n_hash)]

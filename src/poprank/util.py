@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
+
+_ID_FORBIDDEN = re.compile(r"[,\s\x00-\x1f\x7f-\x9f]")  # comma, Unicode whitespace, Unicode control (Cc)
 
 
 def seeded_rng(seed: int, *tags: str) -> np.random.Generator:
@@ -45,6 +48,15 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _check_id(key: str, value) -> None:
+    """Ids are written unquoted into CSV files, so they exclude ',', whitespace and control characters."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{key} must be a non-empty string")
+    bad = _ID_FORBIDDEN.search(value)
+    if bad:
+        raise ValueError(f"{key} {value!r} contains {bad.group()!r}; ids exclude ',', whitespace and controls")
+
+
 def open_csv(path: str | Path, header: str) -> TextIO:
     """Open `path` for writing as UTF-8 with LF line ends and write the `header` line; the caller closes it."""
     f = open(path, "w", encoding="utf-8", newline="\n")
@@ -56,24 +68,25 @@ def read_keyed_floats(lines: Iterable[str], n_values: int) -> Iterator[tuple[str
     """Yield (post_id, values) from CSV rows of an id and `n_values` floats.
 
     `lines` are the lines after a file's one-line header; blank ones are
-    skipped. A wrong field count, a non-numeric or non-finite value or a
-    repeated id raises a ValueError naming the line.
+    skipped. A wrong field count, an id that breaks the id rule, a repeated
+    id or a non-numeric or non-finite value raises a ValueError naming the line.
     """
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         fields = line.rstrip("\n").split(",")
-        if len(fields) != n_values + 1:
-            raise ValueError(f"line {lineno}: expected {n_values + 1} fields, got {len(fields)}")
         post_id = fields[0]
-        if post_id in seen:
-            raise ValueError(f"line {lineno}: duplicate post_id {post_id!r}")
-        seen.add(post_id)
         try:
+            if len(fields) != n_values + 1:
+                raise ValueError(f"expected {n_values + 1} fields, got {len(fields)}")
+            _check_id("post_id", post_id)
+            if post_id in seen:
+                raise ValueError(f"duplicate post_id {post_id!r}")
             values = list(map(float, fields[1:]))
+            if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):  # finite values can sum to inf
+                raise ValueError(f"non-finite value for post_id {post_id!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):  # finite values can sum to inf
-            raise ValueError(f"line {lineno}: non-finite value for post_id {post_id!r}")
+        seen.add(post_id)
         yield post_id, values

@@ -278,6 +278,26 @@ class TestOneLineErrors:
         err = capsys.readouterr().err
         assert code == 1 and err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("levels", ["", ","])
+    def test_ablate_rejects_no_noise_level(self, pipeline, tmp_path, capsys, levels):
+        code = _run(["ablate", "--pairs", pipeline / "pairs.csv", "--features", pipeline / "features.csv",
+                     "--noise-levels", levels, "--epochs", "1", "--out-dir", tmp_path])
+        assert code == 1 and capsys.readouterr().err == "error: --noise-levels must name at least one level\n"
+        assert not (tmp_path / "ablation.csv").exists()
+
+    @pytest.mark.parametrize(
+        "post_id, message",
+        [("", "line 3: post_id must be a non-empty string"), ("a b", "line 3: post_id 'a b' contains ' '")],
+    )
+    def test_bad_features_id(self, pipeline, tmp_path, capsys, post_id, message):
+        lines = (pipeline / "features.csv").read_text().splitlines()
+        bad = tmp_path / "features.csv"
+        bad.write_text("\n".join(lines[:2] + [post_id + "," + lines[1].partition(",")[2]] + lines[2:]) + "\n")
+        code = _run(["score", "--checkpoint", pipeline / "checkpoint.txt", "--features", bad, "--out-dir", tmp_path])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "scores.csv").exists()
+
     @pytest.mark.parametrize("dim", ["abc", "-1"])
     def test_bad_features_header(self, pipeline, tmp_path, capsys, dim):
         bad = tmp_path / "features.csv"

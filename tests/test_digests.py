@@ -32,6 +32,20 @@ PINNED = {
 }
 
 
+# `synth` at the feature width of the bench's `embed` workload, where each row is formatted in one piece
+PINNED_WIDE = {
+    "features.csv": "b62cf973f2c73a728ed8ed552f0489a875f3b37b71be1cfa10879b0bf7639378",
+    "latents.csv": "5b64aa4ce9a5399d13e5dbaf8c1284572707840b89ab0adb1c6fc551a6ac1022",
+    "posts.jsonl": "ae8b9942108fae4b717a24e3a0569d73d3c4c9d0554ebcaa5f1a302fa8b2a0cc",
+}
+
+
+def test_wide_synth_digests_are_pinned(tmp_path):
+    args = ["synth", "--n-users", "40", "--posts-per-user", "12", "--seed", "2", "--feature-dim", "256"]
+    assert main(args + ["--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "synth_manifest.json").read_text())["outputs"] == PINNED_WIDE
+
+
 def test_every_output_digest_is_pinned(tmp_path):
     d = {name: tmp_path / name for name in ("synth", "stats", "mine", "train", "eval", "score", "rescaled", "ablate")}
     posts, pairs, features = d["synth"] / "posts.jsonl", d["mine"] / "pairs.csv", d["synth"] / "features.csv"

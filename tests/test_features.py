@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from poprank import features as features_mod
 from poprank.features import FeatureSet, load_features, save_features
+from poprank.util import read_keyed_floats
 
 
 def _set(n=3, dim=4, seed=0):
@@ -111,7 +113,8 @@ class TestFeaturesFile:
     @pytest.mark.parametrize(
         "body, message",
         [("a,1\n", "line 2: expected 3 fields"), ("a,1,2\na,3,4\n", "line 3: duplicate post_id"),
-         ("a,1,x\n", "line 2: could not convert")],
+         ("a,1,x\n", "line 2: could not convert"), (",1,2\n", "line 2: post_id must be a non-empty string"),
+         ("a,1,2\nb c,3,4\n", "line 3: post_id 'b c' contains ' '")],
     )
     def test_malformed_rows_name_the_line(self, tmp_path, body, message):
         with pytest.raises(ValueError, match=message):
@@ -142,3 +145,100 @@ def test_save_load_round_trip_is_bitwise(tmp_path_factory, case):
     assert loaded.ids == ids
     assert loaded.matrix.shape == matrix.shape
     assert loaded.matrix.tobytes() == np.ascontiguousarray(matrix).tobytes()  # keeps -0.0 and subnormals
+
+
+def _row_parser(path):
+    """Reference reader: the header line, then `read_keyed_floats` on every row, one `float()` per value."""
+    ids, flat = [], []
+    with open(path, "r", encoding="utf-8") as f:
+        dim = int(f.readline().strip().partition(",dim=")[2])
+        for post_id, values in read_keyed_floats(f, dim):
+            ids.append(post_id)
+            flat += values
+    return ids, np.array(flat, dtype=np.float64).reshape(-1, dim)
+
+
+def _loaded(path):
+    fs = load_features(path)
+    return fs.ids, fs.matrix
+
+
+def _outcome(read, path):
+    try:
+        ids, matrix = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return ids, matrix.shape, matrix.tobytes()
+
+
+# What an edit puts in place of a value, by kind; a file's edits draw a kind, then one of its entries.
+_VALUE_EDITS = {
+    "plain": ["0", "-0", "1.5", "-2.25e-3", "1e-400", "5e-324", "+.5", "7.", "1E5", "1.7976931348623157e308"],
+    "padded": [" 1", "2 ", "\t3", "4\t", "\u20035", "6\xa0", "1\x1c", "\x1f2"],  # numpy strips all, float() not \x1c-\x1f
+    "float only": ["1_0", "\u0661", "\uff11"],  # float() takes these and numpy's reader does not
+    "non-finite": ["nan", "-inf", "inf", "1e400", "NaN"],
+    "not a number": ["", " ", "x", "#1", "1#", "0x10", "1 2", '"1"'],
+}
+_EDITS = {
+    **_VALUE_EDITS,
+    "id": ["#a", "#", "\u00e9t\u00e9", "", "a b", "a\t", "a ", "a\x01", "a\x85", "a\u2003"],  # legal, then bad
+    "blank line": ["", " ", "\t ", "\x0c", "\x1c"],
+    "duplicate id": [None],
+    "extra field": [None],
+    "missing field": [None],
+}
+
+
+def _features_text(dim, n, edits, end="\n", last_end=True):
+    """The text of a features file: `n` clean rows, then `edits`, each (kind, payload, row, column or source row)."""
+    rows = [[f"p{i}"] + [f"{i % 97}.25"] * dim for i in range(n)]
+    for kind, payload, at, other in edits:
+        at = min(at, len(rows))
+        if kind == "blank line":
+            rows.insert(at, [payload])
+        elif at == len(rows) or len(rows[at]) < 2:
+            continue
+        elif kind in _VALUE_EDITS:
+            rows[at][1 + other % (len(rows[at]) - 1)] = payload
+        elif kind == "id":
+            rows[at][0] = payload
+        elif kind == "duplicate id":
+            rows[at][0] = rows[other % len(rows)][0]
+        elif kind == "extra field":
+            rows[at].append("1")
+        else:
+            rows[at].pop()
+    return f"post_id,dim={dim}" + "".join(end + ",".join(row) for row in rows) + (end if last_end else "")
+
+
+@st.composite
+def feature_files(draw):
+    """A features file: clean rows up to or past a block boundary, then edits that may break them."""
+    dim = draw(st.sampled_from([1, 2, 300]))
+    block = max(1, features_mod.FEATURE_VALUES // dim)
+    n = draw(st.sampled_from([0, 1, 5, 5, block - 1, block + 2]))
+    rows = st.one_of(st.sampled_from([0, block - 1, block, block + 1]), st.integers(0, n))
+    edits = [(kind, draw(st.sampled_from(_EDITS[kind])), draw(rows), draw(st.integers(0, max(n, dim))))
+             for kind in draw(st.lists(st.sampled_from(sorted(_EDITS)), max_size=4))]
+    return _features_text(dim, n, edits, draw(st.sampled_from(["\n", "\r\n", "\r"])), draw(st.booleans()))
+
+
+_B1, _B300 = features_mod.FEATURE_VALUES, features_mod.FEATURE_VALUES // 300  # rows per block at D = 1 and 300
+
+
+@pytest.mark.filterwarnings("error")  # numpy's reader must not warn either, e.g. about an empty block
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(feature_files())
+@example(_features_text(1, _B1 + 2, [("id", "", _B1, 0)]))  # the first row of the second block
+@example(_features_text(1, _B1 + 2, [("duplicate id", None, _B1, _B1 - 1)]))  # a duplicate across the boundary
+@example(_features_text(1, _B1 + 2, [("missing field", None, _B1 - 1, 0)]))
+@example(_features_text(300, _B300 + 2, [("padded", "1\x1c", _B300, 7)]))
+@example(_features_text(300, _B300 + 2, [("float only", "\u0661", _B300 - 1, 299)]))  # loads, through the row parser
+@example(_features_text(300, _B300 + 2, [("id", "#a", _B300, 0), ("blank line", " ", _B300, 0)], "\r\n"))
+@example(_features_text(300, _B300 + 2, [("non-finite", "1e400", _B300 + 1, 0)]))
+@example(_features_text(300, 0, []))
+@example(_features_text(1, 1, [("not a number", "", 0, 0)]))  # numpy would skip the empty row, and warn
+def test_block_reader_matches_the_row_parser(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("differential") / "features.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(_loaded, path) == _outcome(_row_parser, path)

@@ -1,6 +1,7 @@
 """Tests for the discriminability probability kernel and the pair miner."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -401,6 +402,18 @@ class TestPairsFile:
         path = tmp_path / "pairs.csv"
         path.write_text("who,what\n")
         with pytest.raises(ValueError):
+            read_pairs(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [(",b,u,0.99,1.0", "line 2: id_a must be a non-empty string"),
+         ("a,b c,u,0.99,1.0", "line 2: id_b 'b c' contains ' '"),
+         ("a,b,u\x01,0.99,1.0", "line 2: user_id 'u\\x01' contains '\\x01'")],
+    )
+    def test_id_rule_names_the_line(self, tmp_path, row, message):
+        path = tmp_path / "pairs.csv"
+        path.write_text("id_a,id_b,user_id,prob,delta_s\n" + row + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             read_pairs(path)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
