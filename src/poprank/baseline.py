@@ -12,7 +12,7 @@ user statistics by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .mlp import MlpModel, TrainConfig
 from .util import seeded_rng
 
 HEAD_DIMS = [7, 256, 128, 64, 1]
-
-NONVISUAL_FIELDS = ("followers", "followings", "n_posts", "n_hashtags", "n_mentions", "caption_length")
 
 
 @dataclass(frozen=True)
@@ -44,6 +42,9 @@ class NonVisualFeatures:
         if np.any(values < 0) or not np.all(np.isfinite(values)):
             raise ValueError(f"non-visual counts must be finite and >= 0, got {values}")
         return np.log1p(values)
+
+
+NONVISUAL_FIELDS = tuple(f.name for f in fields(NonVisualFeatures))
 
 
 @dataclass

@@ -15,9 +15,9 @@ resolved configuration, the input paths (relative to the manifest) with their
 digests, and the output digests; re-running a manifest (or the same command
 line) reproduces every output byte for byte. ``rerun`` refuses a malformed
 manifest or inputs whose digests changed, writes the outputs only, and exits 1
-naming any output that differs from its recorded digest. Numeric defaults
-follow the reference operating point (threshold 0.95, sigma 0.3, learning rate
-1e-4, l2 1e-4, batch 64, decay 0.95).
+naming any output that differs from its recorded digest. Each field of
+``SynthConfig``, ``MinerConfig`` and ``TrainConfig`` is a ``--field-name`` flag
+with the field's type and default; ``<command> --help`` lists them.
 
 Usage:
     poprank synth --out-dir runs/demo
@@ -31,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import corpus, evaluate, features as features_mod, mining, mlp, ranker, synthgen
@@ -58,19 +59,23 @@ def _load_scorer(path: str) -> mlp.MlpModel:
     return models["scorer"]
 
 
-def _train_config(config: dict) -> ranker.TrainConfig:
-    return ranker.TrainConfig(
-        learning_rate=config["learning_rate"],
-        l2_penalty=config["l2_penalty"],
-        batch_size=config["batch_size"],
-        epochs=config["epochs"],
-        lr_decay_per_epoch=config["lr_decay_per_epoch"],
-        seed=config["seed"],
-    )
+def _config(cls, config: dict):
+    """Build the config dataclass `cls` from the parsed values of its fields; a missing one is a KeyError."""
+    return cls(**{f.name: config[f.name] for f in fields(cls)})
+
+
+def _entries(config: dict, key: str, noun: str) -> list:
+    """The values of a list flag; no entry, or a blank one (parsed as None), is a ValueError naming the flag."""
+    values, flag = list(config[key]), "--" + key.replace("_", "-")
+    if all(v is None for v in values):
+        raise ValueError(f"{flag} must name at least one {noun}")
+    if None in values:
+        raise ValueError(f"{flag} entry {values.index(None) + 1} is blank")
+    return values
 
 
 def run_synth(config: dict, out: Path) -> tuple[dict, list[str]]:
-    synth_config = synthgen.SynthConfig(**{k: v for k, v in config.items()})
+    synth_config = _config(synthgen.SynthConfig, config)
     generated = synthgen.generate_corpus(synth_config)
     corpus.write_posts(out / "posts.jsonl", generated.posts)
     features_mod.save_features(out / "features.csv", generated.features)
@@ -92,13 +97,7 @@ def run_stats(config: dict, out: Path) -> tuple[dict, list[str]]:
 
 def run_mine(config: dict, out: Path) -> tuple[dict, list[str]]:
     posts = _parse_posts_checked(config["posts"])
-    miner = mining.MinerConfig(
-        threshold=config["threshold"],
-        sigma=config["sigma"],
-        max_interval_days=config["max_interval_days"],
-        max_caption_words=config["max_caption_words"],
-        reference_time=config["reference_time"],
-    )
+    miner = _config(mining.MinerConfig, config)
     candidates = corpus.filter_candidates(posts, miner.reference_time)
     pairs = mining.mine_pairs(candidates, None, miner)
     mining.write_pairs(out / "pairs.csv", pairs)
@@ -110,12 +109,12 @@ def run_mine(config: dict, out: Path) -> tuple[dict, list[str]]:
 def run_train(config: dict, out: Path) -> tuple[dict, list[str]]:
     pairs = mining.read_pairs(_require_file(config["pairs"], "pairs"))
     feats = features_mod.load_features(_require_file(config["features"], "features"))
-    dims = [feats.dim] + list(config["hidden_dims"]) + [1]
+    dims = [feats.dim] + _entries(config, "hidden_dims", "layer width") + [1]
     train_idx, val_idx = split_indices(
         len(pairs), config["val_fraction"], seeded_rng(config["seed"], "train-split")
     )
     model = mlp.init_model(dims, seeded_rng(config["seed"], "init"))
-    report = ranker.train(model, pairs, feats, (train_idx, val_idx), _train_config(config))
+    report = ranker.train(model, pairs, feats, (train_idx, val_idx), _config(ranker.TrainConfig, config))
     mlp.save_checkpoint(out / "checkpoint.txt", {"scorer": report.model})
     ranker.write_train_report_csv(out / "train_report.csv", report)
     print(
@@ -151,16 +150,14 @@ def run_score(config: dict, out: Path) -> tuple[dict, list[str]]:
 
 
 def run_ablate(config: dict, out: Path) -> tuple[dict, list[str]]:
-    if not config["noise_levels"]:
-        raise ValueError("--noise-levels must name at least one level")
     pairs = mining.read_pairs(_require_file(config["pairs"], "pairs"))
     feats = features_mod.load_features(_require_file(config["features"], "features"))
     table = evaluate.noise_ablation(
         pairs,
         feats,
-        _train_config(config),
-        noise_levels=list(config["noise_levels"]),
-        hidden_dims=list(config["hidden_dims"]),
+        _config(ranker.TrainConfig, config),
+        noise_levels=_entries(config, "noise_levels", "level"),
+        hidden_dims=_entries(config, "hidden_dims", "layer width"),
         test_fraction=config["test_fraction"],
         val_fraction=config["val_fraction"],
     )
@@ -251,22 +248,33 @@ def rerun(manifest_path: str, out_dir: str) -> list[str]:
     return sorted(name for name, digest in recorded["outputs"].items() if outputs.get(name) != digest)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+DEFAULT_HELP = "default: %(default)s"
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _list_of(cast):
+    """argparse type of a comma-separated list; a blank entry parses as None, which `_entries` rejects."""
+
+    def comma_list(text: str) -> list:  # argparse names it in its 'invalid comma_list value' message
+        return [cast(x) if x.strip() else None for x in text.split(",")]
+
+    return comma_list
+
+
+def _add_fields(sub: argparse.ArgumentParser, cls) -> None:
+    """Add one `--field-name` flag per field of the config dataclass `cls`, with the field's type and default."""
+    for f in fields(cls):
+        if f.name == "reference_time":
+            sub.add_argument("--reference-time", type=int, required=True, help="epoch seconds of the snapshot")
+        else:
+            flag = "--lr-decay" if f.name == "lr_decay_per_epoch" else "--" + f.name.replace("_", "-")
+            sub.add_argument(flag, dest=f.name, type=type(f.default), default=f.default, help=DEFAULT_HELP)
 
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--hidden-dims", type=_int_list, default=ranker.DEFAULT_HIDDEN_DIMS, metavar="D1,D2")
-    sub.add_argument("--learning-rate", type=float, default=1e-4)
-    sub.add_argument("--l2-penalty", type=float, default=1e-4)
-    sub.add_argument("--batch-size", type=int, default=64)
-    sub.add_argument("--epochs", type=int, default=30)
-    sub.add_argument("--lr-decay", dest="lr_decay_per_epoch", type=float, default=0.95)
-    sub.add_argument("--val-fraction", type=float, default=0.1)
+    sub.add_argument("--hidden-dims", type=_list_of(int), default=ranker.DEFAULT_HIDDEN_DIMS, metavar="D1,D2",
+                     help=DEFAULT_HELP)
+    sub.add_argument("--val-fraction", type=float, default=0.1, help=DEFAULT_HELP)
+    _add_fields(sub, ranker.TrainConfig)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,35 +286,18 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out-dir", required=True, help="directory for outputs and the manifest")
         return sub
 
-    sub = add("synth", "generate a synthetic corpus")
-    sub.add_argument("--n-users", type=int, default=800)
-    sub.add_argument("--posts-per-user", type=int, default=12)
-    sub.add_argument("--mu-mean", type=float, default=6.0)
-    sub.add_argument("--mu-std", type=float, default=1.0)
-    sub.add_argument("--sigma-true", type=float, default=0.3)
-    sub.add_argument("--feature-dim", type=int, default=16)
-    sub.add_argument("--n-informative", type=int, default=4)
-    sub.add_argument("--feature-noise-std", type=float, default=0.25)
-    sub.add_argument("--hashtag-vocab", type=int, default=30)
-    sub.add_argument("--mention-vocab", type=int, default=20)
-    sub.add_argument("--time-span-days", type=int, default=90)
-    sub.add_argument("--seed", type=int, default=0)
+    _add_fields(add("synth", "generate a synthetic corpus"), synthgen.SynthConfig)
 
     sub = add("stats", "corpus statistics CSV")
     sub.add_argument("--posts", required=True)
 
     sub = add("mine", "filter candidates and mine pairs")
     sub.add_argument("--posts", required=True)
-    sub.add_argument("--threshold", type=float, default=0.95)
-    sub.add_argument("--sigma", type=float, default=0.3)
-    sub.add_argument("--max-interval-days", type=int, default=10)
-    sub.add_argument("--max-caption-words", type=int, default=6)
-    sub.add_argument("--reference-time", type=int, required=True, help="epoch seconds of the snapshot")
+    _add_fields(sub, mining.MinerConfig)
 
     sub = add("train", "train the pairwise ranker")
     sub.add_argument("--pairs", required=True)
     sub.add_argument("--features", required=True)
-    sub.add_argument("--seed", type=int, default=0)
     _add_train_flags(sub)
 
     sub = add("eval", "pairwise accuracy of a checkpoint")
@@ -322,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("ablate", "label-noise ablation table")
     sub.add_argument("--pairs", required=True)
     sub.add_argument("--features", required=True)
-    sub.add_argument("--noise-levels", type=_float_list, default=[0.0, 0.2, 0.4], metavar="Q1,Q2")
-    sub.add_argument("--test-fraction", type=float, default=0.2)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--noise-levels", type=_list_of(float), default=[0.0, 0.2, 0.4], metavar="Q1,Q2",
+                     help=DEFAULT_HELP)
+    sub.add_argument("--test-fraction", type=float, default=0.2, help=DEFAULT_HELP)
     _add_train_flags(sub)
 
     sub = add("rerun", "re-execute a recorded manifest")

@@ -26,9 +26,6 @@ SECONDS_PER_DAY = 86400
 MIN_LIKES = 50
 MIN_AGE_DAYS = 30
 
-POST_FIELDS = ("post_id", "user_id", "upload_time", "likes", "caption", "media_count", "is_video")
-
-
 @dataclass(frozen=True)
 class Post:
     """One post's metadata record."""
@@ -40,6 +37,9 @@ class Post:
     caption: str
     media_count: int
     is_video: bool
+
+
+POST_FIELDS = tuple(f.name for f in dataclasses.fields(Post))
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,7 @@ def _coerce_post(record: dict) -> Post:
         raise ValueError("media_count must be >= 1")
     if not isinstance(record["is_video"], bool):
         raise ValueError("is_video must be a boolean")
-    return Post(
-        post_id=post_id,
-        user_id=user_id,
-        upload_time=record["upload_time"],
-        likes=record["likes"],
-        caption=caption,
-        media_count=record["media_count"],
-        is_video=record["is_video"],
-    )
+    return Post(*[record[k] for k in POST_FIELDS])
 
 
 def parse_posts(source: Iterable[str] | TextIO) -> ParseReport:

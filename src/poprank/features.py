@@ -70,7 +70,7 @@ class FeatureSet(Mapping):
 
 
 def save_features(path: str | Path, features: FeatureSet) -> None:
-    row_format = "%s" + ",%.17g" * features.dim + "\n"  # fmt_float's form; one row at a time keeps memory flat
+    row_format = "%s" + ",%.17g" * features.dim + "\n"  # round-trips float64; one row at a time keeps memory flat
     with open_csv(path, f"post_id,dim={features.dim}") as f:
         for post_id, row in zip(features.ids, features.matrix):
             f.write(row_format % (post_id, *row.tolist()))

@@ -221,7 +221,7 @@ def write_pairs(path: str | Path, pairs: list[PDIP]) -> None:
     """Emit pairs as CSV: id_a, id_b, user_id, prob (6 decimals), delta_s."""
     with open_csv(path, "id_a,id_b,user_id,prob,delta_s") as f:
         for p in pairs:
-            f.write(f"{p.id_a},{p.id_b},{p.user_id},{p.prob:.6f},{format(p.delta_s, '.17g')}\n")
+            f.write(f"{p.id_a},{p.id_b},{p.user_id},{p.prob:.6f},{p.delta_s:.17g}\n")
 
 
 def read_pairs(path: str | Path) -> list[PDIP]:

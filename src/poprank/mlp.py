@@ -24,8 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from .util import fmt_float
-
 CHECKPOINT_TAG = "poprank-checkpoint-v1"
 SCORE_ROWS = 4096  # rows per `forward_cached` pass in `forward_batch`, so the activations held stay small
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates and denominator floor of `adam_step`
@@ -241,9 +239,8 @@ def save_checkpoint(path: str | Path, models: dict[str, MlpModel]) -> None:
             f.write(f"model {name}\n")
             f.write("dims " + " ".join(str(d) for d in model.layer_dims) + "\n")
             for l in range(model.n_layers()):
-                for row in model.weights[l]:
-                    f.write(" ".join(fmt_float(x) for x in row) + "\n")
-                f.write(" ".join(fmt_float(x) for x in model.biases[l]) + "\n")
+                for row in [*model.weights[l].tolist(), model.biases[l].tolist()]:  # %.17g round-trips float64
+                    f.write(" ".join(["%.17g"] * len(row)) % tuple(row) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> dict[str, MlpModel]:

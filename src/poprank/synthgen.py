@@ -24,7 +24,7 @@ import numpy as np
 from .corpus import SECONDS_PER_DAY, Post
 from .features import FeatureSet
 from .mining import PDIP
-from .util import fmt_float, open_csv, seeded_rng
+from .util import open_csv, seeded_rng
 
 BASE_TIME = 1_600_000_000  # fixed epoch origin of synthetic upload times
 LOG_FLOAT_MAX = math.log(sys.float_info.max)  # like counts are round(exp(log-likes) - 1)
@@ -141,4 +141,4 @@ def latent_consistency(pairs: list[PDIP], latent: dict[str, float]) -> float:
 def save_latents(path: str | Path, latent_mu: dict[str, float]) -> None:
     with open_csv(path, "post_id,mu") as f:
         for post_id, mu in latent_mu.items():
-            f.write(f"{post_id},{fmt_float(mu)}\n")
+            f.write("%s,%.17g\n" % (post_id, mu))

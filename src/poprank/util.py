@@ -1,4 +1,4 @@
-"""Shared helpers: named deterministic RNG streams, digests, splits, formatting, CSV files."""
+"""Shared helpers: named deterministic RNG streams, digests, splits, ids, CSV files."""
 
 from __future__ import annotations
 
@@ -41,11 +41,6 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def fmt_float(x: float) -> str:
-    """Decimal text form that round-trips float64 exactly (17 significant digits)."""
-    return format(float(x), ".17g")
 
 
 def _check_id(key: str, value) -> None:

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from poprank import synthgen
-from poprank.cli import main
+from poprank.cli import build_parser, main
 from poprank.mining import read_pairs
 
 from conftest import read_id_values
@@ -286,6 +286,20 @@ class TestOneLineErrors:
         assert not (tmp_path / "ablation.csv").exists()
 
     @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [("train", "--hidden-dims", "", "--hidden-dims must name at least one layer width"),
+         ("train", "--hidden-dims", "16,,8", "--hidden-dims entry 2 is blank"),
+         ("ablate", "--hidden-dims", " ", "--hidden-dims must name at least one layer width"),
+         ("ablate", "--noise-levels", "0,,0.2", "--noise-levels entry 2 is blank"),
+         ("ablate", "--noise-levels", "0,0.2,", "--noise-levels entry 3 is blank")],
+    )
+    def test_blank_list_entry(self, pipeline, tmp_path, capsys, command, flag, value, message):
+        code = _run([command, "--pairs", pipeline / "pairs.csv", "--features", pipeline / "features.csv",
+                     flag, value, "--epochs", "1", "--out-dir", tmp_path])
+        assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "post_id, message",
         [("", "line 3: post_id must be a non-empty string"), ("a b", "line 3: post_id 'a b' contains ' '")],
     )
@@ -442,3 +456,85 @@ class TestMalformedManifest:
         assert _run(["rerun", manifest, "--out-dir", tmp_path / "redo"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# What `build_parser().parse_args(argv)` returns for each subcommand: with its required flags only, and then
+# with every flag at a value other than its default. A renamed flag, or a changed default, type or manifest
+# `config` key, shows up here.
+PINNED_NAMESPACES = [
+    (["synth", "--out-dir", "o"],
+     {"command": "synth", "feature_dim": 16, "feature_noise_std": 0.25, "hashtag_vocab": 30, "mention_vocab": 20,
+      "mu_mean": 6.0, "mu_std": 1.0, "n_informative": 4, "n_users": 800, "out_dir": "o",
+      "posts_per_user": 12, "seed": 0, "sigma_true": 0.3, "time_span_days": 90}),
+    (["synth", "--out-dir", "o", "--n-users", "7", "--posts-per-user", "3", "--mu-mean", "5.5", "--mu-std", "0.5",
+      "--sigma-true", "0.2", "--feature-dim", "8", "--n-informative", "2", "--feature-noise-std", "0.1",
+      "--hashtag-vocab", "5", "--mention-vocab", "4", "--time-span-days", "30", "--seed", "3"],
+     {"command": "synth", "feature_dim": 8, "feature_noise_std": 0.1, "hashtag_vocab": 5, "mention_vocab": 4,
+      "mu_mean": 5.5, "mu_std": 0.5, "n_informative": 2, "n_users": 7, "out_dir": "o", "posts_per_user": 3,
+      "seed": 3, "sigma_true": 0.2, "time_span_days": 30}),
+    (["stats", "--out-dir", "o", "--posts", "p.jsonl"],
+     {"command": "stats", "out_dir": "o", "posts": "p.jsonl"}),
+    (["mine", "--out-dir", "o", "--posts", "p.jsonl", "--reference-time", "1600000000"],
+     {"command": "mine", "max_caption_words": 6, "max_interval_days": 10, "out_dir": "o", "posts": "p.jsonl",
+      "reference_time": 1600000000, "sigma": 0.3, "threshold": 0.95}),
+    (["mine", "--out-dir", "o", "--posts", "p.jsonl", "--reference-time", "1600000000", "--threshold", "0.9",
+      "--sigma", "0.5", "--max-interval-days", "5", "--max-caption-words", "3"],
+     {"command": "mine", "max_caption_words": 3, "max_interval_days": 5, "out_dir": "o", "posts": "p.jsonl",
+      "reference_time": 1600000000, "sigma": 0.5, "threshold": 0.9}),
+    (["train", "--out-dir", "o", "--pairs", "a.csv", "--features", "f.csv"],
+     {"batch_size": 64, "command": "train", "epochs": 30, "features": "f.csv", "hidden_dims": [64, 32],
+      "l2_penalty": 0.0001, "learning_rate": 0.0001, "lr_decay_per_epoch": 0.95, "out_dir": "o",
+      "pairs": "a.csv", "seed": 0, "val_fraction": 0.1}),
+    (["train", "--out-dir", "o", "--pairs", "a.csv", "--features", "f.csv", "--seed", "2", "--hidden-dims", "8,4,2",
+      "--learning-rate", "1e-3", "--l2-penalty", "0.01", "--batch-size", "16", "--epochs", "3", "--lr-decay",
+      "0.5", "--val-fraction", "0.25"],
+     {"batch_size": 16, "command": "train", "epochs": 3, "features": "f.csv", "hidden_dims": [8, 4, 2],
+      "l2_penalty": 0.01, "learning_rate": 0.001, "lr_decay_per_epoch": 0.5, "out_dir": "o",
+      "pairs": "a.csv", "seed": 2, "val_fraction": 0.25}),
+    (["eval", "--out-dir", "o", "--checkpoint", "c.txt", "--pairs", "a.csv", "--features", "f.csv"],
+     {"checkpoint": "c.txt", "command": "eval", "features": "f.csv", "out_dir": "o", "pairs": "a.csv"}),
+    (["score", "--out-dir", "o", "--checkpoint", "c.txt", "--features", "f.csv"],
+     {"checkpoint": "c.txt", "command": "score", "features": "f.csv", "out_dir": "o", "rescale_max": None}),
+    (["score", "--out-dir", "o", "--checkpoint", "c.txt", "--features", "f.csv", "--rescale-max", "10"],
+     {"checkpoint": "c.txt", "command": "score", "features": "f.csv", "out_dir": "o", "rescale_max": 10.0}),
+    (["ablate", "--out-dir", "o", "--pairs", "a.csv", "--features", "f.csv"],
+     {"batch_size": 64, "command": "ablate", "epochs": 30, "features": "f.csv", "hidden_dims": [64, 32],
+      "l2_penalty": 0.0001, "learning_rate": 0.0001, "lr_decay_per_epoch": 0.95,
+      "noise_levels": [0.0, 0.2, 0.4], "out_dir": "o", "pairs": "a.csv", "seed": 0, "test_fraction": 0.2,
+      "val_fraction": 0.1}),
+    (["ablate", "--out-dir", "o", "--pairs", "a.csv", "--features", "f.csv", "--noise-levels", "0.1,0.3",
+      "--test-fraction", "0.3", "--seed", "4", "--hidden-dims", "8", "--learning-rate", "1e-3",
+      "--l2-penalty", "0.01", "--batch-size", "16", "--epochs", "3", "--lr-decay", "0.5", "--val-fraction",
+      "0.25"],
+     {"batch_size": 16, "command": "ablate", "epochs": 3, "features": "f.csv", "hidden_dims": [8],
+      "l2_penalty": 0.01, "learning_rate": 0.001, "lr_decay_per_epoch": 0.5, "noise_levels": [0.1, 0.3],
+      "out_dir": "o", "pairs": "a.csv", "seed": 4, "test_fraction": 0.3, "val_fraction": 0.25}),
+    (["rerun", "m.json", "--out-dir", "o"],
+     {"command": "rerun", "manifest": "m.json", "out_dir": "o"}),
+]
+
+
+def _typed(value):
+    """`value` with its type, and each entry's type for a list, so that 1 and 1.0 compare unequal."""
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return type(value), value
+
+
+class TestParsedCommandLines:
+    @pytest.mark.parametrize(
+        "argv, expected", PINNED_NAMESPACES,
+        ids=[f"{argv[0]}-{sum(a.startswith('--') for a in argv)}-flags" for argv, _ in PINNED_NAMESPACES],
+    )
+    def test_namespace_is_pinned(self, argv, expected):
+        parsed = vars(build_parser().parse_args(argv))
+        assert {k: _typed(v) for k, v in parsed.items()} == {k: _typed(v) for k, v in expected.items()}
+
+    @pytest.mark.parametrize("command", list(dict.fromkeys(argv[0] for argv, _ in PINNED_NAMESPACES)))
+    def test_help_names_every_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        assert exit_info.value.code == 0
+        flags = {a for argv, _ in PINNED_NAMESPACES if argv[0] == command for a in argv if a.startswith("--")}
+        assert [flag for flag in sorted(flags) if f"{flag} " not in text] == []
