@@ -45,7 +45,7 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _parse_posts_checked(path: str) -> list[corpus.Post]:
+def _parse_posts_checked(path: str) -> corpus.PostTable:
     report = corpus.parse_posts_file(_require_file(path, "posts"))
     for diag in report.diagnostics:
         print(f"warning: {path}: {diag}", file=sys.stderr)
@@ -260,6 +260,12 @@ def _list_of(cast):
     return comma_list
 
 
+def _add_list(sub: argparse.ArgumentParser, flag: str, cast, default: list, metavar: str) -> None:
+    """Add a comma-separated list flag; its help shows the default in the form the flag takes."""
+    sub.add_argument(flag, type=_list_of(cast), default=default, metavar=metavar,
+                     help="default: " + ",".join(f"{value:g}" for value in default))
+
+
 def _add_fields(sub: argparse.ArgumentParser, cls) -> None:
     """Add one `--field-name` flag per field of the config dataclass `cls`, with the field's type and default."""
     for f in fields(cls):
@@ -271,8 +277,7 @@ def _add_fields(sub: argparse.ArgumentParser, cls) -> None:
 
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--hidden-dims", type=_list_of(int), default=ranker.DEFAULT_HIDDEN_DIMS, metavar="D1,D2",
-                     help=DEFAULT_HELP)
+    _add_list(sub, "--hidden-dims", int, ranker.DEFAULT_HIDDEN_DIMS, "D1,D2")
     sub.add_argument("--val-fraction", type=float, default=0.1, help=DEFAULT_HELP)
     _add_fields(sub, ranker.TrainConfig)
 
@@ -313,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("ablate", "label-noise ablation table")
     sub.add_argument("--pairs", required=True)
     sub.add_argument("--features", required=True)
-    sub.add_argument("--noise-levels", type=_list_of(float), default=[0.0, 0.2, 0.4], metavar="Q1,Q2",
-                     help=DEFAULT_HELP)
+    _add_list(sub, "--noise-levels", float, [0.0, 0.2, 0.4], "Q1,Q2")
     sub.add_argument("--test-fraction", type=float, default=0.2, help=DEFAULT_HELP)
     _add_train_flags(sub)
 

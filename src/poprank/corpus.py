@@ -1,30 +1,40 @@
 """Post metadata: parsing, caption analysis, candidate filtering, corpus statistics.
 
-A corpus is a list of :class:`Post` records, normally read from a line-delimited
-JSON file (one object per line, see :func:`parse_posts`). Candidate filtering
-keeps the posts whose like counts are settled and unambiguous: at least 50
-likes, a single non-video image, and at least 30 days old at the reference
-time. Popularity evidence is the log-scaled like count ``ln(1 + likes)``.
+A corpus is a sequence of :class:`Post` records, normally read from a
+line-delimited JSON file (one object per line, see :func:`parse_posts`) into a
+:class:`PostTable`, which holds them as columns and analyses each distinct
+caption once; the filter and the statistics work on those columns. Candidate
+filtering keeps the posts whose like counts are settled and unambiguous: at
+least 50 likes, a single non-video image, and at least 30 days old at the
+reference time. Popularity evidence is the log-scaled like count
+``ln(1 + likes)``.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import logging
 import math
+import operator
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .util import _check_id, open_csv
+import numpy as np
+
+from .util import _ID_FORBIDDEN, _check_id, open_csv
 
 log = logging.getLogger(__name__)
 
 SECONDS_PER_DAY = 86400
 MIN_LIKES = 50
 MIN_AGE_DAYS = 30
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1  # the range of upload_time, likes and media_count
 
 @dataclass(frozen=True)
 class Post:
@@ -67,34 +77,141 @@ class CorpusStats:
     mean_caption_words: float
 
 
+class PostTable(Sequence):
+    """Posts as read-only columns; reads as a sequence of :class:`Post`, and equals a list or table of equal posts.
+
+    Per post: `ids`, `user` (an index into `users`), int64 `upload_time`,
+    `likes` and `media_count`, bool `is_video` and `caption` (an index into
+    `captions`). Per distinct caption, analysed once: `caption_words`, its
+    plain-word count, and `caption_key`, a code that two captions share exactly
+    when their hashtag and mention multisets are equal; `keys[code]` is that
+    pair of multisets as sorted tuples. The columns are taken in `POST_FIELDS`
+    order; an integer outside int64 is an OverflowError.
+    """
+
+    def __init__(self, post_id, user_id, upload_time, likes, caption, media_count, is_video):
+        self.ids = list(post_id)
+        self.users, user = _codes(user_id)
+        self.captions, caption = _codes(caption)
+        keys: dict[tuple, int] = {}
+        words, key = [], []
+        for text in self.captions:
+            hashtags, mentions, word_count = _caption_parts(text)
+            words.append(word_count)
+            key.append(keys.setdefault((tuple(hashtags), tuple(mentions)), len(keys)))
+        self.keys = list(keys)
+        self.caption_words, self.caption_key = _frozen(words, np.int64), _frozen(key, np.intp)
+        self.user, self.caption = _frozen(user, np.intp), _frozen(caption, np.intp)
+        self.upload_time, self.likes = _frozen(upload_time, np.int64), _frozen(likes, np.int64)
+        self.media_count, self.is_video = _frozen(media_count, np.int64), _frozen(is_video, bool)
+
+    @classmethod
+    def of(cls, posts: Sequence[Post]) -> PostTable:
+        """`posts` itself if it is a PostTable, else a PostTable of its posts in order."""
+        if isinstance(posts, cls):
+            return posts
+        return cls(*[[getattr(post, name) for post in posts] for name in POST_FIELDS])
+
+    def take(self, rows: np.ndarray) -> PostTable:
+        """The posts at `rows` (indices, or a boolean mask), sharing this table's users and captions."""
+        rows = np.flatnonzero(rows) if rows.dtype == bool else rows
+        table = copy.copy(self)
+        table.ids = [self.ids[row] for row in rows.tolist()]
+        for name in ("user", "upload_time", "likes", "caption", "media_count", "is_video"):
+            setattr(table, name, _frozen(getattr(self, name)[rows]))
+        return table
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, row):
+        if isinstance(row, slice):
+            return self.take(np.arange(len(self))[row])
+        row = range(len(self))[row]
+        return Post(self.ids[row], self.users[self.user[row]], int(self.upload_time[row]), int(self.likes[row]),
+                    self.captions[self.caption[row]], int(self.media_count[row]), bool(self.is_video[row]))
+
+    def __iter__(self):
+        users, captions = self.users, self.captions
+        return map(Post, self.ids, [users[u] for u in self.user.tolist()], self.upload_time.tolist(),
+                   self.likes.tolist(), [captions[c] for c in self.caption.tolist()],
+                   self.media_count.tolist(), self.is_video.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, PostTable)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+
+def _codes(values) -> tuple[list, list[int]]:
+    """The distinct values in order of first appearance, and the index of each value among them."""
+    index: dict = {}
+    codes = [index.setdefault(v, len(index)) for v in values]
+    return list(index), codes
+
+
+def _frozen(values, dtype=None) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class ParseReport:
     """Well-formed posts plus one diagnostic string per rejected line."""
 
-    posts: list[Post]
+    posts: PostTable
     diagnostics: list[str]
 
 
-def _coerce_post(record: dict) -> Post:
-    """Validate one decoded record; raises ValueError on any schema violation."""
-    missing = [k for k in POST_FIELDS if k not in record]
-    if missing:
-        raise ValueError(f"missing fields {missing}")
-    post_id, user_id, caption = record["post_id"], record["user_id"], record["caption"]
+def _check_row(row: tuple) -> None:
+    """The per-record rules in order, on one record's values in `POST_FIELDS` order; the first broken raises."""
+    post_id, user_id, upload_time, likes, caption, media_count, is_video = row
     _check_id("post_id", post_id)
     _check_id("user_id", user_id)
     if not isinstance(caption, str):
         raise ValueError("caption must be a string")
-    for key in ("upload_time", "likes", "media_count"):
-        if not isinstance(record[key], int) or isinstance(record[key], bool):
+    integers = (("upload_time", upload_time), ("likes", likes), ("media_count", media_count))
+    for key, value in integers:
+        if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{key} must be an integer")
-    if record["likes"] < 0:
+    if likes < 0:
         raise ValueError("likes must be >= 0")
-    if record["media_count"] < 1:
+    if media_count < 1:
         raise ValueError("media_count must be >= 1")
-    if not isinstance(record["is_video"], bool):
+    if not isinstance(is_video, bool):
         raise ValueError("is_video must be a boolean")
-    return Post(*[record[k] for k in POST_FIELDS])
+    for key, value in integers:
+        if not INT64_MIN <= value <= INT64_MAX:
+            raise ValueError(f"{key} must fit in a signed 64-bit integer")
+
+
+def _only(values: tuple, kind: type) -> bool:
+    """Every value is exactly of type `kind`."""
+    return set(map(type, values)) == {kind}
+
+
+def _suspect_rows(columns: list[tuple]) -> set[int]:
+    """Rows that may break a per-record rule: one check per column, and a per-value scan only where it fails.
+
+    Every other row keeps every rule of `_check_row`; JSON gives exact `str`,
+    `int` and `bool` values, so `type(v) is int` is an int that is not a bool.
+    """
+    post_id, user_id, upload_time, likes, caption, media_count, is_video = columns
+    suspect: set[int] = set()
+    for ids in (post_id, user_id):
+        if not (_only(ids, str) and all(ids) and not _ID_FORBIDDEN.search("".join(ids))):
+            suspect.update(i for i, v in enumerate(ids) if type(v) is not str or not v or _ID_FORBIDDEN.search(v))
+    if not _only(caption, str):
+        suspect.update(i for i, v in enumerate(caption) if type(v) is not str)
+    for values, low in ((upload_time, INT64_MIN), (likes, 0), (media_count, 1)):
+        if not (_only(values, int) and low <= min(values) and max(values) <= INT64_MAX):
+            suspect.update(i for i, v in enumerate(values) if type(v) is not int or not low <= v <= INT64_MAX)
+    if not _only(is_video, bool):
+        suspect.update(i for i, v in enumerate(is_video) if type(v) is not bool)
+    return suspect
 
 
 def parse_posts(source: Iterable[str] | TextIO) -> ParseReport:
@@ -102,28 +219,53 @@ def parse_posts(source: Iterable[str] | TextIO) -> ParseReport:
 
     Malformed lines and duplicate post_ids are skipped and reported as
     diagnostics carrying the 1-based line number; they never abort the parse.
-    Posts are returned in input order.
+    Posts are returned in input order. Each line is decoded on its own and
+    `source` is read once; the rules are checked a column at a time, and
+    one by one only on the rows a column check flags.
     """
-    posts: list[Post] = []
-    diagnostics: list[str] = []
-    seen: set[str] = set()
+    errors: dict[int, str] = {}  # line number -> diagnostic
+    rows, linenos = [], []
+    values_of = operator.itemgetter(*POST_FIELDS)
     for lineno, line in enumerate(source, start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("record is not an object")
-            post = _coerce_post(record)
-        except (json.JSONDecodeError, ValueError) as exc:
-            diagnostics.append(f"line {lineno}: {exc}")
+        except ValueError as exc:  # malformed JSON, or an integer literal too long to convert
+            errors[lineno] = str(exc)
             continue
-        if post.post_id in seen:
-            diagnostics.append(f"line {lineno}: duplicate post_id {post.post_id!r}")
+        try:
+            rows.append(values_of(record))
+        except (KeyError, TypeError):
+            if isinstance(record, dict):
+                errors[lineno] = f"missing fields {[k for k in POST_FIELDS if k not in record]}"
+            else:
+                errors[lineno] = "record is not an object"
             continue
-        seen.add(post.post_id)
-        posts.append(post)
-    return ParseReport(posts=posts, diagnostics=diagnostics)
+        linenos.append(lineno)
+
+    columns = list(zip(*rows)) or [()] * len(POST_FIELDS)
+    rejected = set()
+    for row in sorted(_suspect_rows(columns)):
+        try:
+            _check_row(rows[row])
+        except ValueError as exc:
+            errors[linenos[row]] = str(exc)
+            rejected.add(row)
+    keep = [row for row in range(len(rows)) if row not in rejected]
+    ids = columns[0]
+    if len({ids[row] for row in keep}) < len(keep):
+        seen: set[str] = set()
+        for row in keep:
+            if ids[row] in seen:
+                errors[linenos[row]] = f"duplicate post_id {ids[row]!r}"
+                rejected.add(row)
+            seen.add(ids[row])
+        keep = [row for row in keep if row not in rejected]
+    if rejected:
+        columns = [[column[row] for row in keep] for column in columns]
+    diagnostics = [f"line {lineno}: {errors[lineno]}" for lineno in sorted(errors)]
+    return ParseReport(posts=PostTable(*columns), diagnostics=diagnostics)
 
 
 def parse_posts_file(path: str | Path) -> ParseReport:
@@ -143,42 +285,46 @@ def write_posts(path: str | Path, posts: Iterable[Post]) -> None:
             f.write(serialize_post(post) + "\n")
 
 
+def _caption_parts(caption: str) -> tuple[list[str], list[str], int]:
+    """The caption's hashtags and mentions, each sorted, and its plain-word count: the one tokenizer.
+
+    Lower-casing the whole caption before splitting gives the tokens that
+    lower-casing each token gives: no whitespace character is cased or
+    case-ignorable, so the context of a final sigma ends with its token.
+    Among sorted tokens, those starting with '#' lie in ['#', '$') and those
+    starting with '@' in ['@', 'A').
+    """
+    tokens = sorted(caption.lower().split())
+    hashtags = tokens[bisect_left(tokens, "#") : bisect_left(tokens, "$")]
+    mentions = tokens[bisect_left(tokens, "@") : bisect_left(tokens, "A")]
+    return hashtags, mentions, len(tokens) - len(hashtags) - len(mentions)
+
+
 def analyze_caption(caption: str) -> CaptionInfo:
     """Split a caption into hashtag/mention multisets and count the other words."""
-    hashtags: Counter = Counter()
-    mentions: Counter = Counter()
-    word_count = 0
-    for token in caption.split():
-        token = token.lower()
-        if token.startswith("#"):
-            hashtags[token] += 1
-        elif token.startswith("@"):
-            mentions[token] += 1
-        else:
-            word_count += 1
-    return CaptionInfo(hashtags=hashtags, mentions=mentions, word_count=word_count)
+    hashtags, mentions, word_count = _caption_parts(caption)
+    return CaptionInfo(hashtags=Counter(hashtags), mentions=Counter(mentions), word_count=word_count)
 
 
-def filter_candidates(posts: list[Post], reference_time: int) -> list[Post]:
+def filter_candidates(posts: Sequence[Post], reference_time: int) -> PostTable:
     """Keep the posts eligible for pair mining.
 
     Retains exactly the posts with likes >= 50, a single image medium
     (media_count == 1 and not a video), and age of at least 30 days at
-    `reference_time`. Output order follows input order; the filter is
-    idempotent.
+    `reference_time`, one boolean mask per rule. Output order follows input
+    order; the filter is idempotent.
     """
-    future = sum(1 for p in posts if p.upload_time > reference_time)
+    table = PostTable.of(posts)
+    future = int(np.count_nonzero(table.upload_time > reference_time))
     if future:
         log.warning("%d posts are uploaded after reference_time %d", future, reference_time)
-    min_age = MIN_AGE_DAYS * SECONDS_PER_DAY
-    return [
-        p
-        for p in posts
-        if p.likes >= MIN_LIKES
-        and p.media_count == 1
-        and not p.is_video
-        and reference_time - p.upload_time >= min_age
-    ]
+    rules = (
+        table.likes >= MIN_LIKES,
+        table.media_count == 1,
+        ~table.is_video,
+        table.upload_time <= reference_time - MIN_AGE_DAYS * SECONDS_PER_DAY,
+    )
+    return table.take(np.logical_and.reduce(rules))
 
 
 def log_likes(likes: float) -> float:
@@ -188,20 +334,27 @@ def log_likes(likes: float) -> float:
     return math.log1p(likes)
 
 
-def corpus_stats(posts: list[Post]) -> CorpusStats:
-    """Descriptive statistics of a corpus; empty input is an error."""
+def corpus_stats(posts: Sequence[Post]) -> CorpusStats:
+    """Descriptive statistics of a corpus; empty input is an error.
+
+    Counts are summed per distinct caption and divided as Python ints.
+    """
     if not posts:
         raise ValueError("corpus_stats requires a non-empty post list")
-    captions = [analyze_caption(p.caption) for p in posts]
-    n = len(posts)
+    table = PostTable.of(posts)
+    n = len(table)
+    uses = np.bincount(table.caption, minlength=len(table.captions))  # posts per distinct caption
+    no_hashtag = np.array([not hashtags for hashtags, _ in table.keys], dtype=bool)[table.caption_key]
+    no_mention = np.array([not mentions for _, mentions in table.keys], dtype=bool)[table.caption_key]
+    no_caption = no_hashtag & no_mention & (table.caption_words == 0)
     return CorpusStats(
         n_posts=n,
-        n_users=len({p.user_id for p in posts}),
-        mean_likes=sum(p.likes for p in posts) / n,
-        proportion_no_hashtag=sum(1 for c in captions if not c.hashtags) / n,
-        proportion_no_mention=sum(1 for c in captions if not c.mentions) / n,
-        proportion_no_caption=sum(1 for c in captions if not c.hashtags and not c.mentions and c.word_count == 0) / n,
-        mean_caption_words=sum(c.word_count for c in captions) / n,
+        n_users=len(np.unique(table.user)),
+        mean_likes=sum(table.likes.tolist()) / n,
+        proportion_no_hashtag=int(uses[no_hashtag].sum()) / n,
+        proportion_no_mention=int(uses[no_mention].sum()) / n,
+        proportion_no_caption=int(uses[no_caption].sum()) / n,
+        mean_caption_words=int(uses @ table.caption_words) / n,
     )
 
 

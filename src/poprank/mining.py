@@ -19,12 +19,13 @@ pair.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import SECONDS_PER_DAY, CaptionInfo, Post, analyze_caption, log_likes
+from .corpus import SECONDS_PER_DAY, CaptionInfo, Post, PostTable, log_likes
 from .util import _check_id, open_csv
 
 # Zelen & Severo polynomial for the standard normal CDF (abs error <= 7.5e-8).
@@ -120,7 +121,7 @@ def caption_key(info: CaptionInfo, max_words: int) -> tuple[frozenset, frozenset
     return frozenset(info.hashtags.items()), frozenset(info.mentions.items())
 
 
-def mine_pairs(posts: list[Post], features_present: set[str] | None, config: MinerConfig) -> list[PDIP]:
+def mine_pairs(posts: Sequence[Post], features_present: set[str] | None, config: MinerConfig) -> list[PDIP]:
     """Mine constraint-satisfying pairs from an already-filtered candidate pool.
 
     Each post gets a bucket: its user and caption key. Within a bucket, posts
@@ -132,52 +133,69 @@ def mine_pairs(posts: list[Post], features_present: set[str] | None, config: Min
     repeated post_id is a ValueError. The result is sorted by (user_id, id_a)
     and fully deterministic.
     """
-    seen: set[str] = set()
-    codes: dict[tuple, int] = {}  # (user_id, caption key) -> bucket code
-    by_user: dict[str, list[tuple[int, Post]]] = {}
-    for post in posts:
-        if post.post_id in seen:
-            raise ValueError(f"repeated post_id {post.post_id!r}")
-        seen.add(post.post_id)
-        if features_present is None or post.post_id in features_present:
-            key = caption_key(analyze_caption(post.caption), config.max_caption_words)
-            if key is not None:
-                code = codes.setdefault((post.user_id, key), len(codes))
-                by_user.setdefault(post.user_id, []).append((code, post))
+    table = PostTable.of(posts)
+    if len(set(table.ids)) < len(table):
+        seen: set[str] = set()
+        for post_id in table.ids:
+            if post_id in seen:
+                raise ValueError(f"repeated post_id {post_id!r}")
+            seen.add(post_id)
+    admitted = (table.caption_words <= config.max_caption_words)[table.caption]
+    if features_present is not None:
+        admitted &= np.fromiter((pid in features_present for pid in table.ids), bool, count=len(table))
+    rows = np.flatnonzero(admitted)
+    user = table.user[rows]
+    # bucket codes and user blocks are numbered in the order buckets and users first appear
+    code = _first_seen_codes(user * (len(table.keys) + 1) + table.caption_key[table.caption[rows]])
+    user_rank = _first_seen_codes(user)
+    by_user = np.argsort(user_rank, kind="stable")
+    rows, code = rows[by_user], code[by_user]
+    id_rank = np.empty(len(table), dtype=np.int64)
+    id_rank[sorted(range(len(table)), key=table.ids.__getitem__)] = np.arange(len(table))
 
     result: list[PDIP] = []
-    block: list[tuple[int, Post]] = []
-    for group in by_user.values():
-        block.extend(group)
-        if len(block) >= BLOCK_POSTS:
-            result.extend(_mine_block(block, config))
-            block = []
-    result.extend(_mine_block(block, config))
+    start = stop = 0
+    for size in np.bincount(user_rank).tolist():
+        stop += size
+        if stop - start >= BLOCK_POSTS:
+            block = rows[start:stop]
+            result.extend(_mine_block(table.take(block), code[start:stop], id_rank[block], config))
+            start = stop
+    block = rows[start:stop]
+    result.extend(_mine_block(table.take(block), code[start:stop], id_rank[block], config))
     result.sort(key=lambda c: (c.user_id, c.id_a))
     return result
 
 
-def _mine_block(block: list[tuple[int, Post]], config: MinerConfig) -> list[PDIP]:
-    """Pairs among (bucket code, post) items of whole users; a bucket holds one user's posts."""
-    if not block:
+def _first_seen_codes(values: np.ndarray) -> np.ndarray:
+    """Each value's index among the distinct values, numbered in order of first appearance."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    number = np.empty(first.size, dtype=np.int64)
+    number[np.argsort(first)] = np.arange(first.size)
+    return number[inverse]
+
+
+def _mine_block(block: PostTable, code: np.ndarray, rank: np.ndarray, config: MinerConfig) -> list[PDIP]:
+    """Pairs among `block`, whole users' posts with their bucket codes and post_id ranks; a bucket is one user's."""
+    if not len(block):
         return []
-    t0 = min(post.upload_time for _, post in block)
-    t_range = max(post.upload_time for _, post in block) - t0
+    t0 = int(block.upload_time.min())
+    t_range = int(block.upload_time.max()) - t0
     window = min(config.max_interval_days * SECONDS_PER_DAY, t_range)  # a longer window pairs no more
     span = t_range + window + 1
-    if (max(code for code, _ in block) + 1) * span >= 2**63:
+    if (int(code.max()) + 1) * span >= 2**63:
         raise ValueError(f"upload times span {t_range} s, too wide to mine")
     # code * span + (t - t0) orders by (bucket, time), and a window never reaches the next bucket
-    keyed = sorted((code * span + post.upload_time - t0, post.post_id, post) for code, post in block)
-    key = np.array([k for k, _, _ in keyed], dtype=np.int64)
-    group = [post for _, _, post in keyed]
+    key = code * span + (block.upload_time - t0)
+    order = np.lexsort((rank, key))
+    key, rank, group = key[order], rank[order], block.take(order)
     n = len(group)
 
     ends = np.searchsorted(key, key + window, side="right")
     counts = ends - np.arange(1, n + 1)
     first = np.repeat(np.arange(n), counts)
     later = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts) + first + 1
-    scores = np.array([log_likes(post.likes) for post in group])
+    scores = np.array(list(map(log_likes, group.likes.tolist())))
     first_hi = scores[first] >= scores[later]
     hi = np.where(first_hi, first, later)
     lo = np.where(first_hi, later, first)
@@ -185,23 +203,22 @@ def _mine_block(block: list[tuple[int, Post]], config: MinerConfig) -> list[PDIP
     keep = prob >= config.threshold
     hi, lo, prob = hi[keep], lo[keep], prob[keep]
 
-    rank = np.empty(n, dtype=np.int64)
-    rank[sorted(range(n), key=lambda k: group[k].post_id)] = np.arange(n)
     order = np.lexsort((rank[lo], rank[hi], -prob))
-    s = scores.tolist()
+    s, user = scores.tolist(), group.user.tolist()
     used = bytearray(n)
     pairs: list[PDIP] = []
     for a, b, p in zip(hi[order].tolist(), lo[order].tolist(), prob[order].tolist()):
         if used[a] or used[b]:
             continue
         used[a] = used[b] = 1
-        pairs.append(PDIP(group[a].post_id, group[b].post_id, group[a].user_id, p, s[a] - s[b]))
+        pairs.append(PDIP(group.ids[a], group.ids[b], group.users[user[a]], p, s[a] - s[b]))
     return pairs
 
 
-def pair_stats(pairs: list[PDIP], posts: list[Post]) -> PairStats:
+def pair_stats(pairs: list[PDIP], posts: Sequence[Post]) -> PairStats:
     """Summary statistics of a mined pair list; pair ids must resolve in `posts`."""
-    upload_time = {p.post_id: p.upload_time for p in posts}
+    table = PostTable.of(posts)
+    upload_time = dict(zip(table.ids, table.upload_time.tolist()))
     intervals = []
     for pair in pairs:
         for pid in (pair.id_a, pair.id_b):

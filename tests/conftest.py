@@ -7,6 +7,7 @@ implementation paths they check.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
 from pathlib import Path
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import strategies as st
 
 from poprank import mlp, synthgen
-from poprank.corpus import SECONDS_PER_DAY, Post, analyze_caption, log_likes
+from poprank.corpus import POST_FIELDS, SECONDS_PER_DAY, Post, analyze_caption, log_likes
 from poprank.mining import PDIP, MinerConfig
+from poprank.util import _check_id
 
 # Zelen & Severo coefficients, as in poprank.mining
 _CDF_P = 0.2316419
@@ -42,6 +44,58 @@ def make_post(
     return Post(post_id, user_id, upload_time, likes, caption, media_count, is_video)
 
 
+def _reference_post(record: dict) -> Post:
+    """Check one decoded record rule by rule; the first rule it breaks raises ValueError."""
+    missing = [k for k in POST_FIELDS if k not in record]
+    if missing:
+        raise ValueError(f"missing fields {missing}")
+    _check_id("post_id", record["post_id"])
+    _check_id("user_id", record["user_id"])
+    if not isinstance(record["caption"], str):
+        raise ValueError("caption must be a string")
+    for key in ("upload_time", "likes", "media_count"):
+        if not isinstance(record[key], int) or isinstance(record[key], bool):
+            raise ValueError(f"{key} must be an integer")
+    if record["likes"] < 0:
+        raise ValueError("likes must be >= 0")
+    if record["media_count"] < 1:
+        raise ValueError("media_count must be >= 1")
+    if not isinstance(record["is_video"], bool):
+        raise ValueError("is_video must be a boolean")
+    for key in ("upload_time", "likes", "media_count"):
+        if not -(2**63) <= record[key] < 2**63:
+            raise ValueError(f"{key} must fit in a signed 64-bit integer")
+    return Post(*[record[k] for k in POST_FIELDS])
+
+
+def reference_parse_posts(lines) -> tuple[list[Post], list[str]]:
+    """The posts parser one line at a time: the oracle for `corpus.parse_posts`.
+
+    Each line is decoded and checked on its own; a malformed line, or a
+    post_id that an earlier accepted line holds, becomes a diagnostic.
+    """
+    posts: list[Post] = []
+    diagnostics: list[str] = []
+    seen: set[str] = set()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("record is not an object")
+            post = _reference_post(record)
+        except ValueError as exc:
+            diagnostics.append(f"line {lineno}: {exc}")
+            continue
+        if post.post_id in seen:
+            diagnostics.append(f"line {lineno}: duplicate post_id {post.post_id!r}")
+            continue
+        seen.add(post.post_id)
+        posts.append(post)
+    return posts, diagnostics
+
+
 def exact_normal_cdf(z: float) -> float:
     """High-precision oracle via the standard library's correctly rounded erf."""
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
@@ -63,7 +117,7 @@ def scalar_normal_cdf(z: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _caption_parts(caption: str) -> tuple[Counter, Counter, int]:
+def caption_parts(caption: str) -> tuple[Counter, Counter, int]:
     tags, ats = Counter(), Counter()
     words = 0
     for token in caption.split():
@@ -101,8 +155,8 @@ def audit_pairs(pairs: list[PDIP], posts: list[Post], config: MinerConfig) -> li
             violations.append(f"{pair.id_a}/{pair.id_b}: different users")
         if abs(a.upload_time - b.upload_time) > config.max_interval_days * DAY:
             violations.append(f"{pair.id_a}/{pair.id_b}: interval too large")
-        tags_a, ats_a, words_a = _caption_parts(a.caption)
-        tags_b, ats_b, words_b = _caption_parts(b.caption)
+        tags_a, ats_a, words_a = caption_parts(a.caption)
+        tags_b, ats_b, words_b = caption_parts(b.caption)
         if tags_a != tags_b or ats_a != ats_b:
             violations.append(f"{pair.id_a}/{pair.id_b}: caption tags differ")
         if words_a > config.max_caption_words or words_b > config.max_caption_words:
@@ -134,7 +188,7 @@ def reference_mine_pairs(posts: list[Post], features_present: set[str] | None, c
         group = sorted(by_user[user_id], key=lambda p: (p.upload_time, p.post_id))
         if features_present is not None:
             group = [p for p in group if p.post_id in features_present]
-        captions = [_caption_parts(p.caption) for p in group]
+        captions = [caption_parts(p.caption) for p in group]
         scores = [math.log1p(p.likes) for p in group]
 
         candidates: list[PDIP] = []

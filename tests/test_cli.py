@@ -538,3 +538,17 @@ class TestParsedCommandLines:
         assert exit_info.value.code == 0
         flags = {a for argv, _ in PINNED_NAMESPACES if argv[0] == command for a in argv if a.startswith("--")}
         assert [flag for flag in sorted(flags) if f"{flag} " not in text] == []
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_help_shows_list_defaults_as_the_flag_takes_them(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        argv, defaults = next((argv, expected) for argv, expected in PINNED_NAMESPACES if argv[0] == command)
+        shown = {"--hidden-dims": "D1,D2 default: 64,32", "--noise-levels": "Q1,Q2 default: 0,0.2,0.4"}
+        for flag, help_text in shown.items():
+            dest = flag[2:].replace("-", "_")
+            if dest in defaults:
+                assert f"{flag} {help_text}" in text
+                typed = build_parser().parse_args(argv + [flag, help_text.rsplit(" ", 1)[1]])
+                assert _typed(vars(typed)[dest]) == _typed(defaults[dest])

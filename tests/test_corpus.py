@@ -1,15 +1,24 @@
 """Tests for post parsing, caption analysis, candidate filtering, and stats."""
 
 import io
+import json
 import math
+import operator
+import tempfile
 from collections import Counter
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poprank import corpus, synthgen
 from poprank.corpus import (
+    POST_FIELDS,
     CaptionInfo,
+    PostTable,
     analyze_caption,
     corpus_stats,
     filter_candidates,
@@ -20,7 +29,9 @@ from poprank.corpus import (
     write_posts,
 )
 
-from conftest import BASE, DAY, make_post
+from poprank.mining import caption_key
+
+from conftest import BASE, DAY, caption_parts, legal_ids, make_post, reference_parse_posts
 
 
 class TestParsePosts:
@@ -82,6 +93,174 @@ class TestParsePosts:
     def test_unreadable_source_is_fatal(self, tmp_path):
         with pytest.raises(OSError):
             parse_posts_file(tmp_path / "missing.jsonl")
+
+
+def _line(**fields) -> str:
+    """One posts line: a legal record with `fields` replaced."""
+    record = {"post_id": "a", "user_id": "u", "upload_time": BASE, "likes": 100, "caption": "#Sun @Bob hi",
+              "media_count": 1, "is_video": False}
+    return json.dumps({**record, **fields}, ensure_ascii=False)
+
+
+# Lines for the table parser against the line-by-line oracle, each case a list of lines as a file gives them
+PARSE_CASES = {
+    "blank and whitespace-only": ["\n", "   \n", "\t\r\n", "\u2028\n", _line(), "\x85\n", ""],
+    "CRLF and CR ends inside a list": [_line() + "\r\n", _line(post_id="b") + "\r", _line(post_id="c")],
+    # joined with commas these three lines parse as three records; one at a time each is malformed
+    "the three-line join": [_line(post_id="A") + ", " + _line(post_id="B"), _line(post_id="C")[:-1] + ', "x": [1',
+                            "2]}"],
+    "separators inside a caption": [_line(caption="a\x85b #T"), _line(post_id="b", caption="x\u2028y\u2029z")],
+    "repeated ids, the first accepted one wins": [_line(likes=-1), _line(likes=1), _line(likes=2),
+                                                  _line(post_id="b", likes="1"), _line(post_id="b")],
+    "missing fields": ['{"post_id": "a"}', "{}", _line()[:-1].rsplit(",", 1)[0] + "}"],
+    "extra and repeated keys": [_line()[:-1] + ', "x": [1, {"y": null}]}', _line(post_id="b")[:-1] + ', "likes": 7}',
+                                _line(post_id="c")[:-1] + ', "likes": -7}', _line(post_id="d")[:-1] + ', "likes": 9}'],
+    "true or 1.0 where an int belongs": [_line(likes=True), _line(upload_time=1.0), _line(media_count=True),
+                                         _line(likes=1.0), _line(post_id="b", is_video=0)],
+    "ints past int64": [_line(likes=2**63), _line(post_id="b", upload_time=-(2**63) - 1),
+                        _line(post_id="c", media_count=2**64), _line(post_id="d", likes=10**30, media_count=0),
+                        _line(post_id="e", likes=2**63 - 1, upload_time=-(2**63), media_count=2**63 - 1)],
+    "negative likes and media_count 0": [_line(likes=-1), _line(post_id="b", likes=-(10**30)),
+                                         _line(post_id="c", media_count=0), _line(post_id="d", media_count=-5)],
+    "non-object lines": ["[1, 2]", "3", "null", '"post"', "true", "{broken", '{"post_id": "a"'],
+    "unsafe ids": [_line(post_id="p,0"), _line(post_id="p 0"), _line(post_id="p\x85"), _line(post_id=""),
+                   _line(post_id=7), _line(user_id="u\u2028"), _line(user_id=None), _line(post_id="ok")],
+    "a literal too long to convert": ['{"likes": 1' + "0" * 5000 + "}", _line()],
+    "one of each rule on one line": [_line(post_id="", user_id="", caption=3, likes=-1, media_count=0, is_video=1)],
+    # one fault alone among legal lines, so that only one column check fails
+    "an empty id": [_line(post_id="b"), _line(post_id="")],
+    "a non-string id": [_line(post_id="b"), _line(user_id=7)],
+    "an id with a comma": [_line(post_id="b"), _line(post_id="p,0")],
+    "a non-string caption": [_line(post_id="b"), _line(caption=None)],
+    "a non-boolean is_video": [_line(post_id="b"), _line(is_video=0)],
+}
+
+# Values for each field of a generated line: legal ones, then ones that break a rule
+LEGAL_VALUES = {
+    "post_id": st.sampled_from(["a", "b", "c", "#d"]) | legal_ids,
+    "user_id": st.sampled_from(["u1", "U1"]) | legal_ids,
+    "upload_time": st.sampled_from([BASE, BASE - 40 * DAY, 0, -(2**63), 2**63 - 1]),
+    "likes": st.sampled_from([0, 49, 50, 1000, 2**63 - 1]),
+    "caption": st.sampled_from(["", "#Sun @Bob x", "ΑΣ #ΣΟΦΟΣ", "a\x85b #t", "x\u2028y", "w\u2029 @z"]) | st.text(max_size=8),
+    "media_count": st.sampled_from([1, 2, 2**63 - 1]),
+    "is_video": st.booleans(),
+}
+ILLEGAL_VALUES = {
+    "post_id": st.sampled_from(["", "p,0", "p 0", "p\x85", "p\u2028", "p\x00", 7, None]),
+    "user_id": st.sampled_from(["", "u\t1", "u\xa0", True, ["u1"]]),
+    "upload_time": st.sampled_from([2**63, -(2**63) - 1, 1.0, True, "1", None]),
+    "likes": st.sampled_from([-1, 2**63, 10**30, -(10**30), 1.0, False, "7"]),
+    "caption": st.sampled_from([3, None, ["#a"], {"a": 1}]),
+    "media_count": st.sampled_from([0, -1, 2**63, 1.0, True]),
+    "is_video": st.sampled_from([0, 1, None, "false"]),
+}
+OTHER_LINES = ["", "   ", "\t", "{broken", "[1, 2]", "3", "null", '"s"', "{}", '{"post_id": "a"']
+
+
+@st.composite
+def posts_lines(draw) -> str:
+    kind = draw(st.sampled_from(["legal"] * 4 + ["illegal", "illegal", "missing", "extra", "repeated", "other"]))
+    if kind == "other":
+        return draw(st.sampled_from(OTHER_LINES))
+    record = {key: draw(LEGAL_VALUES[key]) for key in POST_FIELDS}
+    if kind == "illegal":
+        for key in draw(st.sets(st.sampled_from(POST_FIELDS), min_size=1, max_size=2)):
+            record[key] = draw(ILLEGAL_VALUES[key])
+    elif kind == "missing":
+        del record[draw(st.sampled_from(POST_FIELDS))]
+    text = json.dumps(record, ensure_ascii=draw(st.booleans()))
+    if kind == "extra":
+        text = text[:-1] + ', "x": [1, {"y": null}]}'
+    elif kind == "repeated":  # the last value of a repeated key counts
+        key = draw(st.sampled_from(POST_FIELDS))
+        text = text[:-1] + f', "{key}": {json.dumps(draw(LEGAL_VALUES[key] | ILLEGAL_VALUES[key]))}}}'
+    return text
+
+
+def _parse_both(lines: list[str]):
+    """(posts, diagnostics) from the table parser, given a one-shot iterator, and from the line-by-line oracle."""
+    report = parse_posts(iter(lines))
+    return (list(report.posts), report.diagnostics), reference_parse_posts(lines)
+
+
+class TestParseMatchesTheLineParser:
+    @pytest.mark.parametrize("lines", PARSE_CASES.values(), ids=PARSE_CASES.keys())
+    def test_explicit_cases(self, lines):
+        got, expected = _parse_both(lines)
+        assert got == expected
+
+    def test_int64_range_is_a_diagnostic(self):
+        lines = PARSE_CASES["ints past int64"]
+        report = parse_posts(lines)
+        assert [p.post_id for p in report.posts] == ["e"]
+        assert report.diagnostics == [
+            "line 1: likes must fit in a signed 64-bit integer",
+            "line 2: upload_time must fit in a signed 64-bit integer",
+            "line 3: media_count must fit in a signed 64-bit integer",
+            "line 4: media_count must be >= 1",
+        ]
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(st.lists(posts_lines(), max_size=14), st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=14))
+    def test_file_parse_matches(self, lines, ends):
+        """Through a file, with LF, CRLF and CR ends: the file's own line splitting feeds both parsers."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "posts.jsonl"
+            path.write_text("".join(map(operator.add, lines, ends)), encoding="utf-8", newline="")
+            report = parse_posts_file(path)
+            with open(path, encoding="utf-8") as f:
+                expected = reference_parse_posts(f)
+        assert (list(report.posts), report.diagnostics) == expected
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(posts_lines().filter(lambda line: line.startswith("{") and line.endswith("}")), max_size=40))
+    def test_many_records_match(self, lines):
+        got, expected = _parse_both(lines)
+        assert got == expected
+
+
+# Caption tokens where lower-casing or classifying could go wrong: upper-case tags, bare '#' and '@', a dotted
+# capital I (two code points lower-cased), and Greek capital sigma, whose lower case depends on its context
+CAPTION_TOKENS = ["#Sun", "#sun", "#SUN", "@Bob", "@bob", "#", "@", "##", "#@x", "@#x", "a#b", "word", "Word",
+                  "İ", "#İ", "#i̇", "Σ", "ΑΣ", "#ΑΣ", "#ας", "#ασ", "ΣΑ", "#ΣΑ", "#σα", "Σ#", "@ΟΔΟΣ", "@οδος", "ß", "#SS"]
+CAPTION_SPACES = [" ", "  ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\xa0", "\u1680", "\u2028", "\u2029", "\u3000"]
+
+
+@st.composite
+def captions(draw) -> str:
+    tokens = draw(st.lists(st.sampled_from(CAPTION_TOKENS) | st.text(min_size=1, max_size=3), max_size=6))
+    spaces = draw(st.lists(st.sampled_from(CAPTION_SPACES), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return spaces[0] + "".join(map(operator.add, tokens, spaces[1:]))
+
+
+class TestPostTableCaptions:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(captions(), min_size=1, max_size=10))
+    @example(["ΑΣ ΟΔΟΣ", "ας οδος", "#ΟΔΟΣ #οδος", "#οδος #ΟΔΟΣ", "#ΟΔΟΣ\u2028x", "#οδοσ x", "Σ", "aΣ b", "İ #İ", "#i̇ x"])
+    @example(["# @ #", "#A #a", "#a #a", "@a #A", "#a @A", "#a\x85@a", "", "\u3000", "#ab", "#a b"])
+    def test_words_and_keys_match_analyze_caption(self, texts):
+        """The table's per-caption word count and key code against `analyze_caption`, `caption_key` and a per-token
+        lower-casing oracle: equal codes exactly where the hashtag and mention multisets are equal."""
+        table = PostTable.of([make_post(post_id=f"p{k}", caption=text) for k, text in enumerate(texts)])
+        assert table.captions == list(dict.fromkeys(texts))
+        infos = [analyze_caption(text) for text in table.captions]
+        oracle = [caption_parts(text) for text in table.captions]
+        assert [(info.hashtags, info.mentions, info.word_count) for info in infos] == oracle
+        assert table.caption_words.tolist() == [words for _, _, words in oracle]
+        for i, j in product(range(len(infos)), repeat=2):
+            same_key = caption_key(infos[i], math.inf) == caption_key(infos[j], math.inf)
+            assert (table.caption_key[i] == table.caption_key[j]) == same_key == (oracle[i][:2] == oracle[j][:2])
+
+    def test_reads_as_the_posts_it_holds(self):
+        posts = [make_post(post_id=f"p{k}", user_id=f"u{k % 2}", likes=k, caption=["#a", "", "#a"][k % 3],
+                           is_video=k == 3) for k in range(5)]
+        table = PostTable.of(posts)
+        assert PostTable.of(table) is table
+        assert list(table) == posts and table == posts and table[-1] == posts[-1]
+        assert table[1:4] == posts[1:4] and table.take(np.array([4, 0])) == [posts[4], posts[0]]
+        assert table.users == ["u0", "u1"] and table.captions == ["#a", ""] and len(table.keys) == 2
+        with pytest.raises(ValueError):
+            table.likes[0] = 1
 
 
 class TestAnalyzeCaption:

@@ -8,6 +8,7 @@ train report, scores, eval, ablation) hold for any BLAS thread count, but a
 BLAS or numpy that rounds differently in the last bit would need new values.
 """
 
+import hashlib
 import json
 
 from poprank import synthgen
@@ -68,3 +69,79 @@ def test_every_output_digest_is_pinned(tmp_path):
         manifest = json.loads((out / f"{args[0]}_manifest.json").read_text())
         digests.update({f"{label}/{name}": sha for name, sha in manifest["outputs"].items()})
     assert digests == PINNED
+
+
+# A hand-built posts file that trips every parse rule and caption corner the stats and the miner see: CRLF and
+# lone-CR line ends, blank and whitespace-only lines, malformed lines, a duplicate id, a repeated key, an extra
+# key, upper-case and repeated tags, a U+2028 inside a caption, Greek capitals, 6- and 7-word captions, and
+# posts that each filter rule rejects. The stats and mine outputs and the warnings are pinned.
+AWKWARD_REF = 1_700_000_000
+_T0 = AWKWARD_REF - 60 * 86400
+
+
+def _awkward_record(post_id, user_id, day, likes, caption, media_count=1, is_video=False, **extra):
+    record = {"post_id": post_id, "user_id": user_id, "upload_time": _T0 + day * 86400 + 7, "likes": likes,
+              "caption": caption, "media_count": media_count, "is_video": is_video, **extra}
+    return json.dumps(record, ensure_ascii=False)
+
+
+AWKWARD_LINES = [
+    _awkward_record("a01", "u1", 0, 400, "#Sun #sun beach walk"),
+    _awkward_record("a02", "u1", 2, 90, "#sun #SUN evening"),
+    "",
+    _awkward_record("a03", "u1", 3, 1000, "one two three four five six #Sun"),
+    _awkward_record("a04", "u1", 5, 120, "#sun One Two Three Four Five Six"),
+    "{broken",
+    _awkward_record("a05", "u1", 6, 2000, "#sun a b c d e f g"),
+    _awkward_record("a06", "u1", 6, 60, "#sun x y z w v u t"),
+    "   \t ",
+    _awkward_record("a07", "u1", 8, 300, "@Bob #Moon\u2028night"),
+    _awkward_record("a08", "u1", 9, 70, "@bob #moon Night", x=[1, 2]),
+    _awkward_record("a02", "u1", 9, 5000, "#sun"),
+    "[1, 2]",
+    _awkward_record("b01", "u2", 1, 500, ""),
+    _awkward_record("b02", "u2", 4, 55, "")[:-1] + ', "likes": 56}',
+    _awkward_record("b03", "u2", 20, 800, "ΣΟΦΟΣ #ΣΟΦΟΣ"),
+    _awkward_record("b04", "u2", 22, 100, "σοφος #σοφος"),
+    '{"post_id": "b09", "user_id": "u2"}',
+    _awkward_record("b05", "u2", 23, 900, "#sun", is_video=True),
+    _awkward_record("b06", "u2", 24, 900, "#sun", media_count=2),
+    _awkward_record("b07", "u2", 45, 900, "#sun"),
+    _awkward_record("b08", "u2", 70, 900, "#sun"),
+    _awkward_record("b10", "u2", 25, "7", "#sun"),
+    _awkward_record("b11", "u2", 26, 40, "@Ann"),
+    _awkward_record("b12", "u2", 27, 400, "@ann"),
+]
+AWKWARD_POSTS = ("\r\n".join(AWKWARD_LINES[:5]) + "\r" + "\r\n".join(AWKWARD_LINES[5:]) + "\r\n").encode("utf-8")
+
+_AWKWARD_WARNINGS = [
+    "line 6: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    "line 12: duplicate post_id 'a02'",
+    "line 13: record is not an object",
+    "line 18: missing fields ['upload_time', 'likes', 'caption', 'media_count', 'is_video']",
+    "line 23: likes must be an integer",
+]
+PINNED_AWKWARD = {
+    "digests": {
+        "posts.jsonl": "632c10203a2e9f8cebf9918a61350a080ddeacb84a6f7ff169c26edce7e4fbc7",
+        "stats/corpus_stats.csv": "f604535e36f47426e3d2b776ebbd5316ef8b60ba3da0fa0b51e30cc53ce9d8ae",
+        "mine/pair_stats.csv": "34e0c5127cec77abeef68aa3105b759b8dfb61e5af45c450627686e9fd17f8a5",
+        "mine/pairs.csv": "ae12602dadc2ce0bed917a090317cec1c9d06f8b0916a6d5b326a473554da3ce",
+    },
+    "warnings": [f"warning: POSTS: {line}" for line in _AWKWARD_WARNINGS] * 2,  # from stats, then from mine
+    "log": ["1 posts are uploaded after reference_time 1700000000"],
+}
+
+
+def test_awkward_corpus_stats_and_mine_are_pinned(tmp_path, capsys, caplog):
+    posts = tmp_path / "posts.jsonl"
+    posts.write_bytes(AWKWARD_POSTS)
+    assert main(["stats", "--posts", str(posts), "--out-dir", str(tmp_path / "stats")]) == 0
+    assert main(["mine", "--posts", str(posts), "--reference-time", str(AWKWARD_REF),
+                 "--out-dir", str(tmp_path / "mine")]) == 0
+    digests = {"posts.jsonl": hashlib.sha256(AWKWARD_POSTS).hexdigest()}
+    for command in ("stats", "mine"):
+        outputs = json.loads((tmp_path / command / f"{command}_manifest.json").read_text())["outputs"]
+        digests.update({f"{command}/{name}": sha for name, sha in outputs.items()})
+    warnings = [line.replace(str(posts), "POSTS") for line in capsys.readouterr().err.splitlines()]
+    assert {"digests": digests, "warnings": warnings, "log": caplog.messages} == PINNED_AWKWARD
