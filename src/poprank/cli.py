@@ -212,7 +212,10 @@ def run_command(command: str, config: dict, out_dir: str) -> dict:
 def _read_manifest(path: str) -> dict:
     """Load a manifest and check its shape; anything malformed is a ValueError."""
     with open(_require_file(path, "manifest"), "r", encoding="utf-8") as f:
-        recorded = json.load(f)
+        try:
+            recorded = json.load(f)
+        except (ValueError, RecursionError) as exc:  # malformed JSON or text, or nested too deeply
+            raise ValueError(f"manifest {path} is not readable JSON: {exc}") from None
     if not isinstance(recorded, dict):
         raise ValueError(f"manifest {path} is not a JSON object")
     command = recorded.get("command")

@@ -19,7 +19,6 @@ import logging
 import math
 import operator
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,20 +52,6 @@ POST_FIELDS = tuple(f.name for f in dataclasses.fields(Post))
 
 
 @dataclass(frozen=True)
-class CaptionInfo:
-    """Caption decomposed into hashtag/mention multisets and a plain-word count.
-
-    Tokens are split on unicode whitespace and lowercased; a token belongs to
-    `hashtags` if it starts with '#', to `mentions` if it starts with '@',
-    and is otherwise counted in `word_count`.
-    """
-
-    hashtags: Counter
-    mentions: Counter
-    word_count: int
-
-
-@dataclass(frozen=True)
 class CorpusStats:
     n_posts: int
     n_users: int
@@ -78,7 +63,7 @@ class CorpusStats:
 
 
 class PostTable(Sequence):
-    """Posts as read-only columns; reads as a sequence of :class:`Post`, and equals a list or table of equal posts.
+    """Posts as read-only columns; reads as a sequence of :class:`Post`.
 
     Per post: `ids`, `user` (an index into `users`), int64 `upload_time`,
     `likes` and `media_count`, bool `is_video` and `caption` (an index into
@@ -124,9 +109,7 @@ class PostTable(Sequence):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, row):
-        if isinstance(row, slice):
-            return self.take(np.arange(len(self))[row])
+    def __getitem__(self, row: int) -> Post:
         row = range(len(self))[row]
         return Post(self.ids[row], self.users[self.user[row]], int(self.upload_time[row]), int(self.likes[row]),
                     self.captions[self.caption[row]], int(self.media_count[row]), bool(self.is_video[row]))
@@ -136,13 +119,6 @@ class PostTable(Sequence):
         return map(Post, self.ids, [users[u] for u in self.user.tolist()], self.upload_time.tolist(),
                    self.likes.tolist(), [captions[c] for c in self.caption.tolist()],
                    self.media_count.tolist(), self.is_video.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, PostTable)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None
 
 
 def _codes(values) -> tuple[list, list[int]]:
@@ -231,7 +207,7 @@ def parse_posts(source: Iterable[str] | TextIO) -> ParseReport:
             continue
         try:
             record = json.loads(line)
-        except ValueError as exc:  # malformed JSON, or an integer literal too long to convert
+        except (ValueError, RecursionError) as exc:  # malformed JSON, a literal too long to convert, or too deep
             errors[lineno] = str(exc)
             continue
         try:
@@ -298,12 +274,6 @@ def _caption_parts(caption: str) -> tuple[list[str], list[str], int]:
     hashtags = tokens[bisect_left(tokens, "#") : bisect_left(tokens, "$")]
     mentions = tokens[bisect_left(tokens, "@") : bisect_left(tokens, "A")]
     return hashtags, mentions, len(tokens) - len(hashtags) - len(mentions)
-
-
-def analyze_caption(caption: str) -> CaptionInfo:
-    """Split a caption into hashtag/mention multisets and count the other words."""
-    hashtags, mentions, word_count = _caption_parts(caption)
-    return CaptionInfo(hashtags=Counter(hashtags), mentions=Counter(mentions), word_count=word_count)
 
 
 def filter_candidates(posts: Sequence[Post], reference_time: int) -> PostTable:

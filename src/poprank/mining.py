@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import SECONDS_PER_DAY, CaptionInfo, Post, PostTable, log_likes
+from .corpus import SECONDS_PER_DAY, Post, PostTable, log_likes
 from .util import _check_id, open_csv
 
 # Zelen & Severo polynomial for the standard normal CDF (abs error <= 7.5e-8).
@@ -109,18 +109,6 @@ def pdip_probability(s_a: float | np.ndarray, s_b: float | np.ndarray, sigma: fl
     return normal_cdf((s_a - s_b) / (math.sqrt(2.0) * sigma))
 
 
-def caption_key(info: CaptionInfo, max_words: int) -> tuple[frozenset, frozenset] | None:
-    """Caption context that pairs must share: the hashtag and mention multisets.
-
-    Two short captions are compatible iff their keys are equal (`analyze_caption`
-    stores no zero counts, so this is `Counter` equality). A caption with more
-    than `max_words` plain words pairs with nothing and has the key None.
-    """
-    if info.word_count > max_words:
-        return None
-    return frozenset(info.hashtags.items()), frozenset(info.mentions.items())
-
-
 def mine_pairs(posts: Sequence[Post], features_present: set[str] | None, config: MinerConfig) -> list[PDIP]:
     """Mine constraint-satisfying pairs from an already-filtered candidate pool.
 
@@ -129,9 +117,10 @@ def mine_pairs(posts: Sequence[Post], features_present: set[str] | None, config:
     `max_interval_days` after them, and the pairs clearing the threshold are
     matched greedily in descending probability order (ties broken by pair ids)
     so that no post joins more than one pair. Users are scored in blocks of
-    about BLOCK_POSTS posts. `features_present` of None admits every post; a
-    repeated post_id is a ValueError. The result is sorted by (user_id, id_a)
-    and fully deterministic.
+    whole users, about BLOCK_POSTS posts each; as pairs never cross users, the
+    blocks and the numbering of users and buckets do not change the pairs.
+    `features_present` of None admits every post; a repeated post_id is a
+    ValueError. The result is sorted by (user_id, id_a) and fully deterministic.
     """
     table = PostTable.of(posts)
     if len(set(table.ids)) < len(table):
@@ -144,58 +133,48 @@ def mine_pairs(posts: Sequence[Post], features_present: set[str] | None, config:
     if features_present is not None:
         admitted &= np.fromiter((pid in features_present for pid in table.ids), bool, count=len(table))
     rows = np.flatnonzero(admitted)
+    rows = rows[np.argsort(table.user[rows], kind="stable")]
     user = table.user[rows]
-    # bucket codes and user blocks are numbered in the order buckets and users first appear
-    code = _first_seen_codes(user * (len(table.keys) + 1) + table.caption_key[table.caption[rows]])
-    user_rank = _first_seen_codes(user)
-    by_user = np.argsort(user_rank, kind="stable")
-    rows, code = rows[by_user], code[by_user]
+    _, code = np.unique(user * (len(table.keys) + 1) + table.caption_key[table.caption[rows]], return_inverse=True)
     id_rank = np.empty(len(table), dtype=np.int64)
     id_rank[sorted(range(len(table)), key=table.ids.__getitem__)] = np.arange(len(table))
 
     result: list[PDIP] = []
     start = stop = 0
-    for size in np.bincount(user_rank).tolist():
+    for size in np.bincount(user).tolist():
         stop += size
         if stop - start >= BLOCK_POSTS:
-            block = rows[start:stop]
-            result.extend(_mine_block(table.take(block), code[start:stop], id_rank[block], config))
+            result.extend(_mine_block(table, rows[start:stop], code[start:stop], id_rank, config))
             start = stop
-    block = rows[start:stop]
-    result.extend(_mine_block(table.take(block), code[start:stop], id_rank[block], config))
+    result.extend(_mine_block(table, rows[start:stop], code[start:stop], id_rank, config))
     result.sort(key=lambda c: (c.user_id, c.id_a))
     return result
 
 
-def _first_seen_codes(values: np.ndarray) -> np.ndarray:
-    """Each value's index among the distinct values, numbered in order of first appearance."""
-    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    number = np.empty(first.size, dtype=np.int64)
-    number[np.argsort(first)] = np.arange(first.size)
-    return number[inverse]
-
-
-def _mine_block(block: PostTable, code: np.ndarray, rank: np.ndarray, config: MinerConfig) -> list[PDIP]:
-    """Pairs among `block`, whole users' posts with their bucket codes and post_id ranks; a bucket is one user's."""
-    if not len(block):
+def _mine_block(table: PostTable, rows: np.ndarray, code: np.ndarray, id_rank: np.ndarray,
+                config: MinerConfig) -> list[PDIP]:
+    """Pairs among the posts at `rows` (whole users, bucket codes `code`); `id_rank` ranks `table` by post_id."""
+    if not rows.size:
         return []
-    t0 = int(block.upload_time.min())
-    t_range = int(block.upload_time.max()) - t0
+    upload_time = table.upload_time[rows]
+    t0 = int(upload_time.min())
+    t_range = int(upload_time.max()) - t0
     window = min(config.max_interval_days * SECONDS_PER_DAY, t_range)  # a longer window pairs no more
     span = t_range + window + 1
     if (int(code.max()) + 1) * span >= 2**63:
         raise ValueError(f"upload times span {t_range} s, too wide to mine")
     # code * span + (t - t0) orders by (bucket, time), and a window never reaches the next bucket
-    key = code * span + (block.upload_time - t0)
+    key = code * span + (upload_time - t0)
+    rank = id_rank[rows]
     order = np.lexsort((rank, key))
-    key, rank, group = key[order], rank[order], block.take(order)
-    n = len(group)
+    key, rank, rows = key[order], rank[order], rows[order]
+    n = rows.size
 
     ends = np.searchsorted(key, key + window, side="right")
     counts = ends - np.arange(1, n + 1)
     first = np.repeat(np.arange(n), counts)
     later = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts) + first + 1
-    scores = np.array(list(map(log_likes, group.likes.tolist())))
+    scores = np.array(list(map(log_likes, table.likes[rows].tolist())))
     first_hi = scores[first] >= scores[later]
     hi = np.where(first_hi, first, later)
     lo = np.where(first_hi, later, first)
@@ -204,14 +183,14 @@ def _mine_block(block: PostTable, code: np.ndarray, rank: np.ndarray, config: Mi
     hi, lo, prob = hi[keep], lo[keep], prob[keep]
 
     order = np.lexsort((rank[lo], rank[hi], -prob))
-    s, user = scores.tolist(), group.user.tolist()
+    s, row, user = scores.tolist(), rows.tolist(), table.user[rows].tolist()
     used = bytearray(n)
     pairs: list[PDIP] = []
     for a, b, p in zip(hi[order].tolist(), lo[order].tolist(), prob[order].tolist()):
         if used[a] or used[b]:
             continue
         used[a] = used[b] = 1
-        pairs.append(PDIP(group.ids[a], group.ids[b], group.users[user[a]], p, s[a] - s[b]))
+        pairs.append(PDIP(table.ids[row[a]], table.ids[row[b]], table.users[user[a]], p, s[a] - s[b]))
     return pairs
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import strategies as st
 
 from poprank import mlp, synthgen
-from poprank.corpus import POST_FIELDS, SECONDS_PER_DAY, Post, analyze_caption, log_likes
+from poprank.corpus import POST_FIELDS, SECONDS_PER_DAY, Post, log_likes
 from poprank.mining import PDIP, MinerConfig
 from poprank.util import _check_id
 
@@ -85,7 +85,7 @@ def reference_parse_posts(lines) -> tuple[list[Post], list[str]]:
             if not isinstance(record, dict):
                 raise ValueError("record is not an object")
             post = _reference_post(record)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             diagnostics.append(f"line {lineno}: {exc}")
             continue
         if post.post_id in seen:
@@ -304,14 +304,14 @@ def add_user_engagement(
         shift = beta * (math.log1p(followers[user]) - mean_log_followers) + residual[user]
         new_likes = max(0, round(math.exp(log_likes(post.likes) + shift) - 1.0))
         posts.append(replace(post, likes=new_likes))
-        info = analyze_caption(post.caption)
+        hashtags, mentions, word_count = caption_parts(post.caption)
         nonvisual[post.post_id] = NonVisualFeatures(
             followers=followers[user],
             followings=followings[user],
             n_posts=float(n_posts[user]),
-            n_hashtags=float(sum(info.hashtags.values())),
-            n_mentions=float(sum(info.mentions.values())),
-            caption_length=float(info.word_count),
+            n_hashtags=float(sum(hashtags.values())),
+            n_mentions=float(sum(mentions.values())),
+            caption_length=float(word_count),
         )
     return posts, nonvisual
 

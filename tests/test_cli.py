@@ -337,6 +337,14 @@ class TestStats:
         assert _run(["stats", "--posts", empty, "--out-dir", tmp_path]) == 1
         assert "non-empty" in capsys.readouterr().err
 
+    def test_deeply_nested_line_is_a_warning(self, tmp_path, capsys):
+        posts_file = tmp_path / "posts.jsonl"
+        posts_file.write_text("[" * 100_000 + "\n")
+        assert _run(["stats", "--posts", posts_file, "--out-dir", tmp_path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"warning: {posts_file}: line 1: maximum recursion depth exceeded")
+        assert err[1:] == ["error: corpus_stats requires a non-empty post list"]
+
 
 class TestRerun:
     def test_manifest_rerun_is_byte_identical(self, pipeline, tmp_path):
@@ -456,6 +464,14 @@ class TestMalformedManifest:
         assert _run(["rerun", manifest, "--out-dir", tmp_path / "redo"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nested_too_deeply(self, tmp_path, capsys):
+        manifest = tmp_path / "mine_manifest.json"
+        manifest.write_text("[" * 100_000)
+        assert _run(["rerun", manifest, "--out-dir", tmp_path / "redo"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {manifest} is not readable JSON: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
 
 
 # What `build_parser().parse_args(argv)` returns for each subcommand: with its required flags only, and then

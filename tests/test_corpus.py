@@ -17,9 +17,7 @@ from hypothesis import strategies as st
 from poprank import corpus, synthgen
 from poprank.corpus import (
     POST_FIELDS,
-    CaptionInfo,
     PostTable,
-    analyze_caption,
     corpus_stats,
     filter_candidates,
     log_likes,
@@ -29,15 +27,13 @@ from poprank.corpus import (
     write_posts,
 )
 
-from poprank.mining import caption_key
-
 from conftest import BASE, DAY, caption_parts, legal_ids, make_post, reference_parse_posts
 
 
 class TestParsePosts:
     def test_empty_stream(self):
         report = parse_posts(io.StringIO(""))
-        assert report.posts == [] and report.diagnostics == []
+        assert list(report.posts) == [] and report.diagnostics == []
 
     def test_partial_failure_keeps_good_records(self):
         lines = [
@@ -71,7 +67,7 @@ class TestParsePosts:
     )
     def test_schema_violations_are_diagnosed(self, record):
         report = parse_posts([record])
-        assert report.posts == [] and len(report.diagnostics) == 1
+        assert list(report.posts) == [] and len(report.diagnostics) == 1
 
     @pytest.mark.parametrize("key", ["post_id", "user_id"])
     @pytest.mark.parametrize("bad_id", ["p,0", "p 0", "p\t0", "p\u00a00", "p\x000", "p\x7f"])
@@ -88,7 +84,7 @@ class TestParsePosts:
         write_posts(path, small_corpus.posts)
         report = parse_posts_file(path)
         assert report.diagnostics == []
-        assert report.posts == small_corpus.posts
+        assert list(report.posts) == small_corpus.posts
 
     def test_unreadable_source_is_fatal(self, tmp_path):
         with pytest.raises(OSError):
@@ -126,6 +122,7 @@ PARSE_CASES = {
     "unsafe ids": [_line(post_id="p,0"), _line(post_id="p 0"), _line(post_id="p\x85"), _line(post_id=""),
                    _line(post_id=7), _line(user_id="u\u2028"), _line(user_id=None), _line(post_id="ok")],
     "a literal too long to convert": ['{"likes": 1' + "0" * 5000 + "}", _line()],
+    "nesting too deep to decode": ["[" * 100_000, '{"a": ' * 100_000, _line()],
     "one of each rule on one line": [_line(post_id="", user_id="", caption=3, likes=-1, media_count=0, is_video=1)],
     # one fault alone among legal lines, so that only one column check fails
     "an empty id": [_line(post_id="b"), _line(post_id="")],
@@ -238,62 +235,67 @@ class TestPostTableCaptions:
     @given(st.lists(captions(), min_size=1, max_size=10))
     @example(["ΑΣ ΟΔΟΣ", "ας οδος", "#ΟΔΟΣ #οδος", "#οδος #ΟΔΟΣ", "#ΟΔΟΣ\u2028x", "#οδοσ x", "Σ", "aΣ b", "İ #İ", "#i̇ x"])
     @example(["# @ #", "#A #a", "#a #a", "@a #A", "#a @A", "#a\x85@a", "", "\u3000", "#ab", "#a b"])
-    def test_words_and_keys_match_analyze_caption(self, texts):
-        """The table's per-caption word count and key code against `analyze_caption`, `caption_key` and a per-token
-        lower-casing oracle: equal codes exactly where the hashtag and mention multisets are equal."""
+    def test_words_and_keys_match_caption_parts(self, texts):
+        """The table's per-caption word count, key code and key against a per-token lower-casing oracle: equal
+        codes exactly where the hashtag and mention multisets are equal."""
         table = PostTable.of([make_post(post_id=f"p{k}", caption=text) for k, text in enumerate(texts)])
         assert table.captions == list(dict.fromkeys(texts))
-        infos = [analyze_caption(text) for text in table.captions]
         oracle = [caption_parts(text) for text in table.captions]
-        assert [(info.hashtags, info.mentions, info.word_count) for info in infos] == oracle
         assert table.caption_words.tolist() == [words for _, _, words in oracle]
-        for i, j in product(range(len(infos)), repeat=2):
-            same_key = caption_key(infos[i], math.inf) == caption_key(infos[j], math.inf)
-            assert (table.caption_key[i] == table.caption_key[j]) == same_key == (oracle[i][:2] == oracle[j][:2])
+        for code, (hashtags, mentions, _) in zip(table.caption_key.tolist(), oracle):
+            assert table.keys[code] == (tuple(sorted(hashtags.elements())), tuple(sorted(mentions.elements())))
+        for i, j in product(range(len(oracle)), repeat=2):
+            assert (table.caption_key[i] == table.caption_key[j]) == (oracle[i][:2] == oracle[j][:2])
 
     def test_reads_as_the_posts_it_holds(self):
         posts = [make_post(post_id=f"p{k}", user_id=f"u{k % 2}", likes=k, caption=["#a", "", "#a"][k % 3],
                            is_video=k == 3) for k in range(5)]
         table = PostTable.of(posts)
         assert PostTable.of(table) is table
-        assert list(table) == posts and table == posts and table[-1] == posts[-1]
-        assert table[1:4] == posts[1:4] and table.take(np.array([4, 0])) == [posts[4], posts[0]]
+        assert list(table) == posts and table[-1] == posts[-1] and len(table) == 5
+        assert list(table.take(np.array([4, 0]))) == [posts[4], posts[0]]
+        assert list(table.take(np.array([True, False, False, True, False]))) == [posts[0], posts[3]]
         assert table.users == ["u0", "u1"] and table.captions == ["#a", ""] and len(table.keys) == 2
         with pytest.raises(ValueError):
             table.likes[0] = 1
 
 
+def _analysed(*captions: str) -> tuple[PostTable, list[tuple]]:
+    """A table of one post per caption, and each post's caption as the table analyses it: (key code, key, words)."""
+    table = PostTable.of([make_post(post_id=f"p{k}", caption=text) for k, text in enumerate(captions)])
+    code, words = table.caption_key[table.caption].tolist(), table.caption_words[table.caption].tolist()
+    return table, [(c, table.keys[c], w) for c, w in zip(code, words)]
+
+
 class TestAnalyzeCaption:
+    """The table's caption columns: `caption_words`, `caption_key` and `keys`."""
+
     def test_empty_caption(self):
-        assert analyze_caption("") == CaptionInfo(Counter(), Counter(), 0)
+        table, [(_, key, words)] = _analysed("")
+        assert key == ((), ()) and words == 0 and table.keys == [key]
 
     def test_manual_tokenization(self):
-        info = analyze_caption("sunset at beach #travel @bob")
-        assert info.hashtags == Counter({"#travel": 1})
-        assert info.mentions == Counter({"@bob": 1})
-        assert info.word_count == 3
+        _, [(_, key, words)] = _analysed("sunset at beach #travel @bob")
+        assert key == (("#travel",), ("@bob",)) and words == 3
+        assert (Counter(key[0]), Counter(key[1]), words) == caption_parts("sunset at beach #travel @bob")
 
     def test_multiset_semantics(self):
-        info = analyze_caption("#a #a @x")
-        assert info.hashtags == Counter({"#a": 2})
-        assert info.mentions == Counter({"@x": 1})
-        assert info.word_count == 0
+        _, [(twice, key, words), (once, _, _)] = _analysed("#a #a @x", "#a @x")
+        assert key == (("#a", "#a"), ("@x",)) and words == 0
+        assert twice != once
 
     def test_lowercasing(self):
-        info = analyze_caption("Sunset #TraVel @BOB")
-        assert info.hashtags == Counter({"#travel": 1})
-        assert info.mentions == Counter({"@bob": 1})
+        _, [(code, key, words), (lower, _, _)] = _analysed("Sunset #TraVel @BOB", "sunset #travel @bob")
+        assert key == (("#travel",), ("@bob",)) and words == 1
+        assert code == lower
 
     def test_token_order_insensitive(self):
         rng = np.random.default_rng(5)
         tokens = ["#a", "#b", "@x", "hello", "world", "#a", "again"]
-        reference = analyze_caption(" ".join(tokens))
-        for _ in range(20):
-            shuffled = [tokens[i] for i in rng.permutation(len(tokens))]
-            info = analyze_caption(" ".join(shuffled))
-            assert info.hashtags == reference.hashtags
-            assert info.mentions == reference.mentions
-            assert info.word_count == reference.word_count
+        shuffles = [" ".join(tokens[i] for i in rng.permutation(len(tokens))) for _ in range(20)]
+        table, analysed = _analysed(" ".join(tokens), *shuffles)
+        assert len(table.captions) > 1
+        assert set(analysed) == {(0, (("#a", "#a", "#b"), ("@x",)), 3)}
 
 
 class TestFilterCandidates:
@@ -329,14 +331,14 @@ class TestFilterCandidates:
             for p in small_corpus.posts
             if p.likes >= 50 and p.media_count == 1 and not p.is_video and ref - p.upload_time >= 30 * DAY
         ]
-        assert kept == expected
+        assert list(kept) == expected
         assert len(kept) < len(small_corpus.posts)
 
     def test_subset_and_idempotent(self, small_corpus):
         ref = synthgen.reference_time_for(synthgen.SynthConfig(n_users=60, posts_per_user=8, time_span_days=60, seed=99))
         once = filter_candidates(small_corpus.posts, ref)
         assert set(p.post_id for p in once) <= set(p.post_id for p in small_corpus.posts)
-        assert filter_candidates(once, ref) == once
+        assert list(filter_candidates(once, ref)) == list(once)
 
 
 class TestLogLikes:

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
-from poprank import corpus, synthgen
-from poprank.corpus import analyze_caption
+from poprank import corpus, mining, synthgen
+from poprank.corpus import PostTable
 from poprank.mining import (
     BLOCK_POSTS,
     MinerConfig,
     PDIP,
-    caption_key,
     mine_pairs,
     normal_cdf,
     pair_stats,
@@ -124,32 +123,40 @@ class TestPdipProbability:
         ]
 
 
-def _key(caption, max_words=6):
-    return caption_key(analyze_caption(caption), max_words)
+def _keys(*captions, max_words=6):
+    """Each caption's context as the miner reads it from one table: its key code, or None over `max_words` words."""
+    table = PostTable.of([make_post(post_id=f"p{k}", caption=text) for k, text in enumerate(captions)])
+    code, words = table.caption_key[table.caption].tolist(), table.caption_words[table.caption].tolist()
+    return [c if w <= max_words else None for c, w in zip(code, words)]
 
 
 class TestCaptionKey:
     def test_both_empty(self):
-        assert _key("") is not None and _key("") == _key("")
+        a, b = _keys("", "\t")
+        assert a is not None and a == b
 
     def test_multiset_counts_matter(self):
-        assert _key("#a") != _key("#a #a")
+        a, b = _keys("#a", "#a #a")
+        assert a != b
 
     def test_word_limit(self):
-        assert _key("one two three four five six seven") is None
-        assert _key("one two three four five six") == _key("one two")
+        seven, six, two = _keys("one two three four five six seven", "one two three four five six", "one two")
+        assert seven is None and six is not None and six == two
 
     def test_same_tags_different_words_ok(self):
-        assert _key("lovely day #sun @kim") == _key("gloomy skies again #sun @kim")
+        a, b = _keys("lovely day #sun @kim", "gloomy skies again #sun @kim")
+        assert a == b
 
     def test_mention_mismatch(self):
-        assert _key("@kim") != _key("@jan")
+        a, b = _keys("@kim", "@jan")
+        assert a != b
 
     def test_tags_and_mentions_kept_apart(self):
-        assert _key("#kim") != _key("@kim")
+        a, b = _keys("#kim", "@kim")
+        assert a != b
 
     def test_hashable(self):
-        assert len({_key("#a #b @c"), _key("@c #b #a"), _key("#a")}) == 2
+        assert len(set(_keys("#a #b @c", "@c #b #a", "#a"))) == 2
 
 
 def _pair_posts(likes_a=1000, likes_b=100, days_apart=3, caption_a="", caption_b="", user="u1"):
@@ -263,12 +270,17 @@ class TestMinePairs:
         with pytest.raises(ValueError, match="too wide"):
             mine_pairs(posts, None, self.config)
 
-    def test_input_order_invariance(self, small_corpus):
+    def test_input_order_invariance(self, small_corpus, monkeypatch):
         ref = synthgen.reference_time_for(synthgen.SynthConfig(n_users=60, posts_per_user=8, time_span_days=60, seed=99))
         config = MinerConfig(reference_time=ref)
         candidates = corpus.filter_candidates(small_corpus.posts, ref)
+        pairs = mine_pairs(candidates, None, config)
         reversed_pairs = mine_pairs(list(reversed(candidates)), None, config)
-        assert reversed_pairs == mine_pairs(candidates, None, config)
+        assert reversed_pairs == pairs
+        shuffled = [candidates[i] for i in np.random.default_rng(3).permutation(len(candidates)).tolist()]
+        monkeypatch.setattr(mining, "BLOCK_POSTS", 1)  # every user in a block of its own
+        assert mine_pairs(candidates, None, config) == pairs == reference_mine_pairs(list(candidates), None, config)
+        assert mine_pairs(shuffled, None, config) == pairs
 
 
 # hashtag/mention parts of captions: "#a #A" repeats a hashtag, "#a #b" and "#b #a" are one multiset

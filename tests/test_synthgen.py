@@ -61,7 +61,8 @@ class TestGenerateCorpus:
         assert any(p.is_video for p in posts)
         assert any(p.media_count > 1 for p in posts)
         assert any(p.caption == "" for p in posts)
-        word_counts = [corpus.analyze_caption(p.caption).word_count for p in posts]
+        table = corpus.PostTable.of(posts)
+        word_counts = table.caption_words[table.caption].tolist()
         assert any(w > 6 for w in word_counts), "over-long captions missing"
         assert any(w == 0 for w in word_counts)
 
