@@ -342,8 +342,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             config = {k: v for k, v in vars(args).items() if k not in ("command", "out_dir")}
             run_command(args.command, config, args.out_dir)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

@@ -250,9 +250,21 @@ def parse_posts_file(path: str | Path) -> ParseReport:
         return parse_posts(f)
 
 
+# `json.dumps(record, sort_keys=True, ensure_ascii=True)` of a post, in one format string: the keys sorted, each
+# string through the encoder json uses for it, the ints as ints and the bool as `true` or `false`
+_POST_JSON = (
+    '{"caption": %s, "is_video": %s, "likes": %d, "media_count": %d, "post_id": %s, "upload_time": %d, "user_id": %s}'
+)
+_JSON_BOOL = ("false", "true")
+_json_str = json.encoder.encode_basestring_ascii
+
+
 def serialize_post(post: Post) -> str:
     """One-line JSON form of a post; `parse_posts` inverts it exactly."""
-    return json.dumps({key: getattr(post, key) for key in POST_FIELDS}, sort_keys=True, ensure_ascii=True)
+    return _POST_JSON % (
+        _json_str(post.caption), _JSON_BOOL[post.is_video], post.likes, post.media_count,
+        _json_str(post.post_id), post.upload_time, _json_str(post.user_id),
+    )
 
 
 def write_posts(path: str | Path, posts: Iterable[Post]) -> None:

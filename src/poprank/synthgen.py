@@ -10,6 +10,17 @@ every mining constraint, including empty and over-long captions and a natural
 low-mu tail that falls under the 50-likes floor. Everything is deterministic
 given the seed, with per-user derived streams so users can be generated in
 parallel.
+
+The order of the draws on a user's stream is the corpus format: a seed gives
+the same bytes only while every draw is made in the same order with the same
+arguments, so changing that order changes every synthetic output. A post takes
+about twenty tiny draws, so their call overhead is the generator's cost. The
+methods are bound once per user, and the token picks are scalar
+`integers(0, k)` calls, a quarter of the cost of one `integers(0, k, size=n)`
+call at such small n with the same values and the same final state; the
+tokens are shuffled in place, which makes the swaps that
+`permutation(len(tokens))` would. `tests/test_synthgen.py` checks both
+equivalences, and the generator against a reference written the other way.
 """
 
 from __future__ import annotations
@@ -82,42 +93,44 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
     informative = seeded_rng(config.seed, "informative-coefficients").uniform(
         0.5, 1.5, size=config.n_informative
     )
+    mu_mean, mu_std, sigma_true = config.mu_mean, config.mu_std, config.sigma_true
+    feature_dim, n_informative, noise_std = config.feature_dim, config.n_informative, config.feature_noise_std
     span_s = config.time_span_days * SECONDS_PER_DAY
+    words = [f"word{k:03d}" for k in range(50)]
     posts, latent_mu = [], {}
-    matrix = np.empty((config.n_users * config.posts_per_user, config.feature_dim))
+    matrix = np.empty((config.n_users * config.posts_per_user, feature_dim))
+    row = 0
     for u in range(config.n_users):
         user_id = f"u{u:05d}"
         rng = seeded_rng(config.seed, "user", user_id)
-        hash_pool = [f"#tag{k:03d}" for k in rng.integers(0, config.hashtag_vocab, size=2)]
-        mention_pool = [f"@user{k:03d}" for k in rng.integers(0, config.mention_vocab, size=2)]
+        integers, normal, random, geometric, shuffle = rng.integers, rng.normal, rng.random, rng.geometric, rng.shuffle
+        hash_pool = [f"#tag{k:03d}" for k in integers(0, config.hashtag_vocab, size=2)]
+        mention_pool = [f"@user{k:03d}" for k in integers(0, config.mention_vocab, size=2)]
         for i in range(config.posts_per_user):
             post_id = f"{user_id}_p{i:03d}"
-            mu = float(rng.normal(config.mu_mean, config.mu_std))
-            s = float(rng.normal(mu, config.sigma_true))
-            likes = max(0, round(math.exp(s) - 1.0))
+            mu = normal(mu_mean, mu_std)
+            likes = max(0, round(math.exp(normal(mu, sigma_true)) - 1.0))
 
-            n_hash = _HASHTAG_COUNTS[int(rng.integers(0, len(_HASHTAG_COUNTS)))]
-            n_ment = _MENTION_COUNTS[int(rng.integers(0, len(_MENTION_COUNTS)))]
-            n_words = 0 if rng.random() < 0.15 else int(rng.geometric(0.4))
-            tokens = [f"word{int(k):03d}" for k in rng.integers(0, 50, size=n_words)]
-            tokens += [hash_pool[int(k)] for k in rng.integers(0, len(hash_pool), size=n_hash)]
-            tokens += [mention_pool[int(k)] for k in rng.integers(0, len(mention_pool), size=n_ment)]
-            tokens = [tokens[int(k)] for k in rng.permutation(len(tokens))]
+            n_hash = _HASHTAG_COUNTS[integers(0, len(_HASHTAG_COUNTS))]
+            n_ment = _MENTION_COUNTS[integers(0, len(_MENTION_COUNTS))]
+            n_words = 0 if random() < 0.15 else geometric(0.4)
+            tokens = [words[integers(0, len(words))] for _ in range(n_words)]
+            tokens += [hash_pool[integers(0, len(hash_pool))] for _ in range(n_hash)]
+            tokens += [mention_pool[integers(0, len(mention_pool))] for _ in range(n_ment)]
+            shuffle(tokens)
 
             post = Post(
                 post_id=post_id,
                 user_id=user_id,
-                upload_time=BASE_TIME + int(rng.integers(0, span_s)),
+                upload_time=BASE_TIME + int(integers(0, span_s)),
                 likes=likes,
                 caption=" ".join(tokens),
-                media_count=1 if rng.random() < 0.9 else int(rng.integers(2, 5)),
-                is_video=bool(rng.random() < 0.08),
+                media_count=1 if random() < 0.9 else int(integers(2, 5)),
+                is_video=random() < 0.08,
             )
-            values = rng.normal(0.0, 1.0, size=config.feature_dim)
-            values[: config.n_informative] = informative * mu + rng.normal(
-                0.0, config.feature_noise_std, size=config.n_informative
-            )
-            matrix[len(posts)] = values
+            matrix[row] = normal(0.0, 1.0, size=feature_dim)
+            matrix[row, :n_informative] = informative * mu + normal(0.0, noise_std, size=n_informative)
+            row += 1
             posts.append(post)
             latent_mu[post_id] = mu
     return SynthCorpus(posts, FeatureSet([p.post_id for p in posts], matrix), latent_mu)

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from poprank import mlp, synthgen
 from poprank.corpus import POST_FIELDS, SECONDS_PER_DAY, Post, log_likes
+from poprank.features import FeatureSet
 from poprank.mining import PDIP, MinerConfig
-from poprank.util import _check_id
+from poprank.util import _check_id, seeded_rng
 
 # Zelen & Severo coefficients, as in poprank.mining
 _CDF_P = 0.2316419
@@ -115,6 +116,56 @@ def scalar_normal_cdf(z: float) -> float:
     upper = 1.0 - poly * math.exp(-0.5 * az * az) / math.sqrt(2.0 * math.pi)
     p = upper if z > 0 else 1.0 - upper
     return min(1.0, max(0.0, p))
+
+
+def reference_generate_corpus(config: synthgen.SynthConfig) -> synthgen.SynthCorpus:
+    """The generator one draw at a time, with `size=n` draws for the token picks: the oracle for `generate_corpus`.
+
+    It makes the same draws on the same per-user streams in the same order, so
+    the two must agree bit for bit: posts, latents and feature matrix.
+    """
+    informative = seeded_rng(config.seed, "informative-coefficients").uniform(
+        0.5, 1.5, size=config.n_informative
+    )
+    span_s = config.time_span_days * SECONDS_PER_DAY
+    posts, latent_mu = [], {}
+    matrix = np.empty((config.n_users * config.posts_per_user, config.feature_dim))
+    for u in range(config.n_users):
+        user_id = f"u{u:05d}"
+        rng = seeded_rng(config.seed, "user", user_id)
+        hash_pool = [f"#tag{k:03d}" for k in rng.integers(0, config.hashtag_vocab, size=2)]
+        mention_pool = [f"@user{k:03d}" for k in rng.integers(0, config.mention_vocab, size=2)]
+        for i in range(config.posts_per_user):
+            post_id = f"{user_id}_p{i:03d}"
+            mu = float(rng.normal(config.mu_mean, config.mu_std))
+            s = float(rng.normal(mu, config.sigma_true))
+            likes = max(0, round(math.exp(s) - 1.0))
+
+            n_hash = synthgen._HASHTAG_COUNTS[int(rng.integers(0, len(synthgen._HASHTAG_COUNTS)))]
+            n_ment = synthgen._MENTION_COUNTS[int(rng.integers(0, len(synthgen._MENTION_COUNTS)))]
+            n_words = 0 if rng.random() < 0.15 else int(rng.geometric(0.4))
+            tokens = [f"word{int(k):03d}" for k in rng.integers(0, 50, size=n_words)]
+            tokens += [hash_pool[int(k)] for k in rng.integers(0, len(hash_pool), size=n_hash)]
+            tokens += [mention_pool[int(k)] for k in rng.integers(0, len(mention_pool), size=n_ment)]
+            tokens = [tokens[int(k)] for k in rng.permutation(len(tokens))]
+
+            post = Post(
+                post_id=post_id,
+                user_id=user_id,
+                upload_time=BASE + int(rng.integers(0, span_s)),
+                likes=likes,
+                caption=" ".join(tokens),
+                media_count=1 if rng.random() < 0.9 else int(rng.integers(2, 5)),
+                is_video=bool(rng.random() < 0.08),
+            )
+            values = rng.normal(0.0, 1.0, size=config.feature_dim)
+            values[: config.n_informative] = informative * mu + rng.normal(
+                0.0, config.feature_noise_std, size=config.n_informative
+            )
+            matrix[len(posts)] = values
+            posts.append(post)
+            latent_mu[post_id] = mu
+    return synthgen.SynthCorpus(posts, FeatureSet([p.post_id for p in posts], matrix), latent_mu)
 
 
 def caption_parts(caption: str) -> tuple[Counter, Counter, int]:

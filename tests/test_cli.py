@@ -260,6 +260,23 @@ class TestOneLineErrors:
         assert code == 1 and err.startswith("error: ") and option in err and err.count("\n") == 1
         assert not (tmp_path / "posts.jsonl").exists()
 
+    # An impossible size (say `--feature-dim 100000000000`) fails its allocation; raised here without allocating,
+    # since on a host that overcommits memory a real huge allocation can succeed and the process be killed later
+    @pytest.mark.parametrize(
+        "exc, message",
+        [(MemoryError("Unable to allocate 2.91 TiB for an array with shape (4, 100000000000)"),
+          "Unable to allocate 2.91 TiB for an array with shape (4, 100000000000)"),
+         (MemoryError(), "out of memory")],
+    )
+    def test_synth_out_of_memory(self, tmp_path, capsys, monkeypatch, exc, message):
+        def fail(config):
+            raise exc
+
+        monkeypatch.setattr(synthgen, "generate_corpus", fail)
+        code = _run(SYNTH_ARGS + ["--out-dir", tmp_path])
+        assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "posts.jsonl").exists()
+
     @pytest.mark.parametrize(
         "row, message",
         [("a,b,u,abc,1.0", "line 3: could not convert string to float: 'abc'"),

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import operator
+import re
 import tempfile
 from collections import Counter
 from itertools import product
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from poprank import corpus, synthgen
 from poprank.corpus import (
     POST_FIELDS,
+    Post,
     PostTable,
     corpus_stats,
     filter_candidates,
@@ -214,6 +216,37 @@ class TestParseMatchesTheLineParser:
     def test_many_records_match(self, lines):
         got, expected = _parse_both(lines)
         assert got == expected
+
+
+# Any text the writer may meet: every code point, lone surrogates included, and those JSON escapes or treats apart
+ANY_CHAR = st.characters() | st.characters(categories=["Cs"]) | st.sampled_from(
+    ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u2029", "\ud800", "\udfff", "\ufeff", "\U0001f600"]
+)
+ANY_TEXT = st.text(ANY_CHAR, max_size=12)
+ANY_INT = st.integers() | st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**40, -(10**40)])
+INT64 = st.integers(-(2**63), 2**63 - 1)
+PAIRLESS_TEXT = ANY_TEXT.filter(lambda text: not re.search("[\ud800-\udbff][\udc00-\udfff]", text))
+
+
+class TestSerializePost:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.builds(Post, ANY_TEXT, ANY_TEXT, ANY_INT, ANY_INT, ANY_TEXT, ANY_INT, st.booleans()))
+    @example(Post('"\\', "\ud83d", 2**64, -1, "\u2028\U0001f600\x00", 0, True))
+    def test_equals_json_dumps(self, post):
+        expected = json.dumps({k: getattr(post, k) for k in POST_FIELDS}, sort_keys=True, ensure_ascii=True)
+        assert serialize_post(post) == expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.builds(Post, legal_ids, legal_ids, INT64, st.integers(0, 2**63 - 1), PAIRLESS_TEXT,
+                              st.integers(1, 2**63 - 1), st.booleans()), max_size=8, unique_by=lambda p: p.post_id))
+    def test_written_file_parses_back(self, posts):
+        """Every legal post reads back as written. (A high surrogate followed by a low one is written as two
+        escapes, which JSON reads as the one character the pair encodes, so such captions are left out.)"""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "posts.jsonl"
+            write_posts(path, posts)
+            report = parse_posts_file(path)
+        assert report.diagnostics == [] and list(report.posts) == posts
 
 
 # Caption tokens where lower-casing or classifying could go wrong: upper-case tags, bare '#' and '@', a dotted

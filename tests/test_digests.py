@@ -4,12 +4,17 @@ One small synth -> stats -> mine -> train -> eval -> score -> ablate run
 through `cli.main`, each command into its own directory. The sha256 of every
 output, as its manifest records it, must equal the value pinned here, so a
 change to any output's bytes fails this test. The trained outputs (checkpoint,
-train report, scores, eval, ablation) hold for any BLAS thread count, but a
-BLAS or numpy that rounds differently in the last bit would need new values.
+train report, scores, eval, ablation) hold for any BLAS thread count, and the
+run is repeated at two OpenBLAS threads to show it; a BLAS or numpy that rounds
+differently in the last bit would need new values.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from poprank import synthgen
 from poprank.cli import main
@@ -69,6 +74,18 @@ def test_every_output_digest_is_pinned(tmp_path):
         manifest = json.loads((out / f"{args[0]}_manifest.json").read_text())
         digests.update({f"{label}/{name}": sha for name, sha in manifest["outputs"].items()})
     assert digests == PINNED
+
+
+def test_every_output_digest_holds_at_two_blas_threads(tmp_path):
+    """The same run in a fresh process, since OpenBLAS reads its thread count when numpy loads: two threads, or
+    one if this process may use only one CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(min(2, cpus)),
+           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    code = "import pathlib, sys, test_digests; test_digests.test_every_output_digest_is_pinned(pathlib.Path(sys.argv[1]))"
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 # A hand-built posts file that trips every parse rule and caption corner the stats and the miner see: CRLF and

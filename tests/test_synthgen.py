@@ -16,7 +16,7 @@ from poprank.synthgen import (
     save_latents,
 )
 
-from conftest import read_id_values
+from conftest import read_id_values, reference_generate_corpus
 
 
 class TestGenerateCorpus:
@@ -114,6 +114,44 @@ class TestGenerateCorpus:
                 SynthConfig(mu_mean=mu_mean)
         with pytest.raises(ValueError, match="mu_mean"):
             SynthConfig(mu_std=1e300)  # a finite mean whose draws overflow a like count
+
+
+def _bitwise(c: synthgen.SynthCorpus):
+    """A corpus as values compared bit for bit: post reprs (types included), latents by `float.hex`, matrix bytes."""
+    latents = [(k, type(v), v.hex()) for k, v in c.latent_mu.items()]
+    return repr(c.posts), latents, c.features.ids, c.features.matrix.shape, c.features.matrix.tobytes()
+
+
+class TestGeneratorOracle:
+    """`generate_corpus` makes the reference generator's draws, so every corpus is equal to it bit for bit."""
+
+    def test_default_config(self, default_corpus):
+        assert _bitwise(default_corpus) == _bitwise(reference_generate_corpus(SynthConfig(seed=20240501)))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(posts_per_user=1), dict(feature_dim=1, n_informative=0), dict(feature_dim=1, n_informative=1),
+         dict(feature_dim=5, n_informative=5), dict(hashtag_vocab=1, mention_vocab=1),
+         dict(mu_std=0.0, sigma_true=0.0), dict(time_span_days=1)],
+    )
+    def test_corner_configs(self, overrides):
+        config = SynthConfig(**{"n_users": 30, "posts_per_user": 10, "seed": 11, **overrides})
+        assert _bitwise(generate_corpus(config)) == _bitwise(reference_generate_corpus(config))
+
+    @pytest.mark.parametrize("k", [1, 2, 20, 50])
+    def test_scalar_draws_equal_one_sized_draw(self, k):
+        """n scalar `integers(0, k)` calls leave the values and the state that one `size=n` call does, and
+        an in-place `shuffle` of a list the permutation that `permutation(len)` gives; the generator relies
+        on both."""
+        for n in range(8):
+            sized, scalar = np.random.default_rng([k, n]), np.random.default_rng([k, n])
+            assert sized.integers(0, k, size=n).tolist() == [int(scalar.integers(0, k)) for _ in range(n)]
+            assert sized.bit_generator.state == scalar.bit_generator.state
+            tokens = [f"t{i}" for i in range(n)]
+            permuted = [tokens[i] for i in sized.permutation(n)]
+            scalar.shuffle(tokens)
+            assert tokens == permuted
+            assert sized.bit_generator.state == scalar.bit_generator.state
 
 
 class TestOracleLabel:
