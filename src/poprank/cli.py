@@ -17,7 +17,10 @@ line) reproduces every output byte for byte. ``rerun`` refuses a malformed
 manifest or inputs whose digests changed, writes the outputs only, and exits 1
 naming any output that differs from its recorded digest. Each field of
 ``SynthConfig``, ``MinerConfig`` and ``TrainConfig`` is a ``--field-name`` flag
-with the field's type and default; ``<command> --help`` lists them.
+with the field's type and default; ``<command> --help`` lists them. Each input
+file is a required ``--label`` flag named once per command in ``build_parser``;
+``READERS`` maps the label to its reader, and one loop checks, reads and
+records every input, for a run and a rerun alike.
 
 Usage:
     poprank synth --out-dir runs/demo
@@ -38,25 +41,34 @@ from . import corpus, evaluate, features as features_mod, mining, mlp, ranker, s
 from .util import seeded_rng, sha256_file, split_indices
 
 
-def _require_file(path: str, what: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
+def _require_file(path: str, what: str) -> str:
+    if not Path(path).is_file():
         raise FileNotFoundError(f"{what} file not found: {path}")
-    return p
+    return path
 
 
 def _parse_posts_checked(path: str) -> corpus.PostTable:
-    report = corpus.parse_posts_file(_require_file(path, "posts"))
+    report = corpus.parse_posts_file(path)
     for diag in report.diagnostics:
         print(f"warning: {path}: {diag}", file=sys.stderr)
     return report.posts
 
 
 def _load_scorer(path: str) -> mlp.MlpModel:
-    models = mlp.load_checkpoint(_require_file(path, "checkpoint"))
+    models = mlp.load_checkpoint(path)
     if "scorer" not in models:
         raise ValueError(f"checkpoint has no 'scorer' section: {path}")
     return models["scorer"]
+
+
+# input label -> reader of that file; a command checks and reads its inputs in this order. Plain functions
+# only, as in HANDLERS: perfbench/tracer.py times the reads by rewriting the entries of module-level dicts.
+READERS = {
+    "checkpoint": _load_scorer,
+    "posts": _parse_posts_checked,
+    "pairs": mining.read_pairs,
+    "features": features_mod.load_features,
+}
 
 
 def _config(cls, config: dict):
@@ -74,7 +86,7 @@ def _entries(config: dict, key: str, noun: str) -> list:
     return values
 
 
-def run_synth(config: dict, out: Path) -> tuple[dict, list[str]]:
+def run_synth(config: dict, out: Path) -> list[str]:
     synth_config = _config(synthgen.SynthConfig, config)
     generated = synthgen.generate_corpus(synth_config)
     corpus.write_posts(out / "posts.jsonl", generated.posts)
@@ -84,77 +96,63 @@ def run_synth(config: dict, out: Path) -> tuple[dict, list[str]]:
         f"generated {len(generated.posts)} posts for {synth_config.n_users} users "
         f"(reference_time {synthgen.reference_time_for(synth_config)})"
     )
-    return {}, ["posts.jsonl", "features.csv", "latents.csv"]
+    return ["posts.jsonl", "features.csv", "latents.csv"]
 
 
-def run_stats(config: dict, out: Path) -> tuple[dict, list[str]]:
-    posts = _parse_posts_checked(config["posts"])
+def run_stats(config: dict, out: Path, posts: corpus.PostTable) -> list[str]:
     stats = corpus.corpus_stats(posts)
     corpus.write_stats_csv(out / "corpus_stats.csv", stats)
     print(f"{stats.n_posts} posts from {stats.n_users} users, mean likes {stats.mean_likes:.1f}")
-    return {"posts": config["posts"]}, ["corpus_stats.csv"]
+    return ["corpus_stats.csv"]
 
 
-def run_mine(config: dict, out: Path) -> tuple[dict, list[str]]:
-    posts = _parse_posts_checked(config["posts"])
+def run_mine(config: dict, out: Path, posts: corpus.PostTable) -> list[str]:
     miner = _config(mining.MinerConfig, config)
     candidates = corpus.filter_candidates(posts, miner.reference_time)
     pairs = mining.mine_pairs(candidates, None, miner)
     mining.write_pairs(out / "pairs.csv", pairs)
     corpus.write_stats_csv(out / "pair_stats.csv", mining.pair_stats(pairs, candidates))
     print(f"mined {len(pairs)} pairs from {len(candidates)} candidates ({len(posts)} posts)")
-    return {"posts": config["posts"]}, ["pairs.csv", "pair_stats.csv"]
+    return ["pairs.csv", "pair_stats.csv"]
 
 
-def run_train(config: dict, out: Path) -> tuple[dict, list[str]]:
-    pairs = mining.read_pairs(_require_file(config["pairs"], "pairs"))
-    feats = features_mod.load_features(_require_file(config["features"], "features"))
-    dims = [feats.dim] + _entries(config, "hidden_dims", "layer width") + [1]
+def run_train(config: dict, out: Path, pairs: list[mining.PDIP], features: features_mod.FeatureSet) -> list[str]:
+    dims = [features.dim] + _entries(config, "hidden_dims", "layer width") + [1]
     train_idx, val_idx = split_indices(
         len(pairs), config["val_fraction"], seeded_rng(config["seed"], "train-split")
     )
     model = mlp.init_model(dims, seeded_rng(config["seed"], "init"))
-    report = ranker.train(model, pairs, feats, (train_idx, val_idx), _config(ranker.TrainConfig, config))
+    report = ranker.train(model, pairs, features, (train_idx, val_idx), _config(ranker.TrainConfig, config))
     mlp.save_checkpoint(out / "checkpoint.txt", {"scorer": report.model})
     ranker.write_train_report_csv(out / "train_report.csv", report)
     print(
         f"trained on {len(train_idx)} pairs, selected epoch {report.selected_epoch} "
         f"with validation accuracy {report.val_accuracy[report.selected_epoch]:.4f}"
     )
-    return {"pairs": config["pairs"], "features": config["features"]}, ["checkpoint.txt", "train_report.csv"]
+    return ["checkpoint.txt", "train_report.csv"]
 
 
-def run_eval(config: dict, out: Path) -> tuple[dict, list[str]]:
-    model = _load_scorer(config["checkpoint"])
-    pairs = mining.read_pairs(_require_file(config["pairs"], "pairs"))
-    feats = features_mod.load_features(_require_file(config["features"], "features"))
-    result = evaluate.pairwise_accuracy(ranker.score_batch(model, feats), pairs)  # the scores `score` writes
+def run_eval(config: dict, out: Path, checkpoint: mlp.MlpModel, pairs: list[mining.PDIP],
+             features: features_mod.FeatureSet) -> list[str]:
+    result = evaluate.pairwise_accuracy(ranker.score_batch(checkpoint, features), pairs)  # the scores `score` writes
     evaluate.write_eval_csv(out / "eval_result.csv", result)
     print(f"pairwise accuracy {result.accuracy:.4f} on {result.n_pairs} pairs ({result.n_ties} ties)")
-    return {
-        "checkpoint": config["checkpoint"],
-        "pairs": config["pairs"],
-        "features": config["features"],
-    }, ["eval_result.csv"]
+    return ["eval_result.csv"]
 
 
-def run_score(config: dict, out: Path) -> tuple[dict, list[str]]:
-    model = _load_scorer(config["checkpoint"])
-    feats = features_mod.load_features(_require_file(config["features"], "features"))
-    scores = ranker.score_batch(model, feats)
+def run_score(config: dict, out: Path, checkpoint: mlp.MlpModel, features: features_mod.FeatureSet) -> list[str]:
+    scores = ranker.score_batch(checkpoint, features)
     if config["rescale_max"] is not None:
         scores = evaluate.rescale_for_display(scores, config["rescale_max"])
     evaluate.write_scores_csv(out / "scores.csv", scores)
     print(f"scored {len(scores)} posts")
-    return {"checkpoint": config["checkpoint"], "features": config["features"]}, ["scores.csv"]
+    return ["scores.csv"]
 
 
-def run_ablate(config: dict, out: Path) -> tuple[dict, list[str]]:
-    pairs = mining.read_pairs(_require_file(config["pairs"], "pairs"))
-    feats = features_mod.load_features(_require_file(config["features"], "features"))
+def run_ablate(config: dict, out: Path, pairs: list[mining.PDIP], features: features_mod.FeatureSet) -> list[str]:
     table = evaluate.noise_ablation(
         pairs,
-        feats,
+        features,
         _config(ranker.TrainConfig, config),
         noise_levels=_entries(config, "noise_levels", "level"),
         hidden_dims=_entries(config, "hidden_dims", "layer width"),
@@ -164,7 +162,7 @@ def run_ablate(config: dict, out: Path) -> tuple[dict, list[str]]:
     evaluate.write_ablation_csv(out / "ablation.csv", table)
     for q, acc in table:
         print(f"noise {q:g}: test accuracy {acc:.4f}")
-    return {"pairs": config["pairs"], "features": config["features"]}, ["ablation.csv"]
+    return ["ablation.csv"]
 
 
 HANDLERS = {
@@ -179,10 +177,14 @@ HANDLERS = {
 
 
 def _execute(command: str, config: dict, out: Path) -> tuple[dict, dict]:
-    """Run one subcommand into `out`; return its input paths and its output digests."""
+    """Run one subcommand into `out`; return its input paths and its output digests.
+
+    Each input file is checked and read in turn, in `READERS` order, before the handler runs.
+    """
     out.mkdir(parents=True, exist_ok=True)
-    inputs, outputs = HANDLERS[command](config, out)
-    return inputs, {name: sha256_file(out / name) for name in outputs}
+    paths = {label: config[label] for label in READERS if label in config}
+    inputs = {label: READERS[label](_require_file(path, label)) for label, path in paths.items()}
+    return paths, {name: sha256_file(out / name) for name in HANDLERS[command](config, out, **inputs)}
 
 
 def run_command(command: str, config: dict, out_dir: str) -> dict:
@@ -281,7 +283,7 @@ def _add_fields(sub: argparse.ArgumentParser, cls) -> None:
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     _add_list(sub, "--hidden-dims", int, ranker.DEFAULT_HIDDEN_DIMS, "D1,D2")
-    sub.add_argument("--val-fraction", type=float, default=0.1, help=DEFAULT_HELP)
+    sub.add_argument("--val-fraction", type=float, default=ranker.DEFAULT_VAL_FRACTION, help=DEFAULT_HELP)
     _add_fields(sub, ranker.TrainConfig)
 
 
@@ -289,40 +291,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="poprank", description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, *inputs: str) -> argparse.ArgumentParser:
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("--out-dir", required=True, help="directory for outputs and the manifest")
+        for label in inputs:
+            sub.add_argument("--" + label, required=True)
         return sub
 
     _add_fields(add("synth", "generate a synthetic corpus"), synthgen.SynthConfig)
 
-    sub = add("stats", "corpus statistics CSV")
-    sub.add_argument("--posts", required=True)
+    add("stats", "corpus statistics CSV", "posts")
+    _add_fields(add("mine", "filter candidates and mine pairs", "posts"), mining.MinerConfig)
+    _add_train_flags(add("train", "train the pairwise ranker", "pairs", "features"))
+    add("eval", "pairwise accuracy of a checkpoint", "checkpoint", "pairs", "features")
 
-    sub = add("mine", "filter candidates and mine pairs")
-    sub.add_argument("--posts", required=True)
-    _add_fields(sub, mining.MinerConfig)
-
-    sub = add("train", "train the pairwise ranker")
-    sub.add_argument("--pairs", required=True)
-    sub.add_argument("--features", required=True)
-    _add_train_flags(sub)
-
-    sub = add("eval", "pairwise accuracy of a checkpoint")
-    sub.add_argument("--checkpoint", required=True)
-    sub.add_argument("--pairs", required=True)
-    sub.add_argument("--features", required=True)
-
-    sub = add("score", "score every post in a feature file")
-    sub.add_argument("--checkpoint", required=True)
-    sub.add_argument("--features", required=True)
+    sub = add("score", "score every post in a feature file", "checkpoint", "features")
     sub.add_argument("--rescale-max", type=float, default=None, help="affinely map scores onto [0, MAX]")
 
-    sub = add("ablate", "label-noise ablation table")
-    sub.add_argument("--pairs", required=True)
-    sub.add_argument("--features", required=True)
+    sub = add("ablate", "label-noise ablation table", "pairs", "features")
     _add_list(sub, "--noise-levels", float, [0.0, 0.2, 0.4], "Q1,Q2")
-    sub.add_argument("--test-fraction", type=float, default=0.2, help=DEFAULT_HELP)
+    sub.add_argument("--test-fraction", type=float, default=evaluate.DEFAULT_TEST_FRACTION, help=DEFAULT_HELP)
     _add_train_flags(sub)
 
     sub = add("rerun", "re-execute a recorded manifest")

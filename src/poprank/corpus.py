@@ -260,7 +260,12 @@ _json_str = json.encoder.encode_basestring_ascii
 
 
 def serialize_post(post: Post) -> str:
-    """One-line JSON form of a post; `parse_posts` inverts it exactly."""
+    """One-line JSON form of a post; `parse_posts` inverts it exactly, but for one case.
+
+    A high surrogate followed by a low one, as two code points, is written as
+    two `\\u` escapes (as `json.dumps` writes it), and JSON reads those back as
+    the one character the pair encodes: '\\ud800\\udc00' reads as '\\U00010000'.
+    """
     return _POST_JSON % (
         _json_str(post.caption), _JSON_BOOL[post.is_video], post.likes, post.media_count,
         _json_str(post.post_id), post.upload_time, _json_str(post.user_id),

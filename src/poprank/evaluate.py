@@ -18,6 +18,8 @@ from .mining import PDIP
 from .mlp import init_model
 from .util import open_csv, seeded_rng, split_indices
 
+DEFAULT_TEST_FRACTION = 0.2  # share of the pairs held out to measure each noise level's test accuracy
+
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -66,8 +68,8 @@ def noise_ablation(
     config: ranker_mod.TrainConfig,
     noise_levels: list[float],
     hidden_dims: list[int] | None = None,
-    test_fraction: float = 0.2,
-    val_fraction: float = 0.1,
+    test_fraction: float = DEFAULT_TEST_FRACTION,
+    val_fraction: float = ranker_mod.DEFAULT_VAL_FRACTION,
 ) -> list[tuple[float, float]]:
     """Retrain at each label-noise level and measure test pairwise accuracy.
 

@@ -31,6 +31,7 @@ from .mlp import Gradients, MlpModel, TrainConfig
 from .util import open_csv, seeded_rng
 
 DEFAULT_HIDDEN_DIMS = [64, 32]
+DEFAULT_VAL_FRACTION = 0.1  # share of the training pairs held out to select the epoch
 
 
 @dataclass
@@ -68,8 +69,9 @@ def _batch_loss_and_grad(model: MlpModel, xa: np.ndarray, xb: np.ndarray, labels
     q_a, cache_a = mlp.forward_cached(model, xa)
     q_b, cache_b = mlp.forward_cached(model, xb)
     o = q_a - q_b
-    p = np.where(o >= 0, 1.0 / (1.0 + np.exp(-np.abs(o))), np.exp(-np.abs(o)) / (1.0 + np.exp(-np.abs(o))))
-    loss = float(np.mean(np.where(o > 0, (1.0 - labels) * o, -labels * o) + np.log1p(np.exp(-np.abs(o)))))
+    e = np.exp(-np.abs(o))
+    p = np.where(o >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    loss = float(np.mean(np.where(o > 0, (1.0 - labels) * o, -labels * o) + np.log1p(e)))
     g = (p - labels) / len(labels)
     grads = mlp.backward(model, cache_a, g)
     grads.params += mlp.backward(model, cache_b, -g).params

@@ -32,7 +32,7 @@ def _dir_bytes(path, skip=()):
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """One full synth -> mine -> train run shared by the read-only tests."""
+    """One full synth -> mine -> train -> eval -> score run shared by the read-only tests."""
     out = tmp_path_factory.mktemp("pipeline")
     assert _run(SYNTH_ARGS + ["--out-dir", out]) == 0
     assert _run(["mine", "--posts", out / "posts.jsonl", "--reference-time", REF, "--out-dir", out]) == 0
@@ -43,6 +43,9 @@ def pipeline(tmp_path_factory):
         )
         == 0
     )
+    trained = ["--checkpoint", out / "checkpoint.txt", "--features", out / "features.csv", "--out-dir", out]
+    assert _run(["eval", "--pairs", out / "pairs.csv"] + trained) == 0
+    assert _run(["score"] + trained) == 0
     return out
 
 
@@ -121,11 +124,6 @@ class TestMine:
         assert (tmp_path / "pairs.csv").read_bytes() == (pipeline / "pairs.csv").read_bytes()
         assert _run(["train", "--pairs", tmp_path / "pairs.csv", "--features", pipeline / "features.csv",
                      "--epochs", "1", "--out-dir", tmp_path]) == 0
-
-    def test_missing_posts_file_fails(self, tmp_path, capsys):
-        code = _run(["mine", "--posts", tmp_path / "nope.jsonl", "--reference-time", REF, "--out-dir", tmp_path])
-        assert code == 1
-        assert "nope.jsonl" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -215,7 +213,40 @@ class TestEvalMatchesScore:
         assert row == f"{len(pairs)},{correct / len(pairs)!r},{ties}"
 
 
+# Each command's input labels, in the order it checks and reads them, and the pipeline file each one names
+INPUTS = {"stats": ["posts"], "mine": ["posts"], "train": ["pairs", "features"],
+          "eval": ["checkpoint", "pairs", "features"], "score": ["checkpoint", "features"],
+          "ablate": ["pairs", "features"]}
+INPUT_FILES = {"posts": "posts.jsonl", "pairs": "pairs.csv", "features": "features.csv",
+               "checkpoint": "checkpoint.txt"}
+
+
+def _input_args(pipeline, command, replaced):
+    """`command`'s argv reading the pipeline's files, but for the labels that `replaced` maps to other paths."""
+    args = [command] + (["--reference-time", REF] if command == "mine" else [])
+    for label in INPUTS[command]:
+        args += ["--" + label, replaced.get(label, pipeline / INPUT_FILES[label])]
+    return args
+
+
 class TestOneLineErrors:
+    @pytest.mark.parametrize("command, label", [(c, label) for c, labels in INPUTS.items() for label in labels])
+    def test_missing_input_file_fails(self, pipeline, tmp_path, capsys, command, label):
+        missing = tmp_path / "nope"
+        capsys.readouterr()
+        assert _run(_input_args(pipeline, command, {label: missing}) + ["--out-dir", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"error: {label} file not found: {missing}\n"
+        assert not (tmp_path / "out" / f"{command}_manifest.json").exists()
+
+    def test_eval_reports_a_cut_checkpoint_before_missing_pairs(self, pipeline, tmp_path, capsys):
+        cut = tmp_path / "cut.txt"
+        cut.write_text("".join((pipeline / "checkpoint.txt").read_text().splitlines(keepends=True)[:40]))
+        capsys.readouterr()
+        args = _input_args(pipeline, "eval", {"checkpoint": cut, "pairs": tmp_path / "nope"})
+        assert _run(args + ["--out-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 41: ") and err.count("\n") == 1
+
     """Bad numbers and bad files end in one `error:` line and exit 1."""
 
     @pytest.mark.parametrize("flag", ["--learning-rate", "--l2-penalty"])
@@ -369,6 +400,8 @@ class TestRerun:
             ("synth", "synth_manifest.json"),
             ("mine", "mine_manifest.json"),
             ("train", "train_manifest.json"),
+            ("eval", "eval_manifest.json"),
+            ("score", "score_manifest.json"),
         ]:
             redo = tmp_path / command
             assert _run(["rerun", pipeline / manifest, "--out-dir", redo]) == 0

@@ -248,6 +248,14 @@ class TestSerializePost:
             report = parse_posts_file(path)
         assert report.diagnostics == [] and list(report.posts) == posts
 
+    def test_surrogate_pair_reads_back_as_one_character(self, tmp_path):
+        """The one post that does not read back as written: its caption's two surrogates become one character."""
+        post = make_post(caption="\ud800\udc00")
+        assert serialize_post(post).startswith('{"caption": "\\ud800\\udc00", ')
+        write_posts(tmp_path / "posts.jsonl", [post])
+        report = parse_posts_file(tmp_path / "posts.jsonl")
+        assert report.diagnostics == [] and list(report.posts) == [make_post(caption="\U00010000")]
+
 
 # Caption tokens where lower-casing or classifying could go wrong: upper-case tags, bare '#' and '@', a dotted
 # capital I (two code points lower-cased), and Greek capital sigma, whose lower case depends on its context
