@@ -101,9 +101,9 @@ def baseline_loss_and_grad(
     residuals = preds - targets
     loss = float(np.mean(residuals**2))
     g_out = 2.0 * residuals / len(targets)
-    grads_head = mlp.backward(model.head, cache_head, g_out)
-    grads_vis = mlp.backward(model.visual_scorer, cache_vis, grads_head.inputs[:, 0])
-    return loss, np.concatenate([grads_vis.params, grads_head.params])
+    grad_head, delta = mlp.backward(model.head, cache_head, g_out)
+    grad_vis = mlp.backward(model.visual_scorer, cache_vis, (delta @ model.head.weights[0])[:, 0])[0]
+    return loss, np.concatenate([grad_vis, grad_head])
 
 
 def mse_loss(preds, targets) -> float:

@@ -134,6 +134,7 @@ def run_train(config: dict, out: Path, pairs: list[mining.PDIP], features: featu
 
 def run_eval(config: dict, out: Path, checkpoint: mlp.MlpModel, pairs: list[mining.PDIP],
              features: features_mod.FeatureSet) -> list[str]:
+    features.rows([pid for p in pairs for pid in (p.id_a, p.id_b)])  # the one missing-features check
     result = evaluate.pairwise_accuracy(ranker.score_batch(checkpoint, features), pairs)  # the scores `score` writes
     evaluate.write_eval_csv(out / "eval_result.csv", result)
     print(f"pairwise accuracy {result.accuracy:.4f} on {result.n_pairs} pairs ({result.n_ties} ties)")

@@ -2,13 +2,14 @@
 
 A model is a stack of affine layers with ReLU on the hidden layers and an
 identity scalar output. Weights are stored as (fan_out, fan_in) matrices so a
-batch forward pass is ``Z = H @ W.T + b``. The backward pass returns exact
-analytic gradients for every parameter plus the gradient with respect to the
-input batch (needed when two networks are chained end-to-end).
+batch forward pass is ``Z = H @ W.T + b``. The backward pass returns the exact
+gradient of every parameter as one flat vector, and the gradient with respect to
+the first layer's output; times ``weights[0]`` it is a chained input's gradient.
 
 A model's parameters are one contiguous float64 vector, all weights in layer
-order then all biases; ``weights[l]``/``biases[l]`` are views into it, and
-gradients and Adam moments share the layout. `fit` is the one training loop.
+order then all biases; ``weights[l]``/``biases[l]`` are views into it. Gradients
+and Adam moments share the layout, and `MlpModel.over` gives a gradient the same
+per-layer views. `fit` is the one training loop.
 
 Checkpoints are a self-describing text format: a version tag, then one or more
 named model sections with layer dims and row-major weights/biases printed with
@@ -41,7 +42,7 @@ def _layer_views(layer_dims: list[int], flat: np.ndarray) -> tuple[list[np.ndarr
 
 
 class MlpModel:
-    """Layered scorer: weights[l] is a (dims[l+1], dims[l]) view into `params`."""
+    """Layered scorer: weights[l] is a (dims[l+1], dims[l]) view into `params`, or into a gradient via `over`."""
 
     def __init__(self, layer_dims: list[int], weights: list[np.ndarray], biases: list[np.ndarray]):
         shapes = list(zip(layer_dims[1:], layer_dims[:-1]))
@@ -102,32 +103,23 @@ def forward_cached(model: MlpModel, xs: np.ndarray) -> tuple[np.ndarray, list[np
     return h[:, 0], cache
 
 
-class Gradients:
-    """Parameter gradients in the model's flat layout, plus the input gradient."""
-
-    def __init__(self, layer_dims: list[int], params: np.ndarray, inputs: np.ndarray | None = None):
-        self.params = params
-        self.weights, self.biases = _layer_views(layer_dims, params)
-        self.inputs = inputs
-
-
-def backward(model: MlpModel, cache: list[np.ndarray], upstream: np.ndarray) -> Gradients:
+def backward(model: MlpModel, cache: list[np.ndarray], upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate per-sample output gradients `upstream` (shape (n,)).
 
-    Returns gradients summed over the batch; ReLU uses the zero subgradient
-    at the kink. `cache` must come from `forward_cached` on the same model.
+    Returns the parameter gradient summed over the batch, one vector in the
+    model's flat layout, and `delta`, the (n, dims[1]) gradient with respect to
+    the first layer's output; ``delta @ model.weights[0]`` is the input
+    gradient. ReLU uses the zero subgradient at the kink. `cache` must come
+    from `forward_cached` on the same model.
     """
-    grads = Gradients(model.layer_dims, np.empty_like(model.params))
+    grad = MlpModel.over(model.layer_dims, np.empty_like(model.params))
     delta = np.asarray(upstream, dtype=np.float64).reshape(-1, 1)
     for l in range(model.n_layers() - 1, -1, -1):
-        np.matmul(delta.T, cache[l], out=grads.weights[l])
-        grads.biases[l][...] = delta.sum(axis=0)
-        d_in = delta @ model.weights[l]
+        np.matmul(delta.T, cache[l], out=grad.weights[l])
+        grad.biases[l][...] = delta.sum(axis=0)
         if l > 0:
-            d_in = d_in * (cache[l] > 0.0)  # cache[l] is the ReLU output of layer l-1
-        delta = d_in
-    grads.inputs = delta
-    return grads
+            delta = (delta @ model.weights[l]) * (cache[l] > 0.0)  # cache[l] is the ReLU output of layer l-1
+    return grad.params, delta
 
 
 @dataclass

@@ -27,7 +27,7 @@ import numpy as np
 from . import mlp
 from .features import FeatureSet
 from .mining import PDIP
-from .mlp import Gradients, MlpModel, TrainConfig
+from .mlp import MlpModel, TrainConfig
 from .util import open_csv, seeded_rng
 
 DEFAULT_HIDDEN_DIMS = [64, 32]
@@ -56,13 +56,14 @@ def pair_loss(o: float, label: float) -> float:
     return -label * o + math.log1p(math.exp(o))
 
 
-def pair_grad(model: MlpModel, x_a: np.ndarray, x_b: np.ndarray, label: float) -> Gradients:
-    """Exact gradient of pair_loss(pair_logit(...)) w.r.t. the shared parameters."""
-    return _batch_loss_and_grad(model, np.atleast_2d(x_a), np.atleast_2d(x_b), np.array([float(label)]))[1]
+def pair_grad(model: MlpModel, x_a: np.ndarray, x_b: np.ndarray, label: float) -> MlpModel:
+    """Exact gradient of pair_loss(pair_logit(...)) w.r.t. the shared parameters, in the model's layout."""
+    _, grad = _batch_loss_and_grad(model, np.atleast_2d(x_a), np.atleast_2d(x_b), np.array([float(label)]))
+    return MlpModel.over(model.layer_dims, grad)
 
 
-def _batch_loss_and_grad(model: MlpModel, xa: np.ndarray, xb: np.ndarray, labels: np.ndarray) -> tuple[float, Gradients]:
-    """Mean pair loss and mean gradient over a batch, fully vectorized.
+def _batch_loss_and_grad(model: MlpModel, xa: np.ndarray, xb: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean pair loss and mean flat gradient over a batch, fully vectorized.
 
     Uses dloss/dO = P - label and sums the two streams' contributions.
     """
@@ -73,9 +74,9 @@ def _batch_loss_and_grad(model: MlpModel, xa: np.ndarray, xb: np.ndarray, labels
     p = np.where(o >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     loss = float(np.mean(np.where(o > 0, (1.0 - labels) * o, -labels * o) + np.log1p(e)))
     g = (p - labels) / len(labels)
-    grads = mlp.backward(model, cache_a, g)
-    grads.params += mlp.backward(model, cache_b, -g).params
-    return loss, grads
+    grad = mlp.backward(model, cache_a, g)[0]
+    grad += mlp.backward(model, cache_b, -g)[0]
+    return loss, grad
 
 
 def train(
@@ -103,8 +104,7 @@ def train(
             rows, s = train_idx[batch], swap[batch]
             a = np.where(s[:, None], xb[rows], xa[rows])
             b = np.where(s[:, None], xa[rows], xb[rows])
-            loss, grads = _batch_loss_and_grad(model, a, b, np.where(s, 0.0, 1.0))
-            return loss, grads.params
+            return _batch_loss_and_grad(model, a, b, np.where(s, 0.0, 1.0))
 
         return loss_and_grad
 

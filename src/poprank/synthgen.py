@@ -32,12 +32,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import SECONDS_PER_DAY, Post
+from .corpus import INT64_MAX, SECONDS_PER_DAY, Post
 from .features import FeatureSet
 from .mining import PDIP
 from .util import open_csv, seeded_rng
 
 BASE_TIME = 1_600_000_000  # fixed epoch origin of synthetic upload times
+MAX_TIME_SPAN_DAYS = (INT64_MAX - BASE_TIME) // SECONDS_PER_DAY  # every upload time and the reference time fit int64
 LOG_FLOAT_MAX = math.log(sys.float_info.max)  # like counts are round(exp(log-likes) - 1)
 # A post's hashtag and mention counts: an entry drawn by a uniform index, which gives
 # the values and leaves the generator state that rng.choice over the same list does.
@@ -67,8 +68,8 @@ class SynthConfig:
             raise ValueError("feature_dim must be >= 1 and n_informative in [0, feature_dim]")
         if not all(0.0 <= std < math.inf for std in (self.mu_std, self.sigma_true, self.feature_noise_std)):
             raise ValueError("std parameters must be finite and >= 0")
-        if self.time_span_days < 1:
-            raise ValueError("time_span_days must be >= 1")
+        if not 1 <= self.time_span_days <= MAX_TIME_SPAN_DAYS:
+            raise ValueError(f"time_span_days must be in [1, {MAX_TIME_SPAN_DAYS}]")
         if self.hashtag_vocab < 1 or self.mention_vocab < 1:
             raise ValueError("hashtag_vocab and mention_vocab must be >= 1")
         # numpy's normal draws stay within about 14 stds; with 40, exp(log-likes) and the features stay finite

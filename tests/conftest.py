@@ -283,9 +283,9 @@ def read_id_values(path, header: str) -> dict[str, float]:
     return {post_id: float(value) for post_id, value in (line.split(",") for line in lines[1:])}
 
 
-def zero_gradients(model: mlp.MlpModel) -> mlp.Gradients:
+def zero_gradients(model: mlp.MlpModel) -> mlp.MlpModel:
     """All-zero gradients in the model's layout, for driving Adam by hand."""
-    return mlp.Gradients(model.layer_dims, np.zeros_like(model.params), inputs=np.zeros((0, model.layer_dims[0])))
+    return mlp.MlpModel.over(model.layer_dims, np.zeros_like(model.params))
 
 
 def row_forward(model: mlp.MlpModel, x: np.ndarray) -> float:

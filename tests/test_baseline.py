@@ -1,5 +1,7 @@
 """Tests for the absolute-popularity baseline and its use as an intrinsic ranker."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,16 @@ class TestTrainBaseline:
             reports.append(train_baseline(model, samples, split, config))
         assert reports[0].train_loss == reports[1].train_loss
         assert reports[0].val_mse == reports[1].val_mse
+
+    def test_trained_params_digest_is_pinned(self):
+        # the trained joint vector, bit for bit; holds at 1 and 2 OpenBLAS threads
+        _, _, _, samples = _engagement_dataset()
+        samples = samples[:120]
+        split = split_indices(len(samples), 0.2, seeded_rng(1, "s"))
+        config = TrainConfig(learning_rate=1e-3, epochs=2, seed=4)
+        report = train_baseline(init_baseline([16, 8, 1], seed=4), samples, split, config)
+        digest = hashlib.sha256(report.model.params.tobytes()).hexdigest()
+        assert digest == "e0a943d543ef41cfd44704ad3ab4c99de40130698ab25111ecbcaffa18c9dd7f"
 
     def test_planted_signal_gives_high_pearson(self):
         _, _, _, samples = _engagement_dataset()

@@ -145,14 +145,18 @@ class TestTrain:
         assert _run(args) == 0
         assert (tmp_path / "checkpoint.txt").read_bytes() == (pipeline / "checkpoint.txt").read_bytes()
 
-    def test_unresolvable_ids_fatal(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_unresolvable_ids_fatal(self, pipeline, tmp_path, capsys, command):
+        # every command that reads pairs and features words a missing feature row the same way
         bad = tmp_path / "bad_pairs.csv"
         rows = [f"ghost{i}a,ghost{i}b,u,0.99,1.0" for i in range(10)]
         bad.write_text("id_a,id_b,user_id,prob,delta_s\n" + "\n".join(rows) + "\n")
-        code = _run(["train", "--pairs", bad, "--features", pipeline / "features.csv",
-                     "--epochs", "1", "--out-dir", tmp_path])
+        extra = ["--checkpoint", pipeline / "checkpoint.txt"] if command == "eval" else ["--epochs", "1"]
+        code = _run([command, "--pairs", bad, "--features", pipeline / "features.csv", *extra, "--out-dir", tmp_path])
         assert code == 1
-        assert "ghost" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: pairs reference 20 post_ids without features: ['ghost0a', 'ghost0b', 'ghost1a', 'ghost1b', 'ghost2a']\n"
+        )
 
 
 class TestEvalScoreAblate:
@@ -283,7 +287,8 @@ class TestOneLineErrors:
     @pytest.mark.parametrize(
         "flag, value, option",
         [("--hashtag-vocab", "0", "hashtag_vocab"), ("--mention-vocab", "0", "mention_vocab"),
-         ("--mu-mean", "nan", "mu_mean"), ("--mu-mean", "inf", "mu_mean"), ("--mu-mean", "800", "mu_mean")],
+         ("--mu-mean", "nan", "mu_mean"), ("--mu-mean", "inf", "mu_mean"), ("--mu-mean", "800", "mu_mean"),
+         ("--time-span-days", "106751991148783", "time_span_days")],
     )
     def test_synth_rejects_bad_option(self, tmp_path, capsys, flag, value, option):
         code = _run(SYNTH_ARGS + [flag, value, "--out-dir", tmp_path])

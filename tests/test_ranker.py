@@ -161,7 +161,7 @@ class TestPairGrad:
         for s in singles[1:]:
             mean = mean + _flatten(s)
         mean /= 5
-        assert np.allclose(_flatten(batch), mean, atol=1e-12)
+        assert np.allclose(batch, mean, atol=1e-12)
 
 
 def _toy_training_setup(n_pairs=200, dim=6, seed=0):
@@ -217,9 +217,9 @@ class TestTrain:
         xa = features.matrix[features.rows([p.id_a for p in pairs])]
         xb = features.matrix[features.rows([p.id_b for p in pairs])]
         labels = np.ones(len(pairs))
-        loss0, grads = ranker._batch_loss_and_grad(model, xa, xb, labels)
+        loss0, grad = ranker._batch_loss_and_grad(model, xa, xb, labels)
         state = mlp.AdamState.for_params(model.params)
-        mlp.adam_step(state, model.params, grads.params, effective_lr=1e-6, l2_penalty=0.0)
+        mlp.adam_step(state, model.params, grad, effective_lr=1e-6, l2_penalty=0.0)
         loss1, _ = ranker._batch_loss_and_grad(model, xa, xb, labels)
         assert loss1 < loss0
 

@@ -114,6 +114,8 @@ class TestGenerateCorpus:
                 SynthConfig(mu_mean=mu_mean)
         with pytest.raises(ValueError, match="mu_mean"):
             SynthConfig(mu_std=1e300)  # a finite mean whose draws overflow a like count
+        with pytest.raises(ValueError, match="time_span_days"):
+            SynthConfig(time_span_days=106_751_991_148_783)  # the reference time would pass int64
 
 
 def _bitwise(c: synthgen.SynthCorpus):
