@@ -86,6 +86,13 @@ def _entries(config: dict, key: str, noun: str) -> list:
     return values
 
 
+def _fraction(config: dict, key: str) -> float:
+    """The value of a holdout fraction flag; one outside [0, 1), nan included, is a ValueError naming the flag."""
+    if not 0.0 <= config[key] < 1.0:
+        raise ValueError(f"--{key.replace('_', '-')} must be in [0, 1), got {config[key]}")
+    return config[key]
+
+
 def run_synth(config: dict, out: Path) -> list[str]:
     synth_config = _config(synthgen.SynthConfig, config)
     generated = synthgen.generate_corpus(synth_config)
@@ -118,9 +125,8 @@ def run_mine(config: dict, out: Path, posts: corpus.PostTable) -> list[str]:
 
 def run_train(config: dict, out: Path, pairs: list[mining.PDIP], features: features_mod.FeatureSet) -> list[str]:
     dims = [features.dim] + _entries(config, "hidden_dims", "layer width") + [1]
-    train_idx, val_idx = split_indices(
-        len(pairs), config["val_fraction"], seeded_rng(config["seed"], "train-split")
-    )
+    split_rng = seeded_rng(config["seed"], "train-split")
+    train_idx, val_idx = split_indices(len(pairs), _fraction(config, "val_fraction"), split_rng)
     model = mlp.init_model(dims, seeded_rng(config["seed"], "init"))
     report = ranker.train(model, pairs, features, (train_idx, val_idx), _config(ranker.TrainConfig, config))
     mlp.save_checkpoint(out / "checkpoint.txt", {"scorer": report.model})
@@ -157,8 +163,8 @@ def run_ablate(config: dict, out: Path, pairs: list[mining.PDIP], features: feat
         _config(ranker.TrainConfig, config),
         noise_levels=_entries(config, "noise_levels", "level"),
         hidden_dims=_entries(config, "hidden_dims", "layer width"),
-        test_fraction=config["test_fraction"],
-        val_fraction=config["val_fraction"],
+        test_fraction=_fraction(config, "test_fraction"),
+        val_fraction=_fraction(config, "val_fraction"),
     )
     evaluate.write_ablation_csv(out / "ablation.csv", table)
     for q, acc in table:

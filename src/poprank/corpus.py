@@ -142,52 +142,56 @@ class ParseReport:
     diagnostics: list[str]
 
 
-def _check_row(row: tuple) -> None:
-    """The per-record rules in order, on one record's values in `POST_FIELDS` order; the first broken raises."""
-    post_id, user_id, upload_time, likes, caption, media_count, is_video = row
-    _check_id("post_id", post_id)
-    _check_id("user_id", user_id)
-    if not isinstance(caption, str):
-        raise ValueError("caption must be a string")
-    integers = (("upload_time", upload_time), ("likes", likes), ("media_count", media_count))
-    for key, value in integers:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{key} must be an integer")
-    if likes < 0:
-        raise ValueError("likes must be >= 0")
-    if media_count < 1:
-        raise ValueError("media_count must be >= 1")
-    if not isinstance(is_video, bool):
-        raise ValueError("is_video must be a boolean")
-    for key, value in integers:
-        if not INT64_MIN <= value <= INT64_MAX:
-            raise ValueError(f"{key} must fit in a signed 64-bit integer")
-
-
 def _only(values: tuple, kind: type) -> bool:
     """Every value is exactly of type `kind`."""
     return set(map(type, values)) == {kind}
 
 
-def _suspect_rows(columns: list[tuple]) -> set[int]:
-    """Rows that may break a per-record rule: one check per column, and a per-value scan only where it fails.
+def _id_fault(key: str, value) -> str | None:
+    try:
+        _check_id(key, value)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
-    Every other row keeps every rule of `_check_row`; JSON gives exact `str`,
-    `int` and `bool` values, so `type(v) is int` is an int that is not a bool.
+
+def _broken_rules(columns: list[tuple]) -> dict[int, str]:
+    """The first rule each broken record breaks, as {row: message}; `columns` are in `POST_FIELDS` order.
+
+    The rules in order: the id rule on post_id, then on user_id; caption is a
+    string; upload_time, likes and media_count are ints; likes >= 0;
+    media_count >= 1; is_video is a boolean; the three ints fit int64; and a
+    post_id repeated from an earlier unbroken row. Each rule is checked on its
+    whole column once, and value by value only where that fails, over the rows
+    no earlier rule broke. JSON gives exact `str`, `int` and `bool` values, so
+    `type(v) is int` is an int that is not a bool.
     """
     post_id, user_id, upload_time, likes, caption, media_count, is_video = columns
-    suspect: set[int] = set()
-    for ids in (post_id, user_id):
-        if not (_only(ids, str) and all(ids) and not _ID_FORBIDDEN.search("".join(ids))):
-            suspect.update(i for i, v in enumerate(ids) if type(v) is not str or not v or _ID_FORBIDDEN.search(v))
-    if not _only(caption, str):
-        suspect.update(i for i, v in enumerate(caption) if type(v) is not str)
-    for values, low in ((upload_time, INT64_MIN), (likes, 0), (media_count, 1)):
-        if not (_only(values, int) and low <= min(values) and max(values) <= INT64_MAX):
-            suspect.update(i for i, v in enumerate(values) if type(v) is not int or not low <= v <= INT64_MAX)
-    if not _only(is_video, bool):
-        suspect.update(i for i, v in enumerate(is_video) if type(v) is not bool)
-    return suspect
+    broken: dict[int, str] = {}
+
+    def rule(values, column_holds: bool, fault) -> None:  # fault(value): its message if it breaks the rule
+        if not column_holds:
+            for row, value in enumerate(values):
+                if row not in broken and (message := fault(value)):
+                    broken[row] = message
+
+    for key, ids in (("post_id", post_id), ("user_id", user_id)):
+        rule(ids, _only(ids, str) and all(ids) and not _ID_FORBIDDEN.search("".join(ids)), lambda v: _id_fault(key, v))
+    rule(caption, _only(caption, str), lambda v: type(v) is not str and "caption must be a string")
+    ints = {"upload_time": upload_time, "likes": likes, "media_count": media_count}
+    exact = {key: _only(values, int) for key, values in ints.items()}
+    for key, values in ints.items():
+        rule(values, exact[key], lambda v: type(v) is not int and f"{key} must be an integer")
+    rule(likes, exact["likes"] and min(likes) >= 0, lambda v: v < 0 and "likes must be >= 0")
+    rule(media_count, exact["media_count"] and min(media_count) >= 1, lambda v: v < 1 and "media_count must be >= 1")
+    rule(is_video, _only(is_video, bool), lambda v: type(v) is not bool and "is_video must be a boolean")
+    for key, values in ints.items():
+        rule(values, exact[key] and INT64_MIN <= min(values) and max(values) <= INT64_MAX,
+             lambda v: not INT64_MIN <= v <= INT64_MAX and f"{key} must fit in a signed 64-bit integer")
+    seen: set[str] = set()  # the ids of the unbroken rows so far; `seen.add` returns None
+    rule(post_id, _only(post_id, str) and len(set(post_id)) == len(post_id),
+         lambda v: f"duplicate post_id {v!r}" if v in seen else seen.add(v))
+    return broken
 
 
 def parse_posts(source: Iterable[str] | TextIO) -> ParseReport:
@@ -196,8 +200,8 @@ def parse_posts(source: Iterable[str] | TextIO) -> ParseReport:
     Malformed lines and duplicate post_ids are skipped and reported as
     diagnostics carrying the 1-based line number; they never abort the parse.
     Posts are returned in input order. Each line is decoded on its own and
-    `source` is read once; the rules are checked a column at a time, and
-    one by one only on the rows a column check flags.
+    `source` is read once; then one ordered pass over the columns
+    (`_broken_rules`) reports each record for the first rule it breaks.
     """
     errors: dict[int, str] = {}  # line number -> diagnostic
     rows, linenos = [], []
@@ -221,25 +225,10 @@ def parse_posts(source: Iterable[str] | TextIO) -> ParseReport:
         linenos.append(lineno)
 
     columns = list(zip(*rows)) or [()] * len(POST_FIELDS)
-    rejected = set()
-    for row in sorted(_suspect_rows(columns)):
-        try:
-            _check_row(rows[row])
-        except ValueError as exc:
-            errors[linenos[row]] = str(exc)
-            rejected.add(row)
-    keep = [row for row in range(len(rows)) if row not in rejected]
-    ids = columns[0]
-    if len({ids[row] for row in keep}) < len(keep):
-        seen: set[str] = set()
-        for row in keep:
-            if ids[row] in seen:
-                errors[linenos[row]] = f"duplicate post_id {ids[row]!r}"
-                rejected.add(row)
-            seen.add(ids[row])
-        keep = [row for row in keep if row not in rejected]
-    if rejected:
-        columns = [[column[row] for row in keep] for column in columns]
+    broken = _broken_rules(columns)
+    errors.update((linenos[row], message) for row, message in broken.items())
+    if broken:
+        columns = [[value for row, value in enumerate(column) if row not in broken] for column in columns]
     diagnostics = [f"line {lineno}: {errors[lineno]}" for lineno in sorted(errors)]
     return ParseReport(posts=PostTable(*columns), diagnostics=diagnostics)
 

@@ -156,19 +156,19 @@ def _mine_block(table: PostTable, rows: np.ndarray, code: np.ndarray, id_rank: n
     """Pairs among the posts at `rows` (whole users, bucket codes `code`); `id_rank` ranks `table` by post_id."""
     if not rows.size:
         return []
-    upload_time = table.upload_time[rows]
-    t0 = int(upload_time.min())
-    t_range = int(upload_time.max()) - t0
-    window = min(config.max_interval_days * SECONDS_PER_DAY, t_range)  # a longer window pairs no more
-    span = t_range + window + 1
-    if (int(code.max()) + 1) * span >= 2**63:
-        raise ValueError(f"upload times span {t_range} s, too wide to mine")
-    # code * span + (t - t0) orders by (bucket, time), and a window never reaches the next bucket
-    key = code * span + (upload_time - t0)
-    rank = id_rank[rows]
-    order = np.lexsort((rank, key))
-    key, rank, rows = key[order], rank[order], rows[order]
+    upload_time, rank = table.upload_time[rows], id_rank[rows]
+    order = np.lexsort((rank, upload_time, code))  # by (bucket, time, post_id)
+    rows, code, upload_time, rank = rows[order], code[order], upload_time[order], rank[order]
     n = rows.size
+    t_range = int(upload_time.max()) - int(upload_time.min())
+    window = min(config.max_interval_days * SECONDS_PER_DAY, t_range)  # a longer window pairs no more
+    if (n - 1) * (window + 1) + window >= 2**63:
+        raise ValueError(f"max_interval_days {config.max_interval_days} is too large for {n} posts over {t_range} s")
+    # key sums the time gaps (exact as uint64 for sorted int64), each capped at window + 1 as is a change of
+    # bucket: two posts are within the window in key exactly when they share a bucket and are within it in time
+    gap = np.minimum(np.diff(upload_time.view(np.uint64)), window + 1).astype(np.int64)
+    gap[code[1:] != code[:-1]] = window + 1
+    key = np.concatenate(([0], np.cumsum(gap)))
 
     ends = np.searchsorted(key, key + window, side="right")
     counts = ends - np.arange(1, n + 1)

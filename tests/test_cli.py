@@ -126,6 +126,25 @@ class TestMine:
                      "--epochs", "1", "--out-dir", tmp_path]) == 0
 
 
+    def test_mines_the_widest_span_synth_writes(self, tmp_path, capsys):
+        """`synth` at its largest time span writes posts that `mine` reads at the default miner settings."""
+        assert _run(["synth", "--n-users", "2", "--posts-per-user", "5", "--time-span-days", "106751991148782",
+                     "--out-dir", tmp_path]) == 0
+        assert _run(["mine", "--posts", tmp_path / "posts.jsonl", "--reference-time", "9223372036854764800",
+                     "--out-dir", tmp_path]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_window_too_wide_for_int64_keys_is_a_one_line_error(self, tmp_path, capsys):
+        posts = [{"post_id": f"p{i}", "user_id": "u", "upload_time": t, "likes": 100, "caption": "",
+                  "media_count": 1, "is_video": False} for i, t in enumerate([-(2**63), 2**62])]
+        (tmp_path / "posts.jsonl").write_text("".join(json.dumps(post) + "\n" for post in posts))
+        code = _run(["mine", "--posts", tmp_path / "posts.jsonl", "--reference-time", str(2**63 - 1),
+                     "--max-interval-days", str(10**15), "--out-dir", tmp_path])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: max_interval_days 1000000000000000 is too large for 2 posts")
+        assert err.count("\n") == 1 and not (tmp_path / "pairs.csv").exists()
+
+
 class TestTrain:
     def test_checkpoint_and_report(self, pipeline):
         report = (pipeline / "train_report.csv").read_text().splitlines()
@@ -350,6 +369,15 @@ class TestOneLineErrors:
         code = _run([command, "--pairs", pipeline / "pairs.csv", "--features", pipeline / "features.csv",
                      flag, value, "--epochs", "1", "--out-dir", tmp_path])
         assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flag", [("train", "--val-fraction"), ("ablate", "--val-fraction"),
+                                               ("ablate", "--test-fraction")])
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+    def test_fraction_out_of_range_names_its_flag(self, pipeline, tmp_path, capsys, command, flag, value):
+        code = _run([command, "--pairs", pipeline / "pairs.csv", "--features", pipeline / "features.csv",
+                     f"{flag}={value}", "--epochs", "1", "--out-dir", tmp_path])
+        assert code == 1 and capsys.readouterr().err == f"error: {flag} must be in [0, 1), got {float(value)}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(

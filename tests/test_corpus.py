@@ -132,6 +132,11 @@ PARSE_CASES = {
     "an id with a comma": [_line(post_id="b"), _line(post_id="p,0")],
     "a non-string caption": [_line(post_id="b"), _line(caption=None)],
     "a non-boolean is_video": [_line(post_id="b"), _line(is_video=0)],
+    "a string likes": [_line(post_id="b"), _line(likes="7")],
+    "a float upload_time": [_line(post_id="b"), _line(upload_time=1.0)],
+    "a negative likes": [_line(post_id="b"), _line(likes=-1)],
+    "a media_count of 0": [_line(post_id="b"), _line(media_count=0)],
+    "an upload_time past int64": [_line(post_id="b"), _line(upload_time=2**63)],
 }
 
 # Values for each field of a generated line: legal ones, then ones that break a rule

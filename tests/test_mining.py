@@ -265,10 +265,15 @@ class TestMinePairs:
         with pytest.raises(ValueError, match="'pa'"):
             mine_pairs(posts, None, self.config)
 
-    def test_upload_times_too_far_apart_for_int64_keys(self):
-        posts = [make_post(post_id="pa", user_id="u1", upload_time=-(2**62)), make_post(post_id="pb", user_id="u2")]
-        with pytest.raises(ValueError, match="too wide"):
-            mine_pairs(posts, None, self.config)
+    def test_upload_times_across_the_int64_range_match_the_oracle(self):
+        """Times from -2**63 to 2**63 - 1 mine as the nested loop mines them: no span is too wide to mine."""
+        apart = [make_post(post_id="pa", user_id="u1", upload_time=-(2**62)), make_post(post_id="pb", user_id="u2")]
+        ends = [make_post(post_id=post_id, upload_time=t, likes=likes)
+                for post_id, t, likes in (("pa", -(2**63), 1000), ("pb", 2**63 - 2, 1000), ("pc", 2**63 - 1, 60))]
+        assert mine_pairs(apart, None, self.config) == reference_mine_pairs(apart, None, self.config) == []
+        pairs = mine_pairs(ends, None, self.config)
+        assert pairs == reference_mine_pairs(ends, None, self.config)
+        assert [(p.id_a, p.id_b) for p in pairs] == [("pb", "pc")]
 
     def test_input_order_invariance(self, small_corpus, monkeypatch):
         ref = synthgen.reference_time_for(synthgen.SynthConfig(n_users=60, posts_per_user=8, time_span_days=60, seed=99))
