@@ -13,14 +13,30 @@ parallel.
 
 The order of the draws on a user's stream is the corpus format: a seed gives
 the same bytes only while every draw is made in the same order with the same
-arguments, so changing that order changes every synthetic output. A post takes
-about twenty tiny draws, so their call overhead is the generator's cost. The
-methods are bound once per user, and the token picks are scalar
-`integers(0, k)` calls, a quarter of the cost of one `integers(0, k, size=n)`
-call at such small n with the same values and the same final state; the
-tokens are shuffled in place, which makes the swaps that
-`permutation(len(tokens))` would. `tests/test_synthgen.py` checks both
-equivalences, and the generator against a reference written the other way.
+arguments, so changing that order changes every synthetic output. A user's
+stream draws each quantity once, as one array over the user's P posts, in this
+order:
+
+1. the user's two hashtags and two mentions, `integers(0, vocab, size=2)` each;
+2. mu, `normal(mu_mean, mu_std, size=P)`, then S, `normal(mu, sigma_true)`;
+3. the hashtag-count and mention-count indices, `integers(0, 20, size=P)` each;
+4. the bare-caption flags, `random(P) < 0.15`, then the word counts,
+   `geometric(0.4, size=P)`;
+5. the word, hashtag and mention picks, one `integers` array each over all the
+   user's tokens of that kind, in post order;
+6. the upload times, `integers(0, span_s, size=P)`;
+7. the multi-image flags, `random(P) >= 0.9`, then their media counts,
+   `integers(2, 5, size=P)`;
+8. the video flags, `random(P) < 0.08`;
+9. one sort key per token, `random(n_tokens)`, taken by the word picks, then
+   the hashtag picks, then the mention picks of step 5: each post's tokens are
+   joined in the order of their keys (a tie keeps step 5's order);
+10. the feature rows, `normal(0, 1, size=(P, D))`, then the noise of their
+    informative columns, `normal(0, noise, size=(P, n_informative))`.
+
+The Python left per post builds its `Post` and joins its caption.
+`tests/test_synthgen.py` checks the generator against a reference that makes
+the same draws and builds one post at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +44,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +57,11 @@ from .util import open_csv, seeded_rng
 BASE_TIME = 1_600_000_000  # fixed epoch origin of synthetic upload times
 MAX_TIME_SPAN_DAYS = (INT64_MAX - BASE_TIME) // SECONDS_PER_DAY  # every upload time and the reference time fit int64
 LOG_FLOAT_MAX = math.log(sys.float_info.max)  # like counts are round(exp(log-likes) - 1)
-# A post's hashtag and mention counts: an entry drawn by a uniform index, which gives
-# the values and leaves the generator state that rng.choice over the same list does.
-_HASHTAG_COUNTS = (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2)
-_MENTION_COUNTS = (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 2)
+# A post's hashtag and mention counts: the entry at a uniform index
+_HASHTAG_COUNTS = np.array([0] * 11 + [1] * 6 + [2] * 3)
+_MENTION_COUNTS = np.array([0] * 12 + [1] * 6 + [2] * 2)
+_N_WORDS = 50
+_WORDS = [f"word{k:03d}" for k in range(_N_WORDS)]
 
 
 @dataclass(frozen=True)
@@ -90,50 +108,59 @@ def reference_time_for(config: SynthConfig) -> int:
 
 
 def generate_corpus(config: SynthConfig) -> SynthCorpus:
-    """Generate a deterministic corpus with per-post latent popularity."""
+    """Generate a deterministic corpus with per-post latent popularity.
+
+    Each user's stream draws each quantity once, as one array over the user's
+    posts, in the order the module docstring gives. A like count of 2**63 or
+    more (exp(S) passes 2**63 at S = 43.7, so only a large `mu_mean` draws
+    one) is saturated at INT64_MAX, so every post fits the posts format.
+    """
     informative = seeded_rng(config.seed, "informative-coefficients").uniform(
         0.5, 1.5, size=config.n_informative
     )
-    mu_mean, mu_std, sigma_true = config.mu_mean, config.mu_std, config.sigma_true
-    feature_dim, n_informative, noise_std = config.feature_dim, config.n_informative, config.feature_noise_std
+    n, n_informative = config.posts_per_user, config.n_informative
     span_s = config.time_span_days * SECONDS_PER_DAY
-    words = [f"word{k:03d}" for k in range(50)]
+    suffixes = [f"_p{i:03d}" for i in range(n)]
+    owners = np.tile(np.arange(n), 3)  # the post of each entry of a user's word, hashtag and mention counts
     posts, latent_mu = [], {}
-    matrix = np.empty((config.n_users * config.posts_per_user, feature_dim))
-    row = 0
+    matrix = np.empty((config.n_users * n, config.feature_dim))
     for u in range(config.n_users):
         user_id = f"u{u:05d}"
         rng = seeded_rng(config.seed, "user", user_id)
-        integers, normal, random, geometric, shuffle = rng.integers, rng.normal, rng.random, rng.geometric, rng.shuffle
-        hash_pool = [f"#tag{k:03d}" for k in integers(0, config.hashtag_vocab, size=2)]
-        mention_pool = [f"@user{k:03d}" for k in integers(0, config.mention_vocab, size=2)]
-        for i in range(config.posts_per_user):
-            post_id = f"{user_id}_p{i:03d}"
-            mu = normal(mu_mean, mu_std)
-            likes = max(0, round(math.exp(normal(mu, sigma_true)) - 1.0))
+        integers, random = rng.integers, rng.random
+        # token codes index the vocabulary: the 50 words, then the two hashtags, then the two mentions
+        vocabulary = np.array(_WORDS + [f"#tag{k:03d}" for k in integers(0, config.hashtag_vocab, size=2)]
+                              + [f"@user{k:03d}" for k in integers(0, config.mention_vocab, size=2)], dtype=object)
+        mu = rng.normal(config.mu_mean, config.mu_std, size=n)
+        log_likes = rng.normal(mu, config.sigma_true)
+        n_hash = _HASHTAG_COUNTS[integers(0, _HASHTAG_COUNTS.size, size=n)]
+        n_ment = _MENTION_COUNTS[integers(0, _MENTION_COUNTS.size, size=n)]
+        bare = random(n) < 0.15
+        n_words = np.where(bare, 0, rng.geometric(0.4, size=n))
+        counts = np.concatenate([n_words, n_hash, n_ment])
+        codes = np.concatenate([integers(0, _N_WORDS, size=n_words.sum()),
+                                integers(_N_WORDS, _N_WORDS + 2, size=n_hash.sum()),
+                                integers(_N_WORDS + 2, _N_WORDS + 4, size=n_ment.sum())])
+        upload_times = BASE_TIME + integers(0, span_s, size=n)
+        multi = random(n) >= 0.9
+        media_counts = np.where(multi, integers(2, 5, size=n), 1)
+        videos = random(n) < 0.08
+        keys = random(codes.size)  # each post's tokens in the order of their keys
+        tokens = iter(vocabulary[codes[np.lexsort((keys, np.repeat(owners, counts)))]].tolist())
+        rows = slice(u * n, (u + 1) * n)
+        matrix[rows] = rng.normal(0.0, 1.0, size=(n, config.feature_dim))
+        matrix[rows, :n_informative] = informative * mu[:, None] + rng.normal(
+            0.0, config.feature_noise_std, size=(n, n_informative)
+        )
 
-            n_hash = _HASHTAG_COUNTS[integers(0, len(_HASHTAG_COUNTS))]
-            n_ment = _MENTION_COUNTS[integers(0, len(_MENTION_COUNTS))]
-            n_words = 0 if random() < 0.15 else geometric(0.4)
-            tokens = [words[integers(0, len(words))] for _ in range(n_words)]
-            tokens += [hash_pool[integers(0, len(hash_pool))] for _ in range(n_hash)]
-            tokens += [mention_pool[integers(0, len(mention_pool))] for _ in range(n_ment)]
-            shuffle(tokens)
-
-            post = Post(
-                post_id=post_id,
-                user_id=user_id,
-                upload_time=BASE_TIME + int(integers(0, span_s)),
-                likes=likes,
-                caption=" ".join(tokens),
-                media_count=1 if random() < 0.9 else int(integers(2, 5)),
-                is_video=random() < 0.08,
-            )
-            matrix[row] = normal(0.0, 1.0, size=feature_dim)
-            matrix[row, :n_informative] = informative * mu + normal(0.0, noise_std, size=n_informative)
-            row += 1
-            posts.append(post)
-            latent_mu[post_id] = mu
+        ids = [user_id + suffix for suffix in suffixes]
+        # math.exp, not numpy's: numpy's may differ in the last bit between CPUs, and a like count above 2**53
+        # or on a rounding tie shows that bit
+        likes = [min(max(0, round(math.exp(s) - 1.0)), INT64_MAX) for s in log_likes.tolist()]
+        captions = [" ".join(islice(tokens, k)) for k in (n_words + n_hash + n_ment).tolist()]
+        posts += map(Post, ids, repeat(user_id), upload_times.tolist(), likes, captions,
+                     media_counts.tolist(), videos.tolist())
+        latent_mu.update(zip(ids, mu.tolist()))
     return SynthCorpus(posts, FeatureSet([p.post_id for p in posts], matrix), latent_mu)
 
 

@@ -118,53 +118,68 @@ def scalar_normal_cdf(z: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def reference_generate_corpus(config: synthgen.SynthConfig) -> synthgen.SynthCorpus:
-    """The generator one draw at a time, with `size=n` draws for the token picks: the oracle for `generate_corpus`.
+# the hashtag and mention counts of a synthetic post, at a uniform index
+_HASHTAG_COUNTS = (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2)
+_MENTION_COUNTS = (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 2)
 
-    It makes the same draws on the same per-user streams in the same order, so
-    the two must agree bit for bit: posts, latents and feature matrix.
+
+def reference_generate_corpus(config: synthgen.SynthConfig) -> synthgen.SynthCorpus:
+    """The generator one post at a time: the oracle for `generate_corpus`.
+
+    It makes the same array draws on the same per-user streams in the same
+    order, then builds each post in plain Python from its entries of those
+    arrays, with its tokens ordered by `sorted` on their keys. So the two must
+    agree bit for bit: posts, latents and feature matrix.
     """
     informative = seeded_rng(config.seed, "informative-coefficients").uniform(
         0.5, 1.5, size=config.n_informative
     )
+    n, n_informative = config.posts_per_user, config.n_informative
     span_s = config.time_span_days * SECONDS_PER_DAY
     posts, latent_mu = [], {}
-    matrix = np.empty((config.n_users * config.posts_per_user, config.feature_dim))
+    matrix = np.empty((config.n_users * n, config.feature_dim))
     for u in range(config.n_users):
         user_id = f"u{u:05d}"
         rng = seeded_rng(config.seed, "user", user_id)
         hash_pool = [f"#tag{k:03d}" for k in rng.integers(0, config.hashtag_vocab, size=2)]
         mention_pool = [f"@user{k:03d}" for k in rng.integers(0, config.mention_vocab, size=2)]
-        for i in range(config.posts_per_user):
+        mu = rng.normal(config.mu_mean, config.mu_std, size=n)
+        log_likes = rng.normal(mu, config.sigma_true).tolist()
+        n_hash = [_HASHTAG_COUNTS[k] for k in rng.integers(0, 20, size=n).tolist()]
+        n_ment = [_MENTION_COUNTS[k] for k in rng.integers(0, 20, size=n).tolist()]
+        bare = rng.random(n).tolist()
+        geometric = rng.geometric(0.4, size=n).tolist()
+        n_words = [0 if b < 0.15 else g for b, g in zip(bare, geometric)]
+        picks = [iter(rng.integers(0, k, size=sum(c)).tolist()) for k, c in ((50, n_words), (2, n_hash), (2, n_ment))]
+        upload = rng.integers(0, span_s, size=n).tolist()
+        multi = rng.random(n).tolist()
+        media = rng.integers(2, 5, size=n).tolist()
+        video = rng.random(n).tolist()
+        n_words_all, n_hash_all = sum(n_words), sum(n_hash)
+        keys = rng.random(n_words_all + n_hash_all + sum(n_ment)).tolist()
+        keys = [iter(keys[:n_words_all]), iter(keys[n_words_all : n_words_all + n_hash_all]),
+                iter(keys[n_words_all + n_hash_all :])]
+        values = rng.normal(0.0, 1.0, size=(n, config.feature_dim))
+        noise = rng.normal(0.0, config.feature_noise_std, size=(n, n_informative))
+        for i in range(n):
             post_id = f"{user_id}_p{i:03d}"
-            mu = float(rng.normal(config.mu_mean, config.mu_std))
-            s = float(rng.normal(mu, config.sigma_true))
-            likes = max(0, round(math.exp(s) - 1.0))
-
-            n_hash = synthgen._HASHTAG_COUNTS[int(rng.integers(0, len(synthgen._HASHTAG_COUNTS)))]
-            n_ment = synthgen._MENTION_COUNTS[int(rng.integers(0, len(synthgen._MENTION_COUNTS)))]
-            n_words = 0 if rng.random() < 0.15 else int(rng.geometric(0.4))
-            tokens = [f"word{int(k):03d}" for k in rng.integers(0, 50, size=n_words)]
-            tokens += [hash_pool[int(k)] for k in rng.integers(0, len(hash_pool), size=n_hash)]
-            tokens += [mention_pool[int(k)] for k in rng.integers(0, len(mention_pool), size=n_ment)]
-            tokens = [tokens[int(k)] for k in rng.permutation(len(tokens))]
-
+            keyed = [(next(keys[0]), f"word{next(picks[0]):03d}") for _ in range(n_words[i])]
+            keyed += [(next(keys[1]), hash_pool[next(picks[1])]) for _ in range(n_hash[i])]
+            keyed += [(next(keys[2]), mention_pool[next(picks[2])]) for _ in range(n_ment[i])]
             post = Post(
                 post_id=post_id,
                 user_id=user_id,
-                upload_time=BASE + int(rng.integers(0, span_s)),
-                likes=likes,
-                caption=" ".join(tokens),
-                media_count=1 if rng.random() < 0.9 else int(rng.integers(2, 5)),
-                is_video=bool(rng.random() < 0.08),
+                upload_time=BASE + upload[i],
+                likes=min(max(0, round(math.exp(log_likes[i]) - 1.0)), 2**63 - 1),
+                caption=" ".join(token for _, token in sorted(keyed, key=lambda pair: pair[0])),
+                media_count=media[i] if multi[i] >= 0.9 else 1,
+                is_video=video[i] < 0.08,
             )
-            values = rng.normal(0.0, 1.0, size=config.feature_dim)
-            values[: config.n_informative] = informative * mu + rng.normal(
-                0.0, config.feature_noise_std, size=config.n_informative
-            )
-            matrix[len(posts)] = values
+            row = values[i].copy()
+            row[:n_informative] = informative * float(mu[i]) + noise[i]
+            matrix[len(posts)] = row
             posts.append(post)
-            latent_mu[post_id] = mu
+            latent_mu[post_id] = float(mu[i])
     return synthgen.SynthCorpus(posts, FeatureSet([p.post_id for p in posts], matrix), latent_mu)
 
 

@@ -160,7 +160,7 @@ class TestTrainBaseline:
         config = TrainConfig(learning_rate=1e-3, epochs=2, seed=4)
         report = train_baseline(init_baseline([16, 8, 1], seed=4), samples, split, config)
         digest = hashlib.sha256(report.model.params.tobytes()).hexdigest()
-        assert digest == "e0a943d543ef41cfd44704ad3ab4c99de40130698ab25111ecbcaffa18c9dd7f"
+        assert digest == "c5af0bc269972b0f611ee743b873eba60a22c06a55f00f56b53b9e5e0b9033b7"
 
     def test_planted_signal_gives_high_pearson(self):
         _, _, _, samples = _engagement_dataset()

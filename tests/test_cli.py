@@ -5,11 +5,11 @@ import os
 
 import pytest
 
-from poprank import synthgen
+from poprank import corpus, synthgen
 from poprank.cli import build_parser, main
-from poprank.mining import read_pairs
+from poprank.mining import MinerConfig, read_pairs
 
-from conftest import read_id_values
+from conftest import read_id_values, reference_mine_pairs
 
 REF = str(synthgen.reference_time_for(synthgen.SynthConfig(time_span_days=45)))
 
@@ -90,13 +90,33 @@ class TestMine:
         assert float(stats["mean_prob"]) >= 0.95
         assert int(stats["n_pairs"]) > 0
 
-    def test_extreme_threshold_gives_empty_file_and_success(self, pipeline, tmp_path):
+    def test_extreme_threshold_mines_the_oracle_pairs(self, pipeline, tmp_path):
+        """Any pair whose gap in log-likes passes about 2.21 has prob 1.0, so an extreme threshold need not
+        leave the file empty: it holds the nested-loop oracle's pairs, each at or above the threshold."""
+        threshold = 0.9999999
         code = _run(
             ["mine", "--posts", pipeline / "posts.jsonl", "--reference-time", REF,
+             "--threshold", str(threshold), "--out-dir", tmp_path]
+        )
+        assert code == 0
+        pairs = read_pairs(tmp_path / "pairs.csv")
+        candidates = corpus.filter_candidates(corpus.parse_posts_file(pipeline / "posts.jsonl").posts, int(REF))
+        expected = reference_mine_pairs(list(candidates), None, MinerConfig(threshold=threshold))
+        assert sorted((p.id_a, p.id_b) for p in pairs) == sorted((p.id_a, p.id_b) for p in expected)
+        assert all(p.prob >= threshold for p in pairs)
+
+    def test_extreme_threshold_gives_empty_file_and_success(self, pipeline, tmp_path):
+        """With one post per user no pair is eligible, so the file is header-only at any threshold."""
+        lines = (pipeline / "posts.jsonl").read_text().splitlines()
+        first_of_each_user = list({json.loads(line)["user_id"]: line for line in reversed(lines)}.values())
+        posts_file = tmp_path / "posts.jsonl"
+        posts_file.write_text("\n".join(first_of_each_user) + "\n")
+        code = _run(
+            ["mine", "--posts", posts_file, "--reference-time", REF,
              "--threshold", "0.9999999", "--out-dir", tmp_path]
         )
         assert code == 0
-        assert read_pairs(tmp_path / "pairs.csv") == []
+        assert (tmp_path / "pairs.csv").read_text().splitlines() == ["id_a,id_b,user_id,prob,delta_s"]
 
     def test_malformed_lines_reported_with_line_numbers(self, pipeline, tmp_path, capsys):
         posts_file = tmp_path / "posts.jsonl"
@@ -133,6 +153,21 @@ class TestMine:
         assert _run(["mine", "--posts", tmp_path / "posts.jsonl", "--reference-time", "9223372036854764800",
                      "--out-dir", tmp_path]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_like_counts_past_int64_are_saturated(self, tmp_path, capsys):
+        """At a `mu_mean` of 50, exp(log-likes) passes 2**63; `synth` writes INT64_MAX, which `stats` and
+        `mine` read."""
+        assert _run(["synth", "--n-users", "2", "--posts-per-user", "3", "--mu-mean", "50", "--out-dir", tmp_path]) == 0
+        posts = [json.loads(line) for line in (tmp_path / "posts.jsonl").read_text().splitlines()]
+        assert [post["likes"] for post in posts] == [2**63 - 1] * 6
+        capsys.readouterr()
+        reference = str(synthgen.reference_time_for(synthgen.SynthConfig()))
+        assert _run(["stats", "--posts", tmp_path / "posts.jsonl", "--out-dir", tmp_path]) == 0
+        assert _run(["mine", "--posts", tmp_path / "posts.jsonl", "--reference-time", reference,
+                     "--out-dir", tmp_path]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("6 posts from 2 users") and "candidates (6 posts)" in out
+        assert err == ""
 
     def test_window_too_wide_for_int64_keys_is_a_one_line_error(self, tmp_path, capsys):
         posts = [{"post_id": f"p{i}", "user_id": "u", "upload_time": t, "likes": 100, "caption": "",

@@ -23,26 +23,26 @@ REF = str(synthgen.reference_time_for(synthgen.SynthConfig()))
 TRAIN = ["--epochs", "3", "--learning-rate", "1e-3", "--seed", "2"]
 
 PINNED = {
-    "ablate/ablation.csv": "86dc2d49924f2dbc3a390668035861541f9604bedc965a04ca413a4375cdc4bf",
-    "eval/eval_result.csv": "bac5e500ed900794d952db8079a49a838ae277c0969b9797669cc8f8cde78b93",
-    "mine/pair_stats.csv": "e83a902e997d1a83647b52ad8ac2bac6b8528137c6c7499c896ff8b50faf9db0",
-    "mine/pairs.csv": "0bbf28bd0161b77d5c4b2eb8dc412c880c36751f4f9aa82e9f2f6da1c299ecc4",
-    "rescaled/scores.csv": "460a4e448fef0cb52a649259175ab0f1584af2eecca46ee405641888e6eca2a3",
-    "score/scores.csv": "4821a559bb734748fa77c55206a3f1ac66ea27f2bb0a0ceae40391389a406ca1",
-    "stats/corpus_stats.csv": "069a0fbdbf085c0a32b609acf30340159ec0c0c26cf65ce8abfd1194d1d7e082",
-    "synth/features.csv": "9c498bfb37de1ae130c37697f8224088d7ae2ecaee47c723f211888864135099",
-    "synth/latents.csv": "65184a58327dbbbdeb30002b9f55fd5230c925e6529f677363ae67ebc91a73ab",
-    "synth/posts.jsonl": "17b590064e66d5e2eeeba4f0c9c4d4da4ecc4732afcd353772cc02742784ff3f",
-    "train/checkpoint.txt": "065527478873928e13a6b4336dce45417d922fef9fd860769a8fcafb9901d467",
-    "train/train_report.csv": "427a7b2aa9071b5fdad5279862fec54e8b4aa13b01c7b9e57edefd0eacb55bc3",
+    "ablate/ablation.csv": "ff781fe96ee838ef850677d4d9d8a090d46751e57cde252e8d48c9dc52d99053",
+    "eval/eval_result.csv": "4b3c494585c568da1e95b95044eab69ebdb70dde9cd46085b367bf5950f77fd4",
+    "mine/pair_stats.csv": "c821c0fddf730973df0d5f80ef7935c8b938f44d43636c22baba028f81a072d1",
+    "mine/pairs.csv": "ede4b9fef114fc7bca368d8ffcd7ec79630bd5bb9e4ec991436b14a38c432f66",
+    "rescaled/scores.csv": "dde2bd489c8710fa8a009213d23cbd8e12b2dea0b308de1bed701b5678e86474",
+    "score/scores.csv": "318537c0c924d9870602a7acb8d23d9aa294c18f1e55d386b6fcdf5b6e3b5ac0",
+    "stats/corpus_stats.csv": "b56a3607815913ea1b6c297bf869159e5a209bda898e845ca544c3516b4aecfd",
+    "synth/features.csv": "c282a22e5e98eab55d3cf4782917e9c055f10fa6cd24b12850bbd3c199cb4db8",
+    "synth/latents.csv": "c3e9f794a359007178982d15106fc1bbd2e9eb2d2e40bf22688cb7461d5bbf09",
+    "synth/posts.jsonl": "6e410797a3c212eeb17ce015b4be8a1fb6231ae9d6fa9adbb3f6a9d8f28a00c9",
+    "train/checkpoint.txt": "bb6a432ee9e7477e0d78d43a45655722fba042507f83eee3dac6c23bbb2b3416",
+    "train/train_report.csv": "7c4ceb5a0118d686895b4d06cc586f9cb5d0b6be30d312f94d1dd7af019714e7",
 }
 
 
 # `synth` at the feature width of the bench's `embed` workload, where each row is formatted in one piece
 PINNED_WIDE = {
-    "features.csv": "b62cf973f2c73a728ed8ed552f0489a875f3b37b71be1cfa10879b0bf7639378",
-    "latents.csv": "5b64aa4ce9a5399d13e5dbaf8c1284572707840b89ab0adb1c6fc551a6ac1022",
-    "posts.jsonl": "ae8b9942108fae4b717a24e3a0569d73d3c4c9d0554ebcaa5f1a302fa8b2a0cc",
+    "features.csv": "9bf052f71b991418b0d88e604075ee43444562b418405c79f546f1c0cd331225",
+    "latents.csv": "2bdf5e20afebab72db514045bbb09621b8c55292540460375f7c58eabbd45ada",
+    "posts.jsonl": "d60a7309fb69bb8b9cf5bd1688fa498acc5b794f531f005fd91d0582a19c5747",
 }
 
 
