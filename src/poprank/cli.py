@@ -186,11 +186,19 @@ HANDLERS = {
 def _execute(command: str, config: dict, out: Path) -> tuple[dict, dict]:
     """Run one subcommand into `out`; return its input paths and its output digests.
 
-    Each input file is checked and read in turn, in `READERS` order, before the handler runs.
+    Each input file is checked and read in turn, in `READERS` order, before the handler runs. A command
+    that reads pairs reads only the feature rows those pairs name.
     """
     out.mkdir(parents=True, exist_ok=True)
     paths = {label: config[label] for label in READERS if label in config}
-    inputs = {label: READERS[label](_require_file(path, label)) for label, path in paths.items()}
+    inputs = {}
+    for label, path in paths.items():
+        if label == "features" and "pairs" in inputs:
+            wanted = {pid for p in inputs["pairs"] for pid in (p.id_a, p.id_b)}
+            inputs[label] = READERS[label](_require_file(path, label), wanted)
+            print(f"read {len(inputs[label])} of {inputs[label].file_rows} feature rows")
+        else:
+            inputs[label] = READERS[label](_require_file(path, label))
     return paths, {name: sha256_file(out / name) for name in HANDLERS[command](config, out, **inputs)}
 
 

@@ -9,7 +9,7 @@ from post_id to that post's row.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from itertools import repeat
 from pathlib import Path
 from typing import TextIO
@@ -24,9 +24,12 @@ _LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 
 
 class FeatureSet(Mapping):
-    """`ids`, a read-only C-contiguous (n, D >= 1) float64 `matrix` and the id -> row `index`; checked when built."""
+    """`ids`, a read-only C-contiguous (n, D >= 1) float64 `matrix` and the id -> row `index`; checked when built.
 
-    def __init__(self, ids: Sequence[str], matrix: np.ndarray):
+    `file_rows` is the row count of the file the set was read from, which may hold rows the set left out.
+    """
+
+    def __init__(self, ids: Sequence[str], matrix: np.ndarray, file_rows: int | None = None):
         matrix = np.ascontiguousarray(matrix, dtype=np.float64).view()  # the caller's array stays writeable
         if matrix.ndim != 2 or matrix.shape[0] != len(ids) or matrix.shape[1] < 1:
             raise ValueError(f"feature matrix of shape {matrix.shape} is not one nonempty row per id ({len(ids)})")
@@ -39,6 +42,7 @@ class FeatureSet(Mapping):
             raise ValueError(f"feature vector for {self.ids[bad]!r} contains non-finite values")
         matrix.flags.writeable = False
         self.matrix, self.dim = matrix, matrix.shape[1]
+        self.file_rows = len(self.ids) if file_rows is None else file_rows
 
     @classmethod
     def of(cls, features: FeatureSet | dict[str, np.ndarray]) -> FeatureSet:
@@ -76,13 +80,16 @@ def save_features(path: str | Path, features: FeatureSet) -> None:
             f.write(row_format % (post_id, *row.tolist()))
 
 
-def load_features(path: str | Path) -> FeatureSet:
+def load_features(path: str | Path, wanted: Collection[str] | None = None) -> FeatureSet:
     """Read a feature file; a malformed header or row is a ValueError naming the line.
 
-    Rows are parsed by numpy's C reader, FEATURE_VALUES values at a time. A
-    file that reader does not take as it is, and one with a bad or repeated
-    id or a non-finite value, is read again row by row by `read_keyed_floats`,
-    which names the first bad line.
+    Every line has its field count, its id and a repeated id checked. Only the
+    rows whose id is in `wanted` (every row when None) have their values
+    parsed and checked finite, and only those are in the set, whose
+    `file_rows` counts every row of the file. Rows are parsed by numpy's C
+    reader, FEATURE_VALUES values at a time. A file that reader does not take
+    as it is, and one with a bad or repeated id or a non-finite value, is read
+    again row by row by `read_keyed_floats`, which names the first bad line.
     """
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
@@ -90,28 +97,30 @@ def load_features(path: str | Path) -> FeatureSet:
         if name != "post_id" or not sep or not dim.isdecimal() or int(dim) < 1:
             raise ValueError(f"line 1: expected the header 'post_id,dim=D' with D a positive integer, got {header!r}")
         dim = int(dim)
-        parsed = _read_blocks(f, dim)
+        parsed = _read_blocks(f, dim, wanted)
         if parsed is not None:
             try:
                 return FeatureSet(*parsed)
-            except ValueError:  # a repeated id or a non-finite value
+            except ValueError:  # a non-finite value
                 pass
         f.seek(0)
         f.readline()
-        return FeatureSet(*_read_rows(f, dim))
+        return FeatureSet(*_read_rows(f, dim, wanted))
 
 
-def _read_rows(f: TextIO, dim: int) -> tuple[list[str], np.ndarray]:
-    ids, flat = [], array("d")  # one flat buffer: a list per row would take several times the memory
-    for post_id, values in read_keyed_floats(f, dim):
-        ids.append(post_id)
-        flat.extend(values)
-    return ids, np.frombuffer(flat, dtype=np.float64).reshape(len(ids), dim)
+def _read_rows(f: TextIO, dim: int, wanted: Collection[str] | None) -> tuple[list[str], np.ndarray, int]:
+    ids, flat, file_rows = [], array("d"), 0  # one flat buffer: a list per row would take several times the memory
+    for post_id, values in read_keyed_floats(f, dim, wanted):
+        file_rows += 1
+        if values is not None:
+            ids.append(post_id)
+            flat.extend(values)
+    return ids, np.frombuffer(flat, dtype=np.float64).reshape(len(ids), dim), file_rows
 
 
-def _read_blocks(f: TextIO, dim: int) -> tuple[list[str], np.ndarray] | None:
-    """The ids and the matrix of the rows after the header, or None where the row parser must judge a row."""
-    ids, rows, flat = [], [], array("d")
+def _read_blocks(f: TextIO, dim: int, wanted: Collection[str] | None) -> tuple[list[str], np.ndarray, int] | None:
+    """The kept ids, their matrix and the file's row count, or None where the row parser must judge a row."""
+    every, ids, rows, flat = [], [], [], array("d")
     rows_per_block = max(1, FEATURE_VALUES // dim)
     for line in f:
         if line.isspace():
@@ -119,13 +128,17 @@ def _read_blocks(f: TextIO, dim: int) -> tuple[list[str], np.ndarray] | None:
         if line.count(",") != dim:
             return None
         post_id, _, values = line.partition(",")
-        ids.append(post_id)
-        rows.append(values)
-        if len(rows) == rows_per_block and not _parse_rows(rows, flat):
-            return None
-    if not _parse_rows(rows, flat) or not all(ids) or _ID_FORBIDDEN.search("".join(ids)):
+        every.append(post_id)
+        if wanted is None or post_id in wanted:
+            ids.append(post_id)
+            rows.append(values)
+            if len(rows) == rows_per_block and not _parse_rows(rows, flat):
+                return None
+    if not _parse_rows(rows, flat) or not all(every) or _ID_FORBIDDEN.search("".join(every)):
         return None
-    return ids, np.frombuffer(flat, dtype=np.float64).reshape(len(ids), dim)
+    if len(set(every)) < len(every):  # a repeated id, kept or not
+        return None
+    return ids, np.frombuffer(flat, dtype=np.float64).reshape(len(ids), dim), len(every)
 
 
 def _parse_rows(rows: list[str], flat: array) -> bool:

@@ -2,9 +2,12 @@
 
 A model is a stack of affine layers with ReLU on the hidden layers and an
 identity scalar output. Weights are stored as (fan_out, fan_in) matrices so a
-batch forward pass is ``Z = H @ W.T + b``. The backward pass returns the exact
-gradient of every parameter as one flat vector, and the gradient with respect to
-the first layer's output; times ``weights[0]`` it is a chained input's gradient.
+batch forward pass is ``Z = H @ W.T + b``: through BLAS in training
+(`forward_cached`), and through numpy's fixed-order einsum loop in scoring
+(`forward_batch`), so that a row scores the same bits in any batch. The
+backward pass returns the exact gradient of every parameter as one flat
+vector, and the gradient with respect to the first layer's output; times
+``weights[0]`` it is a chained input's gradient.
 
 A model's parameters are one contiguous float64 vector, all weights in layer
 order then all biases; ``weights[l]``/``biases[l]`` are views into it. Gradients
@@ -26,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 CHECKPOINT_TAG = "poprank-checkpoint-v1"
-SCORE_ROWS = 4096  # rows per `forward_cached` pass in `forward_batch`, so the activations held stay small
+SCORE_ROWS = 4096  # rows per pass in `forward_batch`: bounds the memory its activations take
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates and denominator floor of `adam_step`
 
 
@@ -82,21 +85,31 @@ def init_model(layer_dims: list[int], seed: int | np.random.Generator) -> MlpMod
 
 
 def forward_batch(model: MlpModel, xs: np.ndarray) -> np.ndarray:
-    """Scores of a (n, D) batch or of one D-vector, shape (n,); their last bits may depend on the batch."""
-    xs = np.atleast_2d(xs)
+    """Scores of a (n, D) batch or of one D-vector, shape (n,); a row's score is the same bits in any batch.
+
+    Each layer is numpy's own einsum loop, which sums every output over its
+    inputs in one fixed order, where BLAS picks its order by the batch's
+    shape, its alignment and the thread count.
+    """
+    xs = np.ascontiguousarray(np.atleast_2d(xs), dtype=np.float64)  # einsum's loop order follows the strides
     starts = range(0, len(xs), SCORE_ROWS) or [0]  # an empty batch makes one empty pass
-    return np.concatenate([forward_cached(model, xs[i : i + SCORE_ROWS])[0] for i in starts])
+    return np.concatenate([_layers(model, xs[i : i + SCORE_ROWS], fixed_order=True)[0] for i in starts])
 
 
 def forward_cached(model: MlpModel, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Batch forward keeping post-activation layer inputs for the backward pass."""
+    """Batch forward through BLAS keeping post-activation layer inputs for the backward pass."""
+    return _layers(model, xs, fixed_order=False)
+
+
+def _layers(model: MlpModel, xs: np.ndarray, fixed_order: bool) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Scores of the rows of `xs` and every layer's input; each ``h @ w.T`` by einsum if `fixed_order`, else BLAS."""
     h = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if h.shape[-1] != model.layer_dims[0]:
         raise ValueError(f"input dim {h.shape[-1]} does not match model input dim {model.layer_dims[0]}")
     cache = [h]
     last = model.n_layers() - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = h @ w.T + b
+        h = (np.einsum("nk,ok->no", h, w) if fixed_order else h @ w.T) + b
         if l != last:
             h = np.maximum(h, 0.0)
         cache.append(h)

@@ -45,8 +45,8 @@ class TrainReport:
 
 
 def pair_logit(model: MlpModel, x_a: np.ndarray, x_b: np.ndarray) -> float:
-    """Score difference O = f(A) - f(B) of two feature vectors; exactly antisymmetric under swap."""
-    return float(mlp.forward_batch(model, x_a)[0] - mlp.forward_batch(model, x_b)[0])
+    """O = f(A) - f(B) by `forward_cached`, the pass `pair_grad` differentiates; exactly antisymmetric under swap."""
+    return float(mlp.forward_cached(model, x_a)[0][0] - mlp.forward_cached(model, x_b)[0][0])
 
 
 def pair_loss(o: float, label: float) -> float:

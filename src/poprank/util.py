@@ -6,7 +6,7 @@ import hashlib
 import math
 import re
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Container, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -59,28 +59,33 @@ def open_csv(path: str | Path, header: str) -> TextIO:
     return f
 
 
-def read_keyed_floats(lines: Iterable[str], n_values: int) -> Iterator[tuple[str, list[float]]]:
+def read_keyed_floats(
+    lines: Iterable[str], n_values: int, wanted: Container[str] | None = None
+) -> Iterator[tuple[str, list[float] | None]]:
     """Yield (post_id, values) from CSV rows of an id and `n_values` floats.
 
     `lines` are the lines after a file's one-line header; blank ones are
-    skipped. A wrong field count, an id that breaks the id rule, a repeated
-    id or a non-numeric or non-finite value raises a ValueError naming the line.
+    skipped. A wrong field count, an id that breaks the id rule or a repeated
+    id raises a ValueError naming the line. Only a row whose id is in `wanted`
+    (every row when None) has its values parsed, where a non-numeric or
+    non-finite value raises the same way; any other row yields None as values.
     """
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         fields = line.rstrip("\n").split(",")
-        post_id = fields[0]
+        post_id, values = fields[0], None
         try:
             if len(fields) != n_values + 1:
                 raise ValueError(f"expected {n_values + 1} fields, got {len(fields)}")
             _check_id("post_id", post_id)
             if post_id in seen:
                 raise ValueError(f"duplicate post_id {post_id!r}")
-            values = list(map(float, fields[1:]))
-            if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):  # finite values can sum to inf
-                raise ValueError(f"non-finite value for post_id {post_id!r}")
+            if wanted is None or post_id in wanted:
+                values = list(map(float, fields[1:]))
+                if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):  # finite rows can sum to inf
+                    raise ValueError(f"non-finite value for post_id {post_id!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         seen.add(post_id)

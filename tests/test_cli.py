@@ -3,9 +3,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from poprank import corpus, synthgen
+from poprank import corpus, features as features_mod, synthgen
 from poprank.cli import build_parser, main
 from poprank.mining import MinerConfig, read_pairs
 
@@ -269,6 +270,84 @@ class TestEvalMatchesScore:
         ties = sum(scores[p.id_a] == scores[p.id_b] for p in pairs)
         row = (tmp_path / "eval_result.csv").read_text().splitlines()[1]
         assert row == f"{len(pairs)},{correct / len(pairs)!r},{ties}"
+
+
+# The files each command writes from its pairs and features
+PAIRED_OUTPUTS = {"train": ["checkpoint.txt", "train_report.csv"], "eval": ["eval_result.csv"],
+                  "ablate": ["ablation.csv"]}
+TRAIN_FLAGS = ["--epochs", "4", "--learning-rate", "1e-3", "--seed", "5"]
+
+
+def _paired_run(pipeline, command, features, out):
+    """Run `command` on the pipeline's pairs and the given features file; return its exit code and output bytes."""
+    extra = {"train": TRAIN_FLAGS, "eval": ["--checkpoint", pipeline / "checkpoint.txt"],
+             "ablate": ["--noise-levels", "0,0.3", *TRAIN_FLAGS]}[command]
+    code = _run([command, "--pairs", pipeline / "pairs.csv", "--features", features, *extra, "--out-dir", out])
+    return code, {name: (out / name).read_bytes() for name in PAIRED_OUTPUTS[command] if (out / name).exists()}
+
+
+def _feature_lines(pipeline):
+    """The pipeline's features file as (header, rows), and the indices of the rows that no pair names."""
+    header, *rows = (pipeline / "features.csv").read_text().splitlines()
+    paired = {pid for p in read_pairs(pipeline / "pairs.csv") for pid in (p.id_a, p.id_b)}
+    return header, rows, [i for i, row in enumerate(rows) if row.partition(",")[0] not in paired]
+
+
+class TestPartialFeatureRead:
+    """`train`, `eval` and `ablate` parse only the values of the feature rows their pairs name; every row still has
+    its field count, its id and a repeated id checked."""
+
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_outputs_match_a_file_of_only_the_paired_rows_shuffled(self, pipeline, tmp_path, capsys, command):
+        header, rows, unpaired = _feature_lines(pipeline)
+        skip = set(unpaired)
+        paired = [row for i, row in enumerate(rows) if i not in skip]
+        order = np.random.default_rng(3).permutation(len(paired))
+        only = tmp_path / "paired.csv"
+        only.write_text("\n".join([header] + [paired[i] for i in order]) + "\n")
+        capsys.readouterr()
+        full = _paired_run(pipeline, command, pipeline / "features.csv", tmp_path / "full")
+        assert f"read {len(paired)} of {len(rows)} feature rows\n" in capsys.readouterr().out
+        assert full[0] == 0 and full == _paired_run(pipeline, command, only, tmp_path / "only")
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "-inf", "1e999"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_a_bad_value_in_an_unpaired_row_is_not_read(self, pipeline, tmp_path, capsys, command, value):
+        header, rows, unpaired = _feature_lines(pipeline)
+        i = unpaired[len(unpaired) // 2]
+        rows[i] = rows[i].rpartition(",")[0] + "," + value
+        bad = tmp_path / "features.csv"
+        bad.write_text("\n".join([header] + rows) + "\n")
+        clean = _paired_run(pipeline, command, pipeline / "features.csv", tmp_path / "clean")
+        assert clean[0] == 0 and _paired_run(pipeline, command, bad, tmp_path / "bad") == clean
+        capsys.readouterr()
+        code = _run(["score", "--checkpoint", pipeline / "checkpoint.txt", "--features", bad, "--out-dir", tmp_path])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith(f"error: line {i + 2}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [(lambda row: row, "duplicate post_id"), (lambda row: row + ",0.5", "expected "),
+         (lambda row: row.rpartition(",")[0], "expected "),
+         (lambda row: "a b" + row[row.index(","):], "post_id 'a b' contains ' '")],
+        ids=["repeated-id", "extra-field", "missing-field", "id-rule"],
+    )
+    @pytest.mark.parametrize("reader", ["blocks", "rows"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_every_row_is_still_checked(self, pipeline, tmp_path, capsys, monkeypatch, command, reader, bad_row,
+                                        message):
+        header, rows, unpaired = _feature_lines(pipeline)
+        i = unpaired[len(unpaired) // 2]
+        rows.insert(i + 1, bad_row(rows[i]))  # file line i + 3
+        bad = tmp_path / "features.csv"
+        bad.write_text("\n".join([header] + rows) + "\n")
+        if reader == "rows":  # the block reader hands every file to the row parser
+            monkeypatch.setattr(features_mod, "_read_blocks", lambda *args: None)
+        capsys.readouterr()
+        code, outputs = _paired_run(pipeline, command, bad, tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 1 and outputs == {}
+        assert err.startswith(f"error: line {i + 3}: {message}") and err.count("\n") == 1
 
 
 # Each command's input labels, in the order it checks and reads them, and the pipeline file each one names

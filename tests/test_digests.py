@@ -27,8 +27,8 @@ PINNED = {
     "eval/eval_result.csv": "4b3c494585c568da1e95b95044eab69ebdb70dde9cd46085b367bf5950f77fd4",
     "mine/pair_stats.csv": "c821c0fddf730973df0d5f80ef7935c8b938f44d43636c22baba028f81a072d1",
     "mine/pairs.csv": "ede4b9fef114fc7bca368d8ffcd7ec79630bd5bb9e4ec991436b14a38c432f66",
-    "rescaled/scores.csv": "dde2bd489c8710fa8a009213d23cbd8e12b2dea0b308de1bed701b5678e86474",
-    "score/scores.csv": "318537c0c924d9870602a7acb8d23d9aa294c18f1e55d386b6fcdf5b6e3b5ac0",
+    "rescaled/scores.csv": "a1a36376f570f3e9ab3ad3774f222b503ff227ba332189a247e67a236e61e87a",
+    "score/scores.csv": "6bcb28373ca62780899c3c69a630fce736c08bbe66f9403332f8c42514a47937",
     "stats/corpus_stats.csv": "b56a3607815913ea1b6c297bf869159e5a209bda898e845ca544c3516b4aecfd",
     "synth/features.csv": "c282a22e5e98eab55d3cf4782917e9c055f10fa6cd24b12850bbd3c199cb4db8",
     "synth/latents.csv": "c3e9f794a359007178982d15106fc1bbd2e9eb2d2e40bf22688cb7461d5bbf09",

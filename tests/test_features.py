@@ -120,6 +120,20 @@ class TestFeaturesFile:
         with pytest.raises(ValueError, match=message):
             self._load(tmp_path, "post_id,dim=2\n" + body)
 
+    @pytest.mark.parametrize("reader", ["blocks", "rows"])
+    def test_only_wanted_rows_have_their_values_read(self, tmp_path, monkeypatch, reader):
+        if reader == "rows":  # the block reader hands every file to the row parser
+            monkeypatch.setattr(features_mod, "_read_blocks", lambda *args: None)
+        path = tmp_path / "features.csv"
+        path.write_text("post_id,dim=2\na,1,2\nb,x,nan\n\nc,5,0.25\nd,inf,1\n")
+        fs = load_features(path, {"c", "a", "z"})
+        assert fs.ids == ["a", "c"] and fs.matrix.tolist() == [[1.0, 2.0], [5.0, 0.25]] and fs.file_rows == 4
+        assert load_features(path, set()).matrix.shape == (0, 2)
+        with pytest.raises(ValueError, match=r"^line 3: could not convert"):
+            load_features(path, {"b"})
+        with pytest.raises(ValueError, match=r"^line 6: non-finite value for post_id 'd'"):
+            load_features(path, {"d"})
+
 
 _ids = st.lists(st.text("abcxyz_0123456789", min_size=1, max_size=6), unique=True, max_size=12)
 _values = st.one_of(

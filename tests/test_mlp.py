@@ -103,7 +103,7 @@ class TestForward:
             forward_batch(model, np.ones(5))
 
     def test_sub_batches_match_full_matrix(self):
-        # a row's score depends on its batch only in the last bits
+        # a row's score is the same bits in any batch: in sub-batches, alone, and in a subset at another offset
         rng = np.random.default_rng(8)
         model = init_model([16, 64, 32, 1], seed=4)
         for b in model.biases:
@@ -112,7 +112,13 @@ class TestForward:
         full = forward_batch(model, xs)
         for size in (1, 2, 7, 64):
             parts = np.concatenate([forward_batch(model, xs[i : i + size]) for i in range(0, len(xs), size)])
-            assert np.max(np.abs(parts - full)) <= 1e-12
+            assert np.array_equal(parts, full)
+        assert all(forward_batch(model, x)[0] == score for x, score in zip(xs, full))
+        subset = rng.permutation(len(xs))[:101]
+        shifted = np.empty(len(subset) * 16 + 1)[1:].reshape(len(subset), 16)  # 8 bytes past the buffer's start
+        shifted[...] = xs[subset]
+        assert np.array_equal(forward_batch(model, shifted), full[subset])
+        assert np.array_equal(forward_batch(model, np.asfortranarray(xs[subset])), full[subset])
 
     def test_long_batch_and_empty_batch(self):
         rng = np.random.default_rng(10)
