@@ -38,7 +38,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import corpus, evaluate, features as features_mod, mining, mlp, ranker, synthgen
-from .util import seeded_rng, sha256_file, split_indices
+from .util import seeded_rng, sha256_file, split_indices, written_together
 
 
 def _require_file(path: str, what: str) -> str:
@@ -95,15 +95,20 @@ def _fraction(config: dict, key: str) -> float:
 
 def run_synth(config: dict, out: Path) -> list[str]:
     synth_config = _config(synthgen.SynthConfig, config)
-    generated = synthgen.generate_corpus(synth_config)
-    corpus.write_posts(out / "posts.jsonl", generated.posts)
-    features_mod.save_features(out / "features.csv", generated.features)
-    synthgen.save_latents(out / "latents.csv", generated.latent_mu)
+    names = ["posts.jsonl", "features.csv", "latents.csv"]
+    with written_together([out / name for name in names]) as (posts, features, latents):
+        features.write(features_mod.header(synth_config.feature_dim) + "\n")
+        latents.write(synthgen.LATENTS_HEADER + "\n")
+        for user_posts, rows, mu in synthgen.generate_users(synth_config):  # written as each user is drawn
+            ids = [post.post_id for post in user_posts]
+            posts.writelines([corpus.serialize_post(post) + "\n" for post in user_posts])
+            features_mod.write_rows(features, ids, rows)
+            synthgen.write_latents(latents, ids, mu)
     print(
-        f"generated {len(generated.posts)} posts for {synth_config.n_users} users "
+        f"generated {synth_config.n_users * synth_config.posts_per_user} posts for {synth_config.n_users} users "
         f"(reference_time {synthgen.reference_time_for(synth_config)})"
     )
-    return ["posts.jsonl", "features.csv", "latents.csv"]
+    return names
 
 
 def run_stats(config: dict, out: Path, posts: corpus.PostTable) -> list[str]:
@@ -138,17 +143,15 @@ def run_train(config: dict, out: Path, pairs: list[mining.PDIP], features: featu
     return ["checkpoint.txt", "train_report.csv"]
 
 
-def run_eval(config: dict, out: Path, checkpoint: mlp.MlpModel, pairs: list[mining.PDIP],
-             features: features_mod.FeatureSet) -> list[str]:
-    features.rows([pid for p in pairs for pid in (p.id_a, p.id_b)])  # the one missing-features check
-    result = evaluate.pairwise_accuracy(ranker.score_batch(checkpoint, features), pairs)  # the scores `score` writes
+def run_eval(config: dict, out: Path, pairs: list[mining.PDIP], scores: dict[str, float]) -> list[str]:
+    features_mod.require_features([pid for p in pairs for pid in (p.id_a, p.id_b)], scores)
+    result = evaluate.pairwise_accuracy(scores, pairs)  # the scores `score` writes
     evaluate.write_eval_csv(out / "eval_result.csv", result)
     print(f"pairwise accuracy {result.accuracy:.4f} on {result.n_pairs} pairs ({result.n_ties} ties)")
     return ["eval_result.csv"]
 
 
-def run_score(config: dict, out: Path, checkpoint: mlp.MlpModel, features: features_mod.FeatureSet) -> list[str]:
-    scores = ranker.score_batch(checkpoint, features)
+def run_score(config: dict, out: Path, scores: dict[str, float]) -> list[str]:
     if config["rescale_max"] is not None:
         scores = evaluate.rescale_for_display(scores, config["rescale_max"])
     evaluate.write_scores_csv(out / "scores.csv", scores)
@@ -187,18 +190,28 @@ def _execute(command: str, config: dict, out: Path) -> tuple[dict, dict]:
     """Run one subcommand into `out`; return its input paths and its output digests.
 
     Each input file is checked and read in turn, in `READERS` order, before the handler runs. A command
-    that reads pairs reads only the feature rows those pairs name.
+    that reads pairs reads only the feature rows those pairs name. A command that reads a checkpoint gets,
+    in place of the checkpoint and the features, the `scores` of those rows, scored one block of the
+    file at a time, so it never holds the feature matrix.
     """
     out.mkdir(parents=True, exist_ok=True)
     paths = {label: config[label] for label in READERS if label in config}
     inputs = {}
     for label, path in paths.items():
-        if label == "features" and "pairs" in inputs:
-            wanted = {pid for p in inputs["pairs"] for pid in (p.id_a, p.id_b)}
-            inputs[label] = READERS[label](_require_file(path, label), wanted)
-            print(f"read {len(inputs[label])} of {inputs[label].file_rows} feature rows")
+        _require_file(path, label)
+        if label != "features":
+            inputs[label] = READERS[label](path)
+            continue
+        wanted = {pid for p in inputs["pairs"] for pid in (p.id_a, p.id_b)} if "pairs" in inputs else None
+        if "checkpoint" in inputs:
+            blocks = features_mod.FeatureBlocks(path, wanted)
+            inputs["scores"] = ranker.score_blocks(inputs.pop("checkpoint"), blocks)
+            kept, rows = len(inputs["scores"]), blocks.file_rows
         else:
-            inputs[label] = READERS[label](_require_file(path, label))
+            inputs[label] = READERS[label](path, wanted)
+            kept, rows = len(inputs[label]), inputs[label].file_rows
+        if wanted is not None:
+            print(f"read {kept} of {rows} feature rows")
     return paths, {name: sha256_file(out / name) for name in HANDLERS[command](config, out, **inputs)}
 
 

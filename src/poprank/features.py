@@ -1,16 +1,18 @@
 """Per-post feature vectors, keyed by post_id.
 
 File format: a header line ``post_id,dim=D`` (D a positive integer) followed
-by CSV rows of post_id and D decimal floats. In memory a feature set is one
-(n, D) float64 matrix with the post ids of its rows; it reads as a mapping
-from post_id to that post's row.
+by CSV rows of post_id and D decimal floats. `FeatureBlocks` reads a file one
+checked block of rows at a time, so a command that only scores the rows never
+holds them all; `load_features` collects the blocks. In memory a feature set
+is one (n, D) float64 matrix with the post ids of its rows; it reads as a
+mapping from post_id to that post's row.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Collection, Mapping, Sequence
-from itertools import repeat
+from collections.abc import Collection, Container, Generator, Iterable, Iterator, Mapping, Sequence
+from itertools import islice, repeat
 from pathlib import Path
 from typing import TextIO
 
@@ -58,9 +60,7 @@ class FeatureSet(Mapping):
 
     def rows(self, ids: Sequence[str]) -> np.ndarray:
         """Row indices of `ids`; an id without a feature vector is a ValueError."""
-        missing = sorted({pid for pid in ids if pid not in self.index})
-        if missing:
-            raise ValueError(f"pairs reference {len(missing)} post_ids without features: {missing[:5]}")
+        require_features(ids, self.index)
         return np.array([self.index[pid] for pid in ids], dtype=np.intp)
 
     def __getitem__(self, post_id: str) -> np.ndarray:
@@ -73,86 +73,144 @@ class FeatureSet(Mapping):
         return iter(self.ids)
 
 
+def header(dim: int) -> str:
+    return f"post_id,dim={dim}"
+
+
 def save_features(path: str | Path, features: FeatureSet) -> None:
-    row_format = "%s" + ",%.17g" * features.dim + "\n"  # round-trips float64; one row at a time keeps memory flat
-    with open_csv(path, f"post_id,dim={features.dim}") as f:
-        for post_id, row in zip(features.ids, features.matrix):
-            f.write(row_format % (post_id, *row.tolist()))
+    with open_csv(path, header(features.dim)) as f:
+        write_rows(f, features.ids, features.matrix)
+
+
+def write_rows(f: TextIO, ids: Sequence[str], matrix: np.ndarray) -> None:
+    """Write the (len(ids), D) `matrix` as rows of a features file, one at a time to keep memory flat."""
+    row_format = "%s" + ",%.17g" * matrix.shape[1] + "\n"  # round-trips float64
+    for post_id, row in zip(ids, matrix):
+        f.write(row_format % (post_id, *row.tolist()))
+
+
+def require_features(ids: Iterable[str], present: Container[str]) -> None:
+    """The one missing-features error: a ValueError counting and naming the `ids` not in `present`."""
+    missing = sorted({pid for pid in ids if pid not in present})
+    if missing:
+        raise ValueError(f"pairs reference {len(missing)} post_ids without features: {missing[:5]}")
+
+
+class FeatureBlocks:
+    """A features file read as checked blocks of at most FEATURE_VALUES values each.
+
+    Iterating yields (ids, matrix) blocks: the rows whose id is in `wanted`
+    (every row when None) as a (len(ids), dim) float64 matrix. Every line has
+    its field count, its id and a repeated id checked; only the kept rows have
+    their values parsed and checked finite. A bad header is a ValueError when
+    the reader is made, and a bad row one when iteration reaches its block,
+    naming the file's first bad line: every row before that block passed.
+    Blocks are parsed by numpy's C reader. A block it does not take as it is,
+    and one with a bad or repeated id or a non-finite value, is read again from
+    its first line, with the rest of the file, row by row by
+    `read_keyed_floats`, which parses with float() and names the first bad line.
+    `file_rows` counts the rows checked, every row of the file once iterated.
+    """
+
+    def __init__(self, path: str | Path, wanted: Collection[str] | None = None):
+        self.path, self.wanted, self.seen = path, wanted, set()
+        with open(path, "r", encoding="utf-8") as f:
+            line = f.readline().strip()
+        name, sep, dim = line.partition(",dim=")
+        if name != "post_id" or not sep or not dim.isdecimal() or int(dim) < 1:
+            raise ValueError(f"line 1: expected the header 'post_id,dim=D' with D a positive integer, got {line!r}")
+        self.dim = int(dim)
+        self.rows_per_block = max(1, FEATURE_VALUES // self.dim)
+
+    @property
+    def file_rows(self) -> int:
+        return len(self.seen)  # each row's id joins `seen` once its row passes
+
+    def __iter__(self) -> Iterator[tuple[list[str], np.ndarray]]:
+        self.seen = set()
+        with open(self.path, "r", encoding="utf-8") as f:
+            f.readline()
+            blocks = _read_blocks(f, self.dim, self.rows_per_block, self.wanted, self.seen)
+            start = 2 if blocks is None else (yield from blocks)
+        if start is not None:
+            yield from self._read_rows(start)
+
+    def _read_rows(self, start: int) -> Iterator[tuple[list[str], np.ndarray]]:
+        """The blocks of the rows from file line `start` on, parsed row by row."""
+        with open(self.path, "r", encoding="utf-8") as f:
+            ids, flat = [], array("d")  # one flat buffer: a list per row would take several times the memory
+            for post_id, values in read_keyed_floats(islice(f, start - 1, None), self.dim, self.wanted, start,
+                                                     self.seen):
+                if values is not None:
+                    ids.append(post_id)
+                    flat.extend(values)
+                    if len(ids) == self.rows_per_block:
+                        yield ids, np.frombuffer(flat, dtype=np.float64).reshape(len(ids), self.dim)
+                        ids, flat = [], array("d")
+            if ids:
+                yield ids, np.frombuffer(flat, dtype=np.float64).reshape(len(ids), self.dim)
 
 
 def load_features(path: str | Path, wanted: Collection[str] | None = None) -> FeatureSet:
-    """Read a feature file; a malformed header or row is a ValueError naming the line.
+    """The FeatureSet of the rows whose id is in `wanted` (every row when None), checked as `FeatureBlocks` checks.
 
-    Every line has its field count, its id and a repeated id checked. Only the
-    rows whose id is in `wanted` (every row when None) have their values
-    parsed and checked finite, and only those are in the set, whose
-    `file_rows` counts every row of the file. Rows are parsed by numpy's C
-    reader, FEATURE_VALUES values at a time. A file that reader does not take
-    as it is, and one with a bad or repeated id or a non-finite value, is read
-    again row by row by `read_keyed_floats`, which names the first bad line.
+    Its `file_rows` counts every row of the file.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        name, sep, dim = header.partition(",dim=")
-        if name != "post_id" or not sep or not dim.isdecimal() or int(dim) < 1:
-            raise ValueError(f"line 1: expected the header 'post_id,dim=D' with D a positive integer, got {header!r}")
-        dim = int(dim)
-        parsed = _read_blocks(f, dim, wanted)
-        if parsed is not None:
-            try:
-                return FeatureSet(*parsed)
-            except ValueError:  # a non-finite value
-                pass
-        f.seek(0)
-        f.readline()
-        return FeatureSet(*_read_rows(f, dim, wanted))
+    blocks = FeatureBlocks(path, wanted)
+    ids, flat = [], array("d")  # the blocks' values, copied once each into one buffer the matrix then shares
+    for block_ids, block in blocks:
+        ids += block_ids
+        flat.frombytes(memoryview(block).cast("B"))
+    return FeatureSet(ids, np.frombuffer(flat, dtype=np.float64).reshape(len(ids), blocks.dim), blocks.file_rows)
 
 
-def _read_rows(f: TextIO, dim: int, wanted: Collection[str] | None) -> tuple[list[str], np.ndarray, int]:
-    ids, flat, file_rows = [], array("d"), 0  # one flat buffer: a list per row would take several times the memory
-    for post_id, values in read_keyed_floats(f, dim, wanted):
-        file_rows += 1
-        if values is not None:
-            ids.append(post_id)
-            flat.extend(values)
-    return ids, np.frombuffer(flat, dtype=np.float64).reshape(len(ids), dim), file_rows
-
-
-def _read_blocks(f: TextIO, dim: int, wanted: Collection[str] | None) -> tuple[list[str], np.ndarray, int] | None:
-    """The kept ids, their matrix and the file's row count, or None where the row parser must judge a row."""
-    every, ids, rows, flat = [], [], [], array("d")
-    rows_per_block = max(1, FEATURE_VALUES // dim)
-    for line in f:
+def _read_blocks(f: TextIO, dim: int, rows_per_block: int, wanted: Collection[str] | None,
+                 seen: set[str]) -> Generator[tuple[list[str], np.ndarray], None, int | None]:
+    """Yield the blocks of `f`'s rows that numpy's reader takes; return None at the end of the file, or the line
+    from which the row parser must judge the rows."""
+    start, every, ids, rows = 2, [], [], []
+    for end, line in enumerate(f, start=2):
         if line.isspace():
             continue
-        if line.count(",") != dim:
-            return None
         post_id, _, values = line.partition(",")
         every.append(post_id)
         if wanted is None or post_id in wanted:
             ids.append(post_id)
             rows.append(values)
-            if len(rows) == rows_per_block and not _parse_rows(rows, flat):
-                return None
-    if not _parse_rows(rows, flat) or not all(every) or _ID_FORBIDDEN.search("".join(every)):
-        return None
-    if len(set(every)) < len(every):  # a repeated id, kept or not
-        return None
-    return ids, np.frombuffer(flat, dtype=np.float64).reshape(len(ids), dim), len(every)
+        elif line.count(",") != dim:  # a kept row's field count is checked by the shape of its block
+            return start
+        if len(rows) == rows_per_block:
+            block = _parse_block(every, rows, dim, seen)
+            if block is None:
+                return start
+            yield ids, block
+            start, every, ids, rows = end + 1, [], [], []
+    block = _parse_block(every, rows, dim, seen)
+    if block is None:
+        return start
+    if ids:
+        yield ids, block
+    return None
 
 
-def _parse_rows(rows: list[str], flat: array) -> bool:
-    """Append the values of `rows` to `flat` and empty `rows`; False where numpy's reader and float() may differ."""
+def _parse_block(every: list[str], rows: list[str], dim: int, seen: set[str]) -> np.ndarray | None:
+    """The (len(rows), dim) values of `rows` once the ids `every` keep the id rule and are new to `seen`, which then
+    takes them; None where the row parser must judge the block, as where numpy's reader and float() may differ."""
+    new = set(every)
+    if not all(every) or _ID_FORBIDDEN.search("".join(every)) or len(new) < len(every) or not seen.isdisjoint(new):
+        return None
     if not rows:
-        return True
-    if "\n" in rows or "" in rows:  # numpy skips an empty row, where float("") is an error
-        return False
-    if any(any(map(str.__contains__, rows, repeat(space))) for space in _LOADTXT_ONLY_SPACES):
-        return False
-    try:
-        block = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-    except ValueError:
-        return False
-    flat.frombytes(memoryview(block).cast("B"))
-    rows.clear()
-    return True
+        block = np.empty((0, dim))
+    elif "\n" in rows or "" in rows:  # numpy skips an empty row, where float("") is an error
+        return None
+    elif any(any(map(str.__contains__, rows, repeat(space))) for space in _LOADTXT_ONLY_SPACES):
+        return None
+    else:
+        try:
+            block = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+        except ValueError:  # a value numpy does not read, or a field count that changes within the block
+            return None
+        if block.shape[1] != dim or not np.isfinite(block).all():
+            return None
+    seen |= new
+    return block

@@ -20,6 +20,7 @@ snapshot from the best-validation epoch is the trained model.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,12 +118,32 @@ def train(
     return TrainReport(losses, accs, best_epoch, MlpModel.over(model.layer_dims, best))
 
 
+def score_blocks(model: MlpModel, blocks: Iterable[tuple[Sequence[str], np.ndarray]]) -> dict[str, float]:
+    """Scores keyed by post_id of the rows of every (ids, matrix) block, one `mlp.forward_batch` per block.
+
+    A row scores the same bits in any block, so a file scored one block at a
+    time gives the scores of its whole matrix. A block the model does not take
+    is a ValueError only once every block is read, so that a bad row in a later
+    block is the error reported, as when the file is read whole first.
+    """
+    scores, misfit = {}, None
+    for ids, matrix in blocks:
+        if misfit is None:
+            try:
+                scores.update(zip(ids, mlp.forward_batch(model, matrix).tolist()))
+            except ValueError as exc:  # rows of another width than the model's input
+                misfit = exc
+    if misfit is not None:
+        raise misfit
+    return scores
+
+
 def score_batch(model: MlpModel, features: FeatureSet | dict[str, np.ndarray]) -> dict[str, float]:
-    """Score every feature vector with one `mlp.forward_batch` over the feature matrix; keyed by post_id."""
+    """Score every feature vector: `score_blocks` of the feature matrix as one block."""
     if not features:
         return {}
     features = FeatureSet.of(features)
-    return dict(zip(features.ids, mlp.forward_batch(model, features.matrix).tolist()))
+    return score_blocks(model, [(features.ids, features.matrix)])
 
 
 def write_train_report_csv(path, report: TrainReport) -> None:

@@ -35,6 +35,8 @@ order:
     informative columns, `normal(0, noise, size=(P, n_informative))`.
 
 The Python left per post builds its `Post` and joins its caption.
+`generate_users` yields the corpus one user at a time, so `synth` writes each
+user's rows as they are drawn; `generate_corpus` collects them in memory.
 `tests/test_synthgen.py` checks the generator against a reference that makes
 the same draws and builds one post at a time.
 """
@@ -43,9 +45,11 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice, repeat
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -57,6 +61,7 @@ from .util import open_csv, seeded_rng
 BASE_TIME = 1_600_000_000  # fixed epoch origin of synthetic upload times
 MAX_TIME_SPAN_DAYS = (INT64_MAX - BASE_TIME) // SECONDS_PER_DAY  # every upload time and the reference time fit int64
 LOG_FLOAT_MAX = math.log(sys.float_info.max)  # like counts are round(exp(log-likes) - 1)
+LATENTS_HEADER = "post_id,mu"
 # A post's hashtag and mention counts: the entry at a uniform index
 _HASHTAG_COUNTS = np.array([0] * 11 + [1] * 6 + [2] * 3)
 _MENTION_COUNTS = np.array([0] * 12 + [1] * 6 + [2] * 2)
@@ -107,13 +112,15 @@ def reference_time_for(config: SynthConfig) -> int:
     return BASE_TIME + config.time_span_days * SECONDS_PER_DAY
 
 
-def generate_corpus(config: SynthConfig) -> SynthCorpus:
-    """Generate a deterministic corpus with per-post latent popularity.
+def generate_users(config: SynthConfig) -> Iterator[tuple[list[Post], np.ndarray, list[float]]]:
+    """Generate a deterministic corpus one user at a time, with per-post latent popularity.
 
-    Each user's stream draws each quantity once, as one array over the user's
-    posts, in the order the module docstring gives. A like count of 2**63 or
-    more (exp(S) passes 2**63 at S = 43.7, so only a large `mu_mean` draws
-    one) is saturated at INT64_MAX, so every post fits the posts format.
+    Yields each user's posts, the (P, D) feature rows of those posts and each
+    post's latent mu, in user order. Each user's stream draws each quantity
+    once, as one array over the user's posts, in the order the module
+    docstring gives. A like count of 2**63 or more (exp(S) passes 2**63 at
+    S = 43.7, so only a large `mu_mean` draws one) is saturated at INT64_MAX,
+    so every post fits the posts format.
     """
     informative = seeded_rng(config.seed, "informative-coefficients").uniform(
         0.5, 1.5, size=config.n_informative
@@ -122,8 +129,6 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
     span_s = config.time_span_days * SECONDS_PER_DAY
     suffixes = [f"_p{i:03d}" for i in range(n)]
     owners = np.tile(np.arange(n), 3)  # the post of each entry of a user's word, hashtag and mention counts
-    posts, latent_mu = [], {}
-    matrix = np.empty((config.n_users * n, config.feature_dim))
     for u in range(config.n_users):
         user_id = f"u{u:05d}"
         rng = seeded_rng(config.seed, "user", user_id)
@@ -147,20 +152,29 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
         videos = random(n) < 0.08
         keys = random(codes.size)  # each post's tokens in the order of their keys
         tokens = iter(vocabulary[codes[np.lexsort((keys, np.repeat(owners, counts)))]].tolist())
-        rows = slice(u * n, (u + 1) * n)
-        matrix[rows] = rng.normal(0.0, 1.0, size=(n, config.feature_dim))
-        matrix[rows, :n_informative] = informative * mu[:, None] + rng.normal(
+        rows = rng.normal(0.0, 1.0, size=(n, config.feature_dim))
+        rows[:, :n_informative] = informative * mu[:, None] + rng.normal(
             0.0, config.feature_noise_std, size=(n, n_informative)
         )
 
-        ids = [user_id + suffix for suffix in suffixes]
         # math.exp, not numpy's: numpy's may differ in the last bit between CPUs, and a like count above 2**53
         # or on a rounding tie shows that bit
         likes = [min(max(0, round(math.exp(s) - 1.0)), INT64_MAX) for s in log_likes.tolist()]
         captions = [" ".join(islice(tokens, k)) for k in (n_words + n_hash + n_ment).tolist()]
-        posts += map(Post, ids, repeat(user_id), upload_times.tolist(), likes, captions,
-                     media_counts.tolist(), videos.tolist())
-        latent_mu.update(zip(ids, mu.tolist()))
+        posts = list(map(Post, [user_id + suffix for suffix in suffixes], repeat(user_id), upload_times.tolist(),
+                         likes, captions, media_counts.tolist(), videos.tolist()))
+        yield posts, rows, mu.tolist()
+
+
+def generate_corpus(config: SynthConfig) -> SynthCorpus:
+    """The corpus `generate_users` draws, collected in memory."""
+    posts, latent_mu = [], {}
+    n = config.posts_per_user
+    matrix = np.empty((config.n_users * n, config.feature_dim))
+    for u, (user_posts, rows, mu) in enumerate(generate_users(config)):
+        matrix[u * n : (u + 1) * n] = rows
+        posts += user_posts
+        latent_mu.update(zip([p.post_id for p in user_posts], mu))
     return SynthCorpus(posts, FeatureSet([p.post_id for p in posts], matrix), latent_mu)
 
 
@@ -180,6 +194,9 @@ def latent_consistency(pairs: list[PDIP], latent: dict[str, float]) -> float:
 
 
 def save_latents(path: str | Path, latent_mu: dict[str, float]) -> None:
-    with open_csv(path, "post_id,mu") as f:
-        for post_id, mu in latent_mu.items():
-            f.write("%s,%.17g\n" % (post_id, mu))
+    with open_csv(path, LATENTS_HEADER) as f:
+        write_latents(f, latent_mu.keys(), latent_mu.values())
+
+
+def write_latents(f: TextIO, ids: Iterable[str], mus: Iterable[float]) -> None:
+    f.writelines("%s,%.17g\n" % row for row in zip(ids, mus))

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import re
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Container, Iterable, Iterator, TextIO
+from typing import Container, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -52,6 +54,27 @@ def _check_id(key: str, value) -> None:
         raise ValueError(f"{key} {value!r} contains {bad.group()!r}; ids exclude ',', whitespace and controls")
 
 
+@contextmanager
+def written_together(paths: Sequence[Path]) -> Iterator[list[TextIO]]:
+    """Files to write, as UTF-8 with LF line ends, that appear at `paths` only together and whole.
+
+    Each is written under its path plus ".partial"; when the block ends, they
+    are renamed onto `paths`, and when it raises, they are removed.
+    """
+    parts = [path.with_name(path.name + ".partial") for path in paths]
+    with ExitStack() as files:
+        try:
+            yield [files.enter_context(open(part, "w", encoding="utf-8", newline="\n")) for part in parts]
+            files.close()
+            for part, path in zip(parts, paths):
+                os.replace(part, path)
+        except BaseException:
+            files.close()
+            for part in parts:
+                part.unlink(missing_ok=True)
+            raise
+
+
 def open_csv(path: str | Path, header: str) -> TextIO:
     """Open `path` for writing as UTF-8 with LF line ends and write the `header` line; the caller closes it."""
     f = open(path, "w", encoding="utf-8", newline="\n")
@@ -60,18 +83,21 @@ def open_csv(path: str | Path, header: str) -> TextIO:
 
 
 def read_keyed_floats(
-    lines: Iterable[str], n_values: int, wanted: Container[str] | None = None
+    lines: Iterable[str], n_values: int, wanted: Container[str] | None = None, start: int = 2,
+    seen: set[str] | None = None,
 ) -> Iterator[tuple[str, list[float] | None]]:
     """Yield (post_id, values) from CSV rows of an id and `n_values` floats.
 
-    `lines` are the lines after a file's one-line header; blank ones are
-    skipped. A wrong field count, an id that breaks the id rule or a repeated
-    id raises a ValueError naming the line. Only a row whose id is in `wanted`
-    (every row when None) has its values parsed, where a non-numeric or
-    non-finite value raises the same way; any other row yields None as values.
+    `lines` are a file's lines from line `start` on (by default, all after a
+    one-line header); blank ones are skipped. A wrong field count, an id that
+    breaks the id rule or an id repeated here or in `seen` (the ids of earlier
+    rows, which takes each new one) raises a ValueError naming the line. Only a
+    row whose id is in `wanted` (every row when None) has its values parsed,
+    where a non-numeric or non-finite value raises the same way; any other row
+    yields None as values.
     """
-    seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=2):
+    seen = set() if seen is None else seen
+    for lineno, line in enumerate(lines, start=start):
         if not line.strip():
             continue
         fields = line.rstrip("\n").split(",")

@@ -2,11 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from poprank import corpus, features as features_mod, synthgen
+from poprank import corpus, evaluate, features as features_mod, mlp, ranker, synthgen
 from poprank.cli import build_parser, main
 from poprank.mining import MinerConfig, read_pairs
 
@@ -350,6 +354,119 @@ class TestPartialFeatureRead:
         assert err.startswith(f"error: line {i + 3}: {message}") and err.count("\n") == 1
 
 
+WIDE = 300  # feature width of the streamed-scoring files: a block of FEATURE_VALUES values holds 109 rows
+WIDE_BLOCK = features_mod.FEATURE_VALUES // WIDE
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """A features file of four blocks of 300-d rows, a pairs file naming every row, and a checkpoint that takes them."""
+    d = tmp_path_factory.mktemp("wide")
+    rng = np.random.default_rng(11)
+    features_mod.save_features(d / "features.csv", features_mod.FeatureSet(
+        [f"p{i}" for i in range(4 * WIDE_BLOCK)], rng.normal(size=(4 * WIDE_BLOCK, WIDE))))
+    (d / "pairs.csv").write_text("id_a,id_b,user_id,prob,delta_s\n" + "".join(
+        f"p{i},p{i + 1},u,0.99,1.0\n" for i in range(0, 4 * WIDE_BLOCK, 2)))
+    mlp.save_checkpoint(d / "checkpoint.txt", {"scorer": mlp.init_model([WIDE, 8, 1], 4)})
+    return d
+
+
+def _wide_run(wide, command, features, out):
+    extra = {"score": [], "eval": ["--pairs", wide / "pairs.csv"],
+             "train": ["--pairs", wide / "pairs.csv", "--epochs", "1"]}[command]
+    checkpoint = [] if command == "train" else ["--checkpoint", wide / "checkpoint.txt"]
+    return _run([command, *checkpoint, "--features", features, *extra, "--out-dir", out])
+
+
+class TestStreamedScoring:
+    """`score` and `eval` score the features file one checked block at a time, through the same errors."""
+
+    @pytest.mark.parametrize(
+        "row, edit, message",
+        [(2 * WIDE_BLOCK + 3, lambda line: "p5" + line[line.index(","):], "duplicate post_id 'p5'"),
+         (3 * WIDE_BLOCK + 10, lambda line: line.rpartition(",")[0] + ",x", "could not convert string to float: 'x'"),
+         (3 * WIDE_BLOCK + 10, lambda line: line.rpartition(",")[0] + ",nan",
+          f"non-finite value for post_id 'p{3 * WIDE_BLOCK + 10}'")],
+        ids=["repeated-id-across-blocks", "bad-value-in-the-last-block", "non-finite-in-the-last-block"],
+    )
+    @pytest.mark.parametrize("command", ["score", "eval", "train"])
+    def test_a_bad_row_in_a_late_block_is_the_one_line_error(self, wide, tmp_path, capsys, command, row, edit,
+                                                             message):
+        header, *rows = (wide / "features.csv").read_text().splitlines()
+        rows[row] = edit(rows[row])
+        bad = tmp_path / "features.csv"
+        bad.write_text("\n".join([header] + rows) + "\n")
+        capsys.readouterr()
+        code = _wide_run(wide, command, bad, tmp_path / "out")
+        assert code == 1 and capsys.readouterr().err == f"error: line {row + 2}: {message}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_a_checkpoint_of_another_width_is_an_error_after_every_row_is_checked(self, wide, tmp_path, capsys):
+        other = tmp_path / "other.txt"
+        mlp.save_checkpoint(other, {"scorer": mlp.init_model([WIDE - 1, 8, 1], 4)})
+        header, *rows = (wide / "features.csv").read_text().splitlines()
+        rows[3 * WIDE_BLOCK] = rows[3 * WIDE_BLOCK].rpartition(",")[0] + ",x"
+        bad = tmp_path / "features.csv"
+        bad.write_text("\n".join([header] + rows) + "\n")
+        for features, message in [(wide / "features.csv", f"input dim {WIDE} does not match model input dim {WIDE - 1}"),
+                                  (bad, f"line {3 * WIDE_BLOCK + 2}: could not convert string to float: 'x'")]:
+            capsys.readouterr()
+            code = _run(["score", "--checkpoint", other, "--features", features, "--out-dir", tmp_path / "out"])
+            assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_score_passes_one_block_at_a_time_and_writes_the_scores_of_the_whole_matrix(self, wide, tmp_path,
+                                                                                        monkeypatch):
+        rows_per_call, forward_batch = [], mlp.forward_batch
+
+        def recording(model, xs):
+            rows_per_call.append(len(xs))
+            return forward_batch(model, xs)
+
+        monkeypatch.setattr(mlp, "forward_batch", recording)
+        assert _wide_run(wide, "score", wide / "features.csv", tmp_path) == 0
+        monkeypatch.undo()
+        assert max(rows_per_call) <= WIDE_BLOCK and sum(rows_per_call) == 4 * WIDE_BLOCK
+        features = features_mod.load_features(wide / "features.csv")
+        scores = ranker.score_batch(mlp.load_checkpoint(wide / "checkpoint.txt")["scorer"], features)
+        evaluate.write_scores_csv(tmp_path / "whole.csv", scores)  # one pass over the whole matrix
+        assert (tmp_path / "scores.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+# Starts a command and prints its exit code and peak RSS in kilobytes (Linux). A process's peak RSS starts from that
+# of the process it was forked from, so the command is forked from this small interpreter, not from pytest.
+_LAUNCHER = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+             "_, status, usage = os.wait4(child.pid, 0); print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+def _peak_rss_mb(args) -> float:
+    """The peak RSS of one `poprank` command run in a fresh process, in MB."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    boot = "import sys; from poprank.cli import main; sys.exit(main())"
+    run = subprocess.run([sys.executable, "-c", _LAUNCHER, sys.executable, "-c", boot, *map(str, args)], env=env,
+                         capture_output=True, text=True, check=True)
+    code, kilobytes = run.stdout.split()
+    assert code == "0", args
+    return int(kilobytes) / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
+def test_synth_and_score_memory_does_not_grow_with_the_rows(tmp_path):
+    """`synth` holds one user's rows and `score` one block: 6,000 rows of 256-d features, 11 MB more than 600 rows,
+    raise neither command's peak by 4 MB."""
+    checkpoint = tmp_path / "checkpoint.txt"
+    mlp.save_checkpoint(checkpoint, {"scorer": mlp.init_model([256, 64, 32, 1], 0)})
+    peaks = {}
+    for users in (50, 500):
+        out = tmp_path / f"users{users}"
+        peaks[users] = (
+            _peak_rss_mb(["synth", "--n-users", users, "--posts-per-user", 12, "--feature-dim", 256, "--out-dir", out]),
+            _peak_rss_mb(["score", "--checkpoint", checkpoint, "--features", out / "features.csv", "--out-dir", out]),
+        )
+    growth = [large - small for small, large in zip(peaks[50], peaks[500])]
+    assert max(growth) < 4.0, peaks
+
+
 # Each command's input labels, in the order it checks and reads them, and the pipeline file each one names
 INPUTS = {"stats": ["posts"], "mine": ["posts"], "train": ["pairs", "features"],
           "eval": ["checkpoint", "pairs", "features"], "score": ["checkpoint", "features"],
@@ -441,10 +558,22 @@ class TestOneLineErrors:
         def fail(config):
             raise exc
 
-        monkeypatch.setattr(synthgen, "generate_corpus", fail)
+        monkeypatch.setattr(synthgen, "generate_users", fail)
         code = _run(SYNTH_ARGS + ["--out-dir", tmp_path])
         assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "posts.jsonl").exists()
+
+    def test_synth_failing_after_some_users_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        generate_users = synthgen.generate_users
+
+        def fail_at_the_sixth_user(config):
+            yield from islice(generate_users(config), 5)
+            raise MemoryError()
+
+        monkeypatch.setattr(synthgen, "generate_users", fail_at_the_sixth_user)
+        code = _run(SYNTH_ARGS + ["--out-dir", tmp_path])
+        assert code == 1 and capsys.readouterr().err == "error: out of memory\n"
+        assert list(tmp_path.iterdir()) == []  # neither an output nor a partial file
 
     @pytest.mark.parametrize(
         "row, message",

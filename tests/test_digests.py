@@ -6,7 +6,8 @@ output, as its manifest records it, must equal the value pinned here, so a
 change to any output's bytes fails this test. The trained outputs (checkpoint,
 train report, scores, eval, ablation) hold for any BLAS thread count, and the
 run is repeated at two OpenBLAS threads to show it; a BLAS or numpy that rounds
-differently in the last bit would need new values.
+differently in the last bit would need new values. Under other CPU kernels the
+untrained outputs, and the scores of a given checkpoint, are checked to hold.
 """
 
 import hashlib
@@ -15,6 +16,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from poprank import synthgen
 from poprank.cli import main
@@ -52,40 +56,77 @@ def test_wide_synth_digests_are_pinned(tmp_path):
     assert json.loads((tmp_path / "synth_manifest.json").read_text())["outputs"] == PINNED_WIDE
 
 
-def test_every_output_digest_is_pinned(tmp_path):
-    d = {name: tmp_path / name for name in ("synth", "stats", "mine", "train", "eval", "score", "rescaled", "ablate")}
+LABELS = ("synth", "stats", "mine", "train", "eval", "score", "rescaled", "ablate")
+
+
+def run_pinned(root: Path, labels=LABELS, trained: Path | None = None) -> dict[str, str]:
+    """Run the pinned commands that `labels` name, each into its own directory under `root`; return the output
+    digests their manifests record. The commands after `train` read the checkpoint in `trained` when given."""
+    d = {label: root / label for label in LABELS}
     posts, pairs, features = d["synth"] / "posts.jsonl", d["mine"] / "pairs.csv", d["synth"] / "features.csv"
-    checkpoint = d["train"] / "checkpoint.txt"
-    runs = [
-        ["synth", "--n-users", "150", "--posts-per-user", "12", "--seed", "2", "--out-dir", d["synth"]],
-        ["stats", "--posts", posts, "--out-dir", d["stats"]],
-        ["mine", "--posts", posts, "--reference-time", REF, "--out-dir", d["mine"]],
-        ["train", "--pairs", pairs, "--features", features, *TRAIN, "--out-dir", d["train"]],
-        ["eval", "--checkpoint", checkpoint, "--pairs", pairs, "--features", features, "--out-dir", d["eval"]],
-        ["score", "--checkpoint", checkpoint, "--features", features, "--out-dir", d["score"]],
-        ["score", "--checkpoint", checkpoint, "--features", features, "--rescale-max", "100",
-         "--out-dir", d["rescaled"]],
-        ["ablate", "--pairs", pairs, "--features", features, "--noise-levels", "0,0.3", *TRAIN,
-         "--out-dir", d["ablate"]],
-    ]
+    checkpoint = (trained or d["train"]) / "checkpoint.txt"
+    runs = {
+        "synth": ["synth", "--n-users", "150", "--posts-per-user", "12", "--seed", "2", "--out-dir", d["synth"]],
+        "stats": ["stats", "--posts", posts, "--out-dir", d["stats"]],
+        "mine": ["mine", "--posts", posts, "--reference-time", REF, "--out-dir", d["mine"]],
+        "train": ["train", "--pairs", pairs, "--features", features, *TRAIN, "--out-dir", d["train"]],
+        "eval": ["eval", "--checkpoint", checkpoint, "--pairs", pairs, "--features", features, "--out-dir", d["eval"]],
+        "score": ["score", "--checkpoint", checkpoint, "--features", features, "--out-dir", d["score"]],
+        "rescaled": ["score", "--checkpoint", checkpoint, "--features", features, "--rescale-max", "100",
+                     "--out-dir", d["rescaled"]],
+        "ablate": ["ablate", "--pairs", pairs, "--features", features, "--noise-levels", "0,0.3", *TRAIN,
+                   "--out-dir", d["ablate"]],
+    }
     digests = {}
-    for (label, out), args in zip(d.items(), runs):
+    for label in labels:
+        args = runs[label]
         assert main([str(a) for a in args]) == 0, label
-        manifest = json.loads((out / f"{args[0]}_manifest.json").read_text())
+        manifest = json.loads((d[label] / f"{args[0]}_manifest.json").read_text())
         digests.update({f"{label}/{name}": sha for name, sha in manifest["outputs"].items()})
-    assert digests == PINNED
+    return digests
+
+
+def test_every_output_digest_is_pinned(tmp_path):
+    assert run_pinned(tmp_path) == PINNED
+
+
+def _subprocess_env(**extra) -> dict[str, str]:
+    """This environment, with the source and test directories on the path, plus `extra`."""
+    tests = Path(__file__).resolve().parent
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)]), **extra}
 
 
 def test_every_output_digest_holds_at_two_blas_threads(tmp_path):
     """The same run in a fresh process, since OpenBLAS reads its thread count when numpy loads: two threads, or
     one if this process may use only one CPU."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    tests = Path(__file__).resolve().parent
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(min(2, cpus)),
-           "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    env = _subprocess_env(OPENBLAS_NUM_THREADS=str(min(2, cpus)))
     code = "import pathlib, sys, test_digests; test_digests.test_every_output_digest_is_pinned(pathlib.Path(sys.argv[1]))"
     run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+CPU = np._core._multiarray_umath.__cpu_features__
+AVX512_LOOPS = ("AVX512_SPR", "AVX512_ICL", "X86_V4")  # the targets of numpy's AVX-512 dispatch
+
+
+@pytest.mark.skipif(not (CPU.get("AVX2") and CPU.get("FMA3")), reason="OpenBLAS's Haswell kernels need AVX2 and FMA3")
+def test_scores_and_untrained_outputs_hold_on_other_cpu_kernels(tmp_path):
+    """Under OpenBLAS's Haswell kernels and without numpy's AVX-512 loops, `synth`, `stats` and `mine` still write
+    their pinned bytes, and `score` writes the scores.csv of this process from this process's checkpoint: scoring
+    a checkpoint uses no BLAS. (The checkpoint itself depends on the kernels, so `train` is not rerun.)"""
+    here = run_pinned(tmp_path / "here", ("synth", "mine", "train", "score"))
+    env = _subprocess_env(OPENBLAS_CORETYPE="Haswell",
+                          NPY_DISABLE_CPU_FEATURES=" ".join(f for f in AVX512_LOOPS if CPU.get(f)))
+    code = ("import json, pathlib, sys, test_digests; labels = ('synth', 'stats', 'mine', 'score'); "
+            "digests = test_digests.run_pinned(pathlib.Path(sys.argv[1]), labels, pathlib.Path(sys.argv[2])); "
+            "pathlib.Path(sys.argv[3]).write_text(json.dumps(digests))")
+    there = tmp_path / "there.json"
+    run = subprocess.run([sys.executable, "-c", code, tmp_path / "there", tmp_path / "here" / "train", there],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    untrained = {name: sha for name, sha in PINNED.items() if name.split("/")[0] in ("synth", "stats", "mine")}
+    assert json.loads(there.read_text()) == {**untrained, "score/scores.csv": here["score/scores.csv"]}
 
 
 # A hand-built posts file that trips every parse rule and caption corner the stats and the miner see: CRLF and

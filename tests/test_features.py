@@ -1,6 +1,7 @@
 """Tests for the columnar feature set and its file format."""
 
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -256,3 +257,30 @@ def test_block_reader_matches_the_row_parser(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("differential") / "features.csv"
     path.write_bytes(text.encode("utf-8"))
     assert _outcome(_loaded, path) == _outcome(_row_parser, path)
+
+
+class TestFeatureBlocks:
+    """The block reader yields each block once it is checked. A block that numpy's reader does not take as it is, after
+    others were yielded, goes with the rest of the file to the row parser, from the block's first line on."""
+
+    @pytest.mark.parametrize("kind, value", [("float only", "1_0"), ("padded", "1\x1c")])
+    def test_a_value_one_reader_refuses_in_the_third_block(self, tmp_path, monkeypatch, kind, value):
+        path = tmp_path / "features.csv"
+        path.write_text(_features_text(300, 4 * _B300, [(kind, value, 2 * _B300 + 5, 7)]))
+        starts = []
+
+        def recording_row_parser(lines, n_values, wanted, start, seen):
+            starts.append(start)
+            return read_keyed_floats(lines, n_values, wanted, start, seen)
+
+        monkeypatch.setattr(features_mod, "read_keyed_floats", recording_row_parser)
+        blocks = iter(features_mod.FeatureBlocks(path))
+        first_two = [next(blocks), next(blocks)]
+        assert [len(ids) for ids, _ in first_two] == [_B300, _B300] and starts == []
+
+        def streamed(_path):
+            read = list(chain(first_two, blocks))
+            return [pid for ids, _ in read for pid in ids], np.concatenate([block for _, block in read])
+
+        assert _outcome(streamed, path) == _outcome(_row_parser, path)
+        assert starts == [2 + 2 * _B300]  # the third block's first line
