@@ -261,12 +261,6 @@ def serialize_post(post: Post) -> str:
     )
 
 
-def write_posts(path: str | Path, posts: Iterable[Post]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for post in posts:
-            f.write(serialize_post(post) + "\n")
-
-
 def _caption_parts(caption: str) -> tuple[list[str], list[str], int]:
     """The caption's hashtags and mentions, each sorted, and its plain-word count: the one tokenizer.
 

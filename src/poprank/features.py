@@ -10,15 +10,16 @@ mapping from post_id to that post's row.
 
 from __future__ import annotations
 
+import math
 from array import array
-from collections.abc import Collection, Container, Generator, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Container, Iterable, Iterator, Mapping, Sequence
 from itertools import islice, repeat
 from pathlib import Path
 from typing import TextIO
 
 import numpy as np
 
-from .util import _ID_FORBIDDEN, open_csv, read_keyed_floats
+from .util import _ID_FORBIDDEN, _check_id
 
 FEATURE_VALUES = 1 << 15  # values per numpy parse when reading a features file: bounds the memory a block takes
 # float() does not strip these around a number and numpy's reader does (both strip the other whitespace)
@@ -77,11 +78,6 @@ def header(dim: int) -> str:
     return f"post_id,dim={dim}"
 
 
-def save_features(path: str | Path, features: FeatureSet) -> None:
-    with open_csv(path, header(features.dim)) as f:
-        write_rows(f, features.ids, features.matrix)
-
-
 def write_rows(f: TextIO, ids: Sequence[str], matrix: np.ndarray) -> None:
     """Write the (len(ids), D) `matrix` as rows of a features file, one at a time to keep memory flat."""
     row_format = "%s" + ",%.17g" * matrix.shape[1] + "\n"  # round-trips float64
@@ -100,16 +96,17 @@ class FeatureBlocks:
     """A features file read as checked blocks of at most FEATURE_VALUES values each.
 
     Iterating yields (ids, matrix) blocks: the rows whose id is in `wanted`
-    (every row when None) as a (len(ids), dim) float64 matrix. Every line has
-    its field count, its id and a repeated id checked; only the kept rows have
-    their values parsed and checked finite. A bad header is a ValueError when
-    the reader is made, and a bad row one when iteration reaches its block,
-    naming the file's first bad line: every row before that block passed.
-    Blocks are parsed by numpy's C reader. A block it does not take as it is,
-    and one with a bad or repeated id or a non-finite value, is read again from
-    its first line, with the rest of the file, row by row by
-    `read_keyed_floats`, which parses with float() and names the first bad line.
-    `file_rows` counts the rows checked, every row of the file once iterated.
+    (every row when None) as a (len(ids), dim) float64 matrix. A block is the
+    next max(1, FEATURE_VALUES // dim) lines of the file, blank ones included.
+    Every line has its field count, its id and a repeated id checked; only the
+    kept rows have their values parsed and checked finite. A bad header is a
+    ValueError when the reader is made, and a bad row one when iteration
+    reaches its block, naming the file's first bad line: every block before it
+    passed. A block is parsed by numpy's C reader; one it does not take as it
+    is, and one with a bad or repeated id or a non-finite value, is parsed row
+    by row by `read_keyed_floats`, which parses with float() and names the
+    first bad line. `file_rows` counts the rows checked, every row of the file
+    once iterated.
     """
 
     def __init__(self, path: str | Path, wanted: Collection[str] | None = None):
@@ -120,7 +117,6 @@ class FeatureBlocks:
         if name != "post_id" or not sep or not dim.isdecimal() or int(dim) < 1:
             raise ValueError(f"line 1: expected the header 'post_id,dim=D' with D a positive integer, got {line!r}")
         self.dim = int(dim)
-        self.rows_per_block = max(1, FEATURE_VALUES // self.dim)
 
     @property
     def file_rows(self) -> int:
@@ -130,25 +126,20 @@ class FeatureBlocks:
         self.seen = set()
         with open(self.path, "r", encoding="utf-8") as f:
             f.readline()
-            blocks = _read_blocks(f, self.dim, self.rows_per_block, self.wanted, self.seen)
-            start = 2 if blocks is None else (yield from blocks)
-        if start is not None:
-            yield from self._read_rows(start)
-
-    def _read_rows(self, start: int) -> Iterator[tuple[list[str], np.ndarray]]:
-        """The blocks of the rows from file line `start` on, parsed row by row."""
-        with open(self.path, "r", encoding="utf-8") as f:
-            ids, flat = [], array("d")  # one flat buffer: a list per row would take several times the memory
-            for post_id, values in read_keyed_floats(islice(f, start - 1, None), self.dim, self.wanted, start,
-                                                     self.seen):
-                if values is not None:
-                    ids.append(post_id)
-                    flat.extend(values)
-                    if len(ids) == self.rows_per_block:
-                        yield ids, np.frombuffer(flat, dtype=np.float64).reshape(len(ids), self.dim)
-                        ids, flat = [], array("d")
-            if ids:
-                yield ids, np.frombuffer(flat, dtype=np.float64).reshape(len(ids), self.dim)
+            start, size = 2, max(1, FEATURE_VALUES // self.dim)
+            while lines := list(islice(f, size)):
+                block = _parse_block(lines, self.dim, self.wanted, self.seen)
+                if block is None:
+                    ids, flat = [], []
+                    for post_id, values in read_keyed_floats(lines, self.dim, self.wanted, start, self.seen):
+                        if values is not None:
+                            ids.append(post_id)
+                            flat += values
+                    block = ids, np.array(flat, dtype=np.float64).reshape(-1, self.dim)
+                start += len(lines)
+                del lines  # not held while the caller works on the block
+                if block[0]:
+                    yield block
 
 
 def load_features(path: str | Path, wanted: Collection[str] | None = None) -> FeatureSet:
@@ -164,12 +155,49 @@ def load_features(path: str | Path, wanted: Collection[str] | None = None) -> Fe
     return FeatureSet(ids, np.frombuffer(flat, dtype=np.float64).reshape(len(ids), blocks.dim), blocks.file_rows)
 
 
-def _read_blocks(f: TextIO, dim: int, rows_per_block: int, wanted: Collection[str] | None,
-                 seen: set[str]) -> Generator[tuple[list[str], np.ndarray], None, int | None]:
-    """Yield the blocks of `f`'s rows that numpy's reader takes; return None at the end of the file, or the line
-    from which the row parser must judge the rows."""
-    start, every, ids, rows = 2, [], [], []
-    for end, line in enumerate(f, start=2):
+def read_keyed_floats(
+    lines: Iterable[str], n_values: int, wanted: Container[str] | None = None, start: int = 2,
+    seen: set[str] | None = None,
+) -> Iterator[tuple[str, list[float] | None]]:
+    """Yield (post_id, values) from CSV rows of an id and `n_values` floats.
+
+    `lines` are a file's lines from line `start` on (by default, all after a
+    one-line header); blank ones are skipped. A wrong field count, an id that
+    breaks the id rule or an id repeated here or in `seen` (the ids of earlier
+    rows, which takes each new one) raises a ValueError naming the line. Only a
+    row whose id is in `wanted` (every row when None) has its values parsed,
+    where a non-numeric or non-finite value raises the same way; any other row
+    yields None as values.
+    """
+    seen = set() if seen is None else seen
+    for lineno, line in enumerate(lines, start=start):
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split(",")
+        post_id, values = fields[0], None
+        try:
+            if len(fields) != n_values + 1:
+                raise ValueError(f"expected {n_values + 1} fields, got {len(fields)}")
+            _check_id("post_id", post_id)
+            if post_id in seen:
+                raise ValueError(f"duplicate post_id {post_id!r}")
+            if wanted is None or post_id in wanted:
+                values = list(map(float, fields[1:]))
+                if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):  # finite rows can sum to inf
+                    raise ValueError(f"non-finite value for post_id {post_id!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        seen.add(post_id)
+        yield post_id, values
+
+
+def _parse_block(lines: list[str], dim: int, wanted: Collection[str] | None,
+                 seen: set[str]) -> tuple[list[str], np.ndarray] | None:
+    """The kept ids of the file `lines` and their (len(ids), dim) values, once every id keeps the id rule and is new
+    to `seen`, which then takes them; None where the row parser must judge the block, as where numpy's reader and
+    float() may differ."""
+    every, ids, rows = [], [], []
+    for line in lines:
         if line.isspace():
             continue
         post_id, _, values = line.partition(",")
@@ -178,24 +206,7 @@ def _read_blocks(f: TextIO, dim: int, rows_per_block: int, wanted: Collection[st
             ids.append(post_id)
             rows.append(values)
         elif line.count(",") != dim:  # a kept row's field count is checked by the shape of its block
-            return start
-        if len(rows) == rows_per_block:
-            block = _parse_block(every, rows, dim, seen)
-            if block is None:
-                return start
-            yield ids, block
-            start, every, ids, rows = end + 1, [], [], []
-    block = _parse_block(every, rows, dim, seen)
-    if block is None:
-        return start
-    if ids:
-        yield ids, block
-    return None
-
-
-def _parse_block(every: list[str], rows: list[str], dim: int, seen: set[str]) -> np.ndarray | None:
-    """The (len(rows), dim) values of `rows` once the ids `every` keep the id rule and are new to `seen`, which then
-    takes them; None where the row parser must judge the block, as where numpy's reader and float() may differ."""
+            return None
     new = set(every)
     if not all(every) or _ID_FORBIDDEN.search("".join(every)) or len(new) < len(every) or not seen.isdisjoint(new):
         return None
@@ -213,4 +224,4 @@ def _parse_block(every: list[str], rows: list[str], dim: int, seen: set[str]) ->
         if block.shape[1] != dim or not np.isfinite(block).all():
             return None
     seen |= new
-    return block
+    return ids, block

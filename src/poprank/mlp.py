@@ -206,7 +206,8 @@ def fit(
     loss, flat gradient), so per-epoch augmentation draws from the same stream.
     ``validate()`` (higher is better) scores each epoch after the learning-rate
     decay. Returns (losses, scores, best epoch, copy of the best parameters);
-    ties keep the earliest epoch.
+    ties keep the earliest epoch. A batch loss or end-of-epoch parameters that
+    are not finite are a ValueError naming the epoch: training diverged.
     """
     train_idx, val_idx = (np.asarray(ix, dtype=int) for ix in split)
     if len(train_idx) == 0 or len(val_idx) == 0:
@@ -219,20 +220,26 @@ def fit(
     losses, scores = [], []
     best, best_epoch, best_params = -np.inf, 0, params.copy()
     n = len(train_idx)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        batch_loss_and_grad = loss_and_grad(rng)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            loss, grad = batch_loss_and_grad(batch)
-            adam_step(state, params, grad, lr, config.l2_penalty)
-            epoch_loss += loss * len(batch)
-        losses.append(epoch_loss / n)
-        lr *= config.lr_decay_per_epoch
-        scores.append(validate())
-        if scores[-1] > best:
-            best, best_epoch, best_params = scores[-1], epoch, params.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is the ValueError below, not a numpy warning
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            batch_loss_and_grad = loss_and_grad(rng)
+            epoch_loss = 0.0
+            for start in range(0, n, config.batch_size):
+                batch = order[start : start + config.batch_size]
+                loss, grad = batch_loss_and_grad(batch)
+                if not math.isfinite(loss):
+                    raise ValueError(f"training diverged in epoch {epoch}: non-finite loss; try a lower learning rate")
+                adam_step(state, params, grad, lr, config.l2_penalty)
+                epoch_loss += loss * len(batch)
+            if not np.isfinite(params).all():
+                raise ValueError(f"training diverged in epoch {epoch}: non-finite parameters; "
+                                 "try a lower learning rate")
+            losses.append(epoch_loss / n)
+            lr *= config.lr_decay_per_epoch
+            scores.append(validate())
+            if scores[-1] > best:
+                best, best_epoch, best_params = scores[-1], epoch, params.copy()
     return losses, scores, best_epoch, best_params
 
 

@@ -122,19 +122,24 @@ def score_blocks(model: MlpModel, blocks: Iterable[tuple[Sequence[str], np.ndarr
     """Scores keyed by post_id of the rows of every (ids, matrix) block, one `mlp.forward_batch` per block.
 
     A row scores the same bits in any block, so a file scored one block at a
-    time gives the scores of its whole matrix. A block the model does not take
-    is a ValueError only once every block is read, so that a bad row in a later
+    time gives the scores of its whole matrix. A block the model does not take,
+    and a score that is not finite (weights whose sums overflow), are a
+    ValueError only once every block is read, so that a bad row in a later
     block is the error reported, as when the file is read whole first.
     """
-    scores, misfit = {}, None
+    scores, fault = {}, None
     for ids, matrix in blocks:
-        if misfit is None:
+        if fault is None:
             try:
-                scores.update(zip(ids, mlp.forward_batch(model, matrix).tolist()))
-            except ValueError as exc:  # rows of another width than the model's input
-                misfit = exc
-    if misfit is not None:
-        raise misfit
+                with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the ValueError below
+                    block_scores = mlp.forward_batch(model, matrix)
+                if not np.isfinite(block_scores).all():
+                    raise ValueError(f"non-finite score for post_id {ids[np.argmin(np.isfinite(block_scores))]!r}")
+                scores.update(zip(ids, block_scores.tolist()))
+            except ValueError as exc:  # rows of another width than the model's input, or a non-finite score
+                fault = exc
+    if fault is not None:
+        raise fault
     return scores
 
 

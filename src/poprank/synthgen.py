@@ -48,7 +48,6 @@ import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice, repeat
-from pathlib import Path
 from typing import TextIO
 
 import numpy as np
@@ -56,7 +55,7 @@ import numpy as np
 from .corpus import INT64_MAX, SECONDS_PER_DAY, Post
 from .features import FeatureSet
 from .mining import PDIP
-from .util import open_csv, seeded_rng
+from .util import seeded_rng
 
 BASE_TIME = 1_600_000_000  # fixed epoch origin of synthetic upload times
 MAX_TIME_SPAN_DAYS = (INT64_MAX - BASE_TIME) // SECONDS_PER_DAY  # every upload time and the reference time fit int64
@@ -191,11 +190,6 @@ def latent_consistency(pairs: list[PDIP], latent: dict[str, float]) -> float:
     if not pairs:
         raise ValueError("latent_consistency requires a non-empty pair list")
     return sum(oracle_label(p, latent) for p in pairs) / len(pairs)
-
-
-def save_latents(path: str | Path, latent_mu: dict[str, float]) -> None:
-    with open_csv(path, LATENTS_HEADER) as f:
-        write_latents(f, latent_mu.keys(), latent_mu.values())
 
 
 def write_latents(f: TextIO, ids: Iterable[str], mus: Iterable[float]) -> None:

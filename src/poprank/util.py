@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import re
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Container, Iterable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -80,39 +79,3 @@ def open_csv(path: str | Path, header: str) -> TextIO:
     f = open(path, "w", encoding="utf-8", newline="\n")
     f.write(header + "\n")
     return f
-
-
-def read_keyed_floats(
-    lines: Iterable[str], n_values: int, wanted: Container[str] | None = None, start: int = 2,
-    seen: set[str] | None = None,
-) -> Iterator[tuple[str, list[float] | None]]:
-    """Yield (post_id, values) from CSV rows of an id and `n_values` floats.
-
-    `lines` are a file's lines from line `start` on (by default, all after a
-    one-line header); blank ones are skipped. A wrong field count, an id that
-    breaks the id rule or an id repeated here or in `seen` (the ids of earlier
-    rows, which takes each new one) raises a ValueError naming the line. Only a
-    row whose id is in `wanted` (every row when None) has its values parsed,
-    where a non-numeric or non-finite value raises the same way; any other row
-    yields None as values.
-    """
-    seen = set() if seen is None else seen
-    for lineno, line in enumerate(lines, start=start):
-        if not line.strip():
-            continue
-        fields = line.rstrip("\n").split(",")
-        post_id, values = fields[0], None
-        try:
-            if len(fields) != n_values + 1:
-                raise ValueError(f"expected {n_values + 1} fields, got {len(fields)}")
-            _check_id("post_id", post_id)
-            if post_id in seen:
-                raise ValueError(f"duplicate post_id {post_id!r}")
-            if wanted is None or post_id in wanted:
-                values = list(map(float, fields[1:]))
-                if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):  # finite rows can sum to inf
-                    raise ValueError(f"non-finite value for post_id {post_id!r}")
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        seen.add(post_id)
-        yield post_id, values

@@ -17,10 +17,10 @@ import pytest
 from hypothesis import strategies as st
 
 from poprank import mlp, synthgen
-from poprank.corpus import POST_FIELDS, SECONDS_PER_DAY, Post, log_likes
-from poprank.features import FeatureSet
+from poprank.corpus import POST_FIELDS, SECONDS_PER_DAY, Post, log_likes, serialize_post
+from poprank.features import FeatureSet, header, write_rows
 from poprank.mining import PDIP, MinerConfig
-from poprank.util import _check_id, seeded_rng
+from poprank.util import _check_id, open_csv, seeded_rng
 
 # Zelen & Severo coefficients, as in poprank.mining
 _CDF_P = 0.2316419
@@ -296,6 +296,22 @@ def read_id_values(path, header: str) -> dict[str, float]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     assert lines[0] == header
     return {post_id: float(value) for post_id, value in (line.split(",") for line in lines[1:])}
+
+
+# The files `synth` writes, through the row writers it writes them with
+def write_posts_file(path, posts) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.writelines(serialize_post(post) + "\n" for post in posts)
+
+
+def write_features_file(path, features: FeatureSet) -> None:
+    with open_csv(path, header(features.dim)) as f:
+        write_rows(f, features.ids, features.matrix)
+
+
+def write_latents_file(path, latent_mu: dict[str, float]) -> None:
+    with open_csv(path, synthgen.LATENTS_HEADER) as f:
+        synthgen.write_latents(f, latent_mu.keys(), latent_mu.values())
 
 
 def zero_gradients(model: mlp.MlpModel) -> mlp.MlpModel:

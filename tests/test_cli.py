@@ -14,7 +14,7 @@ from poprank import corpus, evaluate, features as features_mod, mlp, ranker, syn
 from poprank.cli import build_parser, main
 from poprank.mining import MinerConfig, read_pairs
 
-from conftest import read_id_values, reference_mine_pairs
+from conftest import read_id_values, reference_mine_pairs, write_features_file
 
 REF = str(synthgen.reference_time_for(synthgen.SynthConfig(time_span_days=45)))
 
@@ -345,8 +345,8 @@ class TestPartialFeatureRead:
         rows.insert(i + 1, bad_row(rows[i]))  # file line i + 3
         bad = tmp_path / "features.csv"
         bad.write_text("\n".join([header] + rows) + "\n")
-        if reader == "rows":  # the block reader hands every file to the row parser
-            monkeypatch.setattr(features_mod, "_read_blocks", lambda *args: None)
+        if reader == "rows":  # numpy's reader takes no block, so the row parser parses each one
+            monkeypatch.setattr(features_mod, "_parse_block", lambda *args: None)
         capsys.readouterr()
         code, outputs = _paired_run(pipeline, command, bad, tmp_path / "out")
         err = capsys.readouterr().err
@@ -363,7 +363,7 @@ def wide(tmp_path_factory):
     """A features file of four blocks of 300-d rows, a pairs file naming every row, and a checkpoint that takes them."""
     d = tmp_path_factory.mktemp("wide")
     rng = np.random.default_rng(11)
-    features_mod.save_features(d / "features.csv", features_mod.FeatureSet(
+    write_features_file(d / "features.csv", features_mod.FeatureSet(
         [f"p{i}" for i in range(4 * WIDE_BLOCK)], rng.normal(size=(4 * WIDE_BLOCK, WIDE))))
     (d / "pairs.csv").write_text("id_a,id_b,user_id,prob,delta_s\n" + "".join(
         f"p{i},p{i + 1},u,0.99,1.0\n" for i in range(0, 4 * WIDE_BLOCK, 2)))
@@ -412,6 +412,24 @@ class TestStreamedScoring:
                                   (bad, f"line {3 * WIDE_BLOCK + 2}: could not convert string to float: 'x'")]:
             capsys.readouterr()
             code = _run(["score", "--checkpoint", other, "--features", features, "--out-dir", tmp_path / "out"])
+            assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    def test_a_bad_row_after_a_block_of_overflowing_scores_is_the_error(self, wide, tmp_path, capsys, command):
+        model = mlp.init_model([WIDE, 8, 1], 4)
+        model.params *= 1e155
+        mlp.save_checkpoint(tmp_path / "big.txt", {"scorer": model})
+        header, *rows = (wide / "features.csv").read_text().splitlines()
+        rows[3 * WIDE_BLOCK] = rows[3 * WIDE_BLOCK].rpartition(",")[0] + ",x"
+        bad = tmp_path / "features.csv"
+        bad.write_text("\n".join([header] + rows) + "\n")
+        extra = ["--pairs", wide / "pairs.csv"] if command == "eval" else []
+        for features, message in [(wide / "features.csv", "non-finite score for post_id 'p0'"),
+                                  (bad, f"line {3 * WIDE_BLOCK + 2}: could not convert string to float: 'x'")]:
+            capsys.readouterr()
+            code = _run([command, "--checkpoint", tmp_path / "big.txt", "--features", features, *extra,
+                         "--out-dir", tmp_path / "out"])
             assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
         assert list((tmp_path / "out").iterdir()) == []
 
@@ -511,6 +529,30 @@ class TestOneLineErrors:
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "checkpoint.txt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_diverged_training_is_an_error_and_writes_nothing(self, pipeline, tmp_path, capsys, command):
+        capsys.readouterr()
+        code = _run([command, "--pairs", pipeline / "pairs.csv", "--features", pipeline / "features.csv",
+                     "--epochs", "3", "--learning-rate", "1e300", "--out-dir", tmp_path / "out"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: training diverged in epoch ") and err.count("\n") == 1
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["score", "score-rescaled", "eval"])
+    def test_scores_that_overflow_are_an_error_and_write_nothing(self, pipeline, tmp_path, capsys, case):
+        model = mlp.init_model([features_mod.FeatureBlocks(pipeline / "features.csv").dim, 4, 1], 0)
+        model.params *= 1e155  # finite weights whose sums overflow
+        mlp.save_checkpoint(tmp_path / "big.txt", {"scorer": model})
+        command = case.partition("-")[0]
+        extra = {"score": [], "score-rescaled": ["--rescale-max", "100"],
+                 "eval": ["--pairs", pipeline / "pairs.csv"]}[case]
+        capsys.readouterr()
+        code = _run([command, "--checkpoint", tmp_path / "big.txt", "--features", pipeline / "features.csv", *extra,
+                     "--out-dir", tmp_path / "out"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: non-finite score for post_id '") and err.count("\n") == 1
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
     def test_score_rejects_bad_rescale_max(self, pipeline, tmp_path, capsys, value):

@@ -26,10 +26,9 @@ from poprank.corpus import (
     parse_posts,
     parse_posts_file,
     serialize_post,
-    write_posts,
 )
 
-from conftest import BASE, DAY, caption_parts, legal_ids, make_post, reference_parse_posts
+from conftest import BASE, DAY, caption_parts, legal_ids, make_post, reference_parse_posts, write_posts_file
 
 
 class TestParsePosts:
@@ -83,7 +82,7 @@ class TestParsePosts:
 
     def test_round_trip_through_file(self, tmp_path, small_corpus):
         path = tmp_path / "posts.jsonl"
-        write_posts(path, small_corpus.posts)
+        write_posts_file(path, small_corpus.posts)
         report = parse_posts_file(path)
         assert report.diagnostics == []
         assert list(report.posts) == small_corpus.posts
@@ -249,7 +248,7 @@ class TestSerializePost:
         escapes, which JSON reads as the one character the pair encodes, so such captions are left out.)"""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "posts.jsonl"
-            write_posts(path, posts)
+            write_posts_file(path, posts)
             report = parse_posts_file(path)
         assert report.diagnostics == [] and list(report.posts) == posts
 
@@ -257,7 +256,7 @@ class TestSerializePost:
         """The one post that does not read back as written: its caption's two surrogates become one character."""
         post = make_post(caption="\ud800\udc00")
         assert serialize_post(post).startswith('{"caption": "\\ud800\\udc00", ')
-        write_posts(tmp_path / "posts.jsonl", [post])
+        write_posts_file(tmp_path / "posts.jsonl", [post])
         report = parse_posts_file(tmp_path / "posts.jsonl")
         assert report.diagnostics == [] and list(report.posts) == [make_post(caption="\U00010000")]
 

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from poprank import features as features_mod
-from poprank.features import FeatureSet, load_features, save_features
-from poprank.util import read_keyed_floats
+from poprank.features import FeatureSet, load_features, read_keyed_floats
+
+from conftest import write_features_file
 
 
 def _set(n=3, dim=4, seed=0):
@@ -83,12 +84,12 @@ class TestFeaturesFile:
         matrix = np.random.default_rng(4).normal(size=(5, 3))
         matrix[0] = [-0.0, 5e-324, -1e-310]
         fs = FeatureSet([f"p{i}" for i in range(5)], matrix)
-        save_features(tmp_path / "f.csv", fs)
+        write_features_file(tmp_path / "f.csv", fs)
         loaded = load_features(tmp_path / "f.csv")
         assert loaded.ids == fs.ids and loaded.matrix.tobytes() == fs.matrix.tobytes()
 
     def test_file_text(self, tmp_path):
-        save_features(tmp_path / "f.csv", FeatureSet(["a", "b"], np.array([[0.5, -1.0], [0.1, 3.0]])))
+        write_features_file(tmp_path / "f.csv", FeatureSet(["a", "b"], np.array([[0.5, -1.0], [0.1, 3.0]])))
         assert (tmp_path / "f.csv").read_text() == "post_id,dim=2\na,0.5,-1\nb,0.10000000000000001,3\n"
 
     def test_header_only_is_an_empty_set(self, tmp_path):
@@ -123,8 +124,8 @@ class TestFeaturesFile:
 
     @pytest.mark.parametrize("reader", ["blocks", "rows"])
     def test_only_wanted_rows_have_their_values_read(self, tmp_path, monkeypatch, reader):
-        if reader == "rows":  # the block reader hands every file to the row parser
-            monkeypatch.setattr(features_mod, "_read_blocks", lambda *args: None)
+        if reader == "rows":  # numpy's reader takes no block, so the row parser parses each one
+            monkeypatch.setattr(features_mod, "_parse_block", lambda *args: None)
         path = tmp_path / "features.csv"
         path.write_text("post_id,dim=2\na,1,2\nb,x,nan\n\nc,5,0.25\nd,inf,1\n")
         fs = load_features(path, {"c", "a", "z"})
@@ -155,7 +156,7 @@ def feature_sets(draw):
 def test_save_load_round_trip_is_bitwise(tmp_path_factory, case):
     ids, matrix = case
     path = tmp_path_factory.mktemp("roundtrip") / "features.csv"
-    save_features(path, FeatureSet(ids, matrix))
+    write_features_file(path, FeatureSet(ids, matrix))
     loaded = load_features(path)
     assert loaded.ids == ids
     assert loaded.matrix.shape == matrix.shape
@@ -261,7 +262,8 @@ def test_block_reader_matches_the_row_parser(tmp_path_factory, text):
 
 class TestFeatureBlocks:
     """The block reader yields each block once it is checked. A block that numpy's reader does not take as it is, after
-    others were yielded, goes with the rest of the file to the row parser, from the block's first line on."""
+    others were yielded, goes alone to the row parser, from the block's first line on; the next block goes back to
+    numpy's reader."""
 
     @pytest.mark.parametrize("kind, value", [("float only", "1_0"), ("padded", "1\x1c")])
     def test_a_value_one_reader_refuses_in_the_third_block(self, tmp_path, monkeypatch, kind, value):
@@ -284,3 +286,20 @@ class TestFeatureBlocks:
 
         assert _outcome(streamed, path) == _outcome(_row_parser, path)
         assert starts == [2 + 2 * _B300]  # the third block's first line
+
+    def test_only_the_blocks_numpy_refuses_go_to_the_row_parser(self, tmp_path, monkeypatch):
+        path = tmp_path / "features.csv"
+        path.write_text(_features_text(300, 5 * _B300, [("float only", "1_0", _B300 + 5, 7),
+                                                        ("float only", "1_0", 3 * _B300 + 60, 299)]))
+        calls = []
+
+        def recording_row_parser(lines, n_values, wanted, start, seen):
+            lines = list(lines)
+            calls.append((start, len(lines)))
+            return read_keyed_floats(lines, n_values, wanted, start, seen)
+
+        monkeypatch.setattr(features_mod, "read_keyed_floats", recording_row_parser)
+        loaded = _outcome(_loaded, path)
+        monkeypatch.undo()
+        assert calls == [(2 + _B300, _B300), (2 + 3 * _B300, _B300)]  # blocks 2 and 4, from their first lines
+        assert loaded == _outcome(_row_parser, path) and isinstance(loaded, tuple)

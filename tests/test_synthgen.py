@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from poprank import corpus, features as features_mod, mining, synthgen
+from poprank import corpus, mining, synthgen
 from poprank.mining import MinerConfig, PDIP
 from poprank.synthgen import (
     SynthConfig,
@@ -13,12 +13,12 @@ from poprank.synthgen import (
     latent_consistency,
     oracle_label,
     reference_time_for,
-    save_latents,
 )
 
 from poprank.util import seeded_rng
 
-from conftest import read_id_values, reference_generate_corpus
+from conftest import (read_id_values, reference_generate_corpus, write_features_file, write_latents_file,
+                      write_posts_file)
 
 
 class TestGenerateCorpus:
@@ -40,9 +40,9 @@ class TestGenerateCorpus:
             d = tmp_path / name
             d.mkdir()
             c = generate_corpus(cfg)
-            corpus.write_posts(d / "posts.jsonl", c.posts)
-            features_mod.save_features(d / "features.csv", c.features)
-            save_latents(d / "latents.csv", c.latent_mu)
+            write_posts_file(d / "posts.jsonl", c.posts)
+            write_features_file(d / "features.csv", c.features)
+            write_latents_file(d / "latents.csv", c.latent_mu)
         for fname in ("posts.jsonl", "features.csv", "latents.csv"):
             assert (tmp_path / "one" / fname).read_bytes() == (tmp_path / "two" / fname).read_bytes()
 
@@ -212,5 +212,5 @@ class TestLatentsFile:
     def test_round_trip(self, tmp_path):
         latents = {"p1": 6.25, "p2": 4.75, "p3": -0.5}
         path = tmp_path / "latents.csv"
-        save_latents(path, latents)
+        write_latents_file(path, latents)
         assert read_id_values(path, "post_id,mu") == latents
