@@ -110,6 +110,8 @@ def rescale_for_display(scores: dict[str, float], new_max: float) -> dict[str, f
     lo, hi = min(values), max(values)
     if hi == lo:
         return {pid: float(new_max) for pid in scores}
+    if math.isinf(hi - lo):  # finite scores spanning more than the float range: map their halves instead
+        scores, lo, hi = {pid: s / 2 for pid, s in scores.items()}, lo / 2, hi / 2
     span = hi - lo
     return {pid: new_max * ((s - lo) / span) for pid, s in scores.items()}
 

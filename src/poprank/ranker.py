@@ -90,27 +90,24 @@ def train(
     """Train `model` in place on the train split, select by validation accuracy.
 
     `split` is a (train_indices, val_indices) pair over `pairs`; the two sets
-    must be disjoint and non-empty. The returned report holds a snapshot of
-    the best-validation epoch; ties keep the earliest epoch. Deterministic
-    given config.seed.
+    must be disjoint and non-empty. Batches gather rows of `features.matrix`
+    by index, never copying it; each epoch's swap draw keeps its place in the
+    `train` stream, after the shuffle. The report holds a snapshot of the
+    best-validation epoch; ties keep the earliest epoch. Deterministic given
+    config.seed.
     """
     train_idx, val_idx = (np.asarray(ix, dtype=int) for ix in split)
-    rows = features.rows([pid for p in pairs for pid in (p.id_a, p.id_b)])
-    xa, xb = features.matrix[rows[0::2]], features.matrix[rows[1::2]]
+    x = features.matrix
+    ab = features.rows([pid for p in pairs for pid in (p.id_a, p.id_b)]).reshape(-1, 2)
 
     def epoch_batches(rng: np.random.Generator):
         swap = rng.random(len(train_idx)) < 0.5
-
-        def loss_and_grad(batch: np.ndarray) -> tuple[float, np.ndarray]:
-            rows, s = train_idx[batch], swap[batch]
-            a = np.where(s[:, None], xb[rows], xa[rows])
-            b = np.where(s[:, None], xa[rows], xb[rows])
-            return _batch_loss_and_grad(model, a, b, np.where(s, 0.0, 1.0))
-
-        return loss_and_grad
+        a, b = np.where(swap, ab[train_idx, ::-1].T, ab[train_idx].T)
+        labels = np.where(swap, 0.0, 1.0)
+        return lambda batch: _batch_loss_and_grad(model, x[a[batch]], x[b[batch]], labels[batch])
 
     def val_accuracy() -> float:  # share of validation pairs with f(A) > f(B); ties count as incorrect
-        return float(np.mean(mlp.forward_batch(model, xa[val_idx]) > mlp.forward_batch(model, xb[val_idx])))
+        return float(np.mean(mlp.forward_batch(model, x[ab[val_idx, 0]]) > mlp.forward_batch(model, x[ab[val_idx, 1]])))
 
     losses, accs, best_epoch, best = mlp.fit(
         model.params, split, epoch_batches, val_accuracy, config, seeded_rng(config.seed, "train")

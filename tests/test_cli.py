@@ -237,6 +237,22 @@ class TestEvalScoreAblate:
         assert max(scores.values()) == 100.0
         assert min(scores.values()) == 0.0
 
+    def test_score_rescale_max_of_scores_spanning_past_the_float_range(self, pipeline, tmp_path):
+        x = features_mod.load_features(pipeline / "features.csv").matrix
+        k = int(np.argmax(np.ptp(x, axis=0) / np.abs(x).max(axis=0)))  # the column spanning most of both signs
+        model = mlp.init_model([x.shape[1], 1], 0)
+        model.params[:] = 0.0
+        model.weights[0][0, k] = 1.5e308 / np.abs(x[:, k]).max()  # scores up to +-1.5e308, each finite
+        mlp.save_checkpoint(tmp_path / "wide.txt", {"scorer": model})
+        base = ["score", "--checkpoint", tmp_path / "wide.txt", "--features", pipeline / "features.csv"]
+        assert _run(base + ["--out-dir", tmp_path / "plain"]) == 0
+        plain = read_id_values(tmp_path / "plain" / "scores.csv", "post_id,score")
+        assert max(plain.values()) - min(plain.values()) == np.inf
+        assert _run(base + ["--rescale-max", "100", "--out-dir", tmp_path / "rescaled"]) == 0
+        scores = read_id_values(tmp_path / "rescaled" / "scores.csv", "post_id,score")
+        assert all(0.0 <= s <= 100.0 for s in scores.values())  # False for nan
+        assert max(scores.values()) == 100.0 and min(scores.values()) == 0.0
+
     def test_score_plain(self, pipeline, tmp_path):
         code = _run(["score", "--checkpoint", pipeline / "checkpoint.txt", "--features", pipeline / "features.csv",
                      "--out-dir", tmp_path])

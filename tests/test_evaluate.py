@@ -160,6 +160,10 @@ class TestRescaleForDisplay:
         order_out = sorted(out, key=out.get)
         assert order_in == order_out
 
+    def test_span_past_the_float_range(self):
+        out = rescale_for_display({"a": 1.5e308, "b": -1.5e308, "c": 0.0}, 100.0)
+        assert out == {"a": 100.0, "b": 0.0, "c": 50.0}
+
     def test_degenerate_range(self):
         assert rescale_for_display({"a": 3.0, "b": 3.0}, 7.0) == {"a": 7.0, "b": 7.0}
 

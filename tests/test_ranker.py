@@ -1,6 +1,7 @@
 """Tests for pairwise ranking: logits, loss, gradients, training, scoring."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,18 @@ class TestTrain:
         mlp.adam_step(state, model.params, grad, effective_lr=1e-6, l2_penalty=0.0)
         loss1, _ = ranker._batch_loss_and_grad(model, xa, xb, labels)
         assert loss1 < loss0
+
+    def test_batches_are_gathered_without_copying_the_feature_matrix(self):
+        pairs, features, split = _toy_training_setup(n_pairs=1000, dim=256)
+        model = init_model([256, 64, 32, 1], seed=1)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train(model, pairs, features, split, TrainConfig(epochs=2, seed=1))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < features.matrix.nbytes / 2  # a copy of both members of every pair is the whole matrix
 
     def test_missing_feature_fails_before_training(self):
         pairs, features, split = _toy_training_setup(n_pairs=20)
