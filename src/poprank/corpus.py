@@ -175,8 +175,9 @@ def _broken_rules(columns: list[tuple]) -> dict[int, str]:
                 if row not in broken and (message := fault(value)):
                     broken[row] = message
 
-    for key, ids in (("post_id", post_id), ("user_id", user_id)):
-        rule(ids, _only(ids, str) and all(ids) and not _ID_FORBIDDEN.search("".join(ids)), lambda v: _id_fault(key, v))
+    post_ids_are_str = _only(post_id, str)
+    for key, ids, are_str in (("post_id", post_id, post_ids_are_str), ("user_id", user_id, _only(user_id, str))):
+        rule(ids, are_str and all(ids) and not _ID_FORBIDDEN.search("".join(ids)), lambda v: _id_fault(key, v))
     rule(caption, _only(caption, str), lambda v: type(v) is not str and "caption must be a string")
     ints = {"upload_time": upload_time, "likes": likes, "media_count": media_count}
     exact = {key: _only(values, int) for key, values in ints.items()}
@@ -189,7 +190,7 @@ def _broken_rules(columns: list[tuple]) -> dict[int, str]:
         rule(values, exact[key] and INT64_MIN <= min(values) and max(values) <= INT64_MAX,
              lambda v: not INT64_MIN <= v <= INT64_MAX and f"{key} must fit in a signed 64-bit integer")
     seen: set[str] = set()  # the ids of the unbroken rows so far; `seen.add` returns None
-    rule(post_id, _only(post_id, str) and len(set(post_id)) == len(post_id),
+    rule(post_id, post_ids_are_str and len(set(post_id)) == len(post_id),
          lambda v: f"duplicate post_id {v!r}" if v in seen else seen.add(v))
     return broken
 
@@ -202,11 +203,29 @@ def parse_posts(source: Iterable[str] | TextIO) -> ParseReport:
     Posts are returned in input order. Each line is decoded on its own and
     `source` is read once; then one ordered pass over the columns
     (`_broken_rules`) reports each record for the first rule it breaks.
+
+    A line goes straight to json's C scanner (the `scan_once` that
+    `json.loads` calls, bound once), and is taken from it when the scanner
+    reads a value from its first character, the rest of the line is JSON
+    whitespace (" \\t\\n\\r") and the value has every field; `json.loads`
+    gives such a line the same record. Every other line (a blank one,
+    leading whitespace or a BOM, trailing text, malformed JSON, a non-object
+    or a missing field) is decoded again by `json.loads`, whose message is
+    its diagnostic.
     """
     errors: dict[int, str] = {}  # line number -> diagnostic
     rows, linenos = [], []
     values_of = operator.itemgetter(*POST_FIELDS)
+    scan = json.decoder.JSONDecoder().scan_once
     for lineno, line in enumerate(source, start=1):
+        try:
+            record, end = scan(line, 0)
+            if not line[end:].strip(" \t\n\r"):
+                rows.append(values_of(record))
+                linenos.append(lineno)
+                continue
+        except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
+            pass
         if not line.strip():
             continue
         try:
@@ -268,8 +287,12 @@ def _caption_parts(caption: str) -> tuple[list[str], list[str], int]:
     lower-casing each token gives: no whitespace character is cased or
     case-ignorable, so the context of a final sigma ends with its token.
     Among sorted tokens, those starting with '#' lie in ['#', '$') and those
-    starting with '@' in ['@', 'A').
+    starting with '@' in ['@', 'A'). Lower-casing makes no '#' or '@' and no
+    whitespace from any other character, so a caption without '#' and '@'
+    has only plain words, as many as `split` gives.
     """
+    if "#" not in caption and "@" not in caption:
+        return [], [], len(caption.split())
     tokens = sorted(caption.lower().split())
     hashtags = tokens[bisect_left(tokens, "#") : bisect_left(tokens, "$")]
     mentions = tokens[bisect_left(tokens, "@") : bisect_left(tokens, "A")]

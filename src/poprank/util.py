@@ -11,7 +11,8 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-_ID_FORBIDDEN = re.compile(r"[,\s\x00-\x1f\x7f-\x9f]")  # comma, Unicode whitespace, Unicode control (Cc)
+# comma, Unicode whitespace, Unicode control (Cc), and a surrogate, which no UTF-8 file can hold
+_ID_FORBIDDEN = re.compile(r"[,\s\x00-\x1f\x7f-\x9f\ud800-\udfff]")
 
 
 def seeded_rng(seed: int, *tags: str) -> np.random.Generator:
@@ -45,12 +46,14 @@ def sha256_file(path: str | Path) -> str:
 
 
 def _check_id(key: str, value) -> None:
-    """Ids are written unquoted into CSV files, so they exclude ',', whitespace and control characters."""
+    """Ids are written unquoted into UTF-8 CSV files, so they exclude ',', whitespace, controls and surrogates."""
     if not isinstance(value, str) or not value:
         raise ValueError(f"{key} must be a non-empty string")
     bad = _ID_FORBIDDEN.search(value)
     if bad:
-        raise ValueError(f"{key} {value!r} contains {bad.group()!r}; ids exclude ',', whitespace and controls")
+        raise ValueError(
+            f"{key} {value!r} contains {bad.group()!r}; ids exclude ',', whitespace, controls and surrogates"
+        )
 
 
 @contextmanager

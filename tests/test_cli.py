@@ -150,6 +150,31 @@ class TestMine:
         assert _run(["train", "--pairs", tmp_path / "pairs.csv", "--features", pipeline / "features.csv",
                      "--epochs", "1", "--out-dir", tmp_path]) == 0
 
+    def test_lone_surrogate_ids_are_skipped_and_pairs_csv_is_whole(self, tmp_path, capsys):
+        """An id holding a lone surrogate (the JSON escape `\\ud800`) cannot be written as UTF-8, so its line is a
+        warning; every pair `mine` would make of it is gone, and `pairs.csv` is whole."""
+        reference = 1_700_000_000
+
+        def line(post_id, user_id, day, likes):
+            upload_time = reference - (40 - day) * 86400
+            return (f'{{"post_id": "{post_id}", "user_id": "{user_id}", "upload_time": {upload_time}, '
+                    f'"likes": {likes}, "caption": "", "media_count": 1, "is_video": false}}\n')
+
+        lines = [line("p1", "u", 0, 100), line("p2", "u", 1, 100_000), line("p\\ud8003", "u", 2, 200),
+                 line("p4", "u", 3, 90_000), line("p5", "u\\udc00", 0, 100), line("p6", "u\\udc00", 1, 100_000)]
+        posts = tmp_path / "posts.jsonl"
+        posts.write_text("".join(lines), encoding="utf-8")
+        assert _run(["mine", "--posts", posts, "--reference-time", reference, "--out-dir", tmp_path]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [message.split(" contains ")[0] for message in err] == [
+            f"warning: {posts}: line 3: post_id 'p\\ud8003'",
+            f"warning: {posts}: line 5: user_id 'u\\udc00'",
+            f"warning: {posts}: line 6: user_id 'u\\udc00'",
+        ]
+        pairs = read_pairs(tmp_path / "pairs.csv")
+        assert [(p.id_a, p.id_b, p.user_id) for p in pairs] in ([("p2", "p1", "u")], [("p4", "p1", "u")])
+        assert (tmp_path / "pairs.csv").read_text(encoding="utf-8").count("\n") == 2
+
 
     def test_mines_the_widest_span_synth_writes(self, tmp_path, capsys):
         """`synth` at its largest time span writes posts that `mine` reads at the default miner settings."""

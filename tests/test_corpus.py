@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import re
+import sys
 import tempfile
 from collections import Counter
 from itertools import product
@@ -71,7 +72,7 @@ class TestParsePosts:
         assert list(report.posts) == [] and len(report.diagnostics) == 1
 
     @pytest.mark.parametrize("key", ["post_id", "user_id"])
-    @pytest.mark.parametrize("bad_id", ["p,0", "p 0", "p\t0", "p\u00a00", "p\x000", "p\x7f"])
+    @pytest.mark.parametrize("bad_id", ["p,0", "p 0", "p\t0", "p\u00a00", "p\x000", "p\x7f", "p\ud8003", "\udfff"])
     def test_ids_unsafe_for_csv_are_diagnosed(self, key, bad_id):
         bad = make_post(**{"post_id": "x", key: bad_id})
         lines = [serialize_post(make_post(post_id="ok")), serialize_post(bad)]
@@ -85,6 +86,23 @@ class TestParsePosts:
         write_posts_file(path, small_corpus.posts)
         report = parse_posts_file(path)
         assert report.diagnostics == []
+        assert list(report.posts) == small_corpus.posts
+
+    def test_well_formed_lines_never_reach_json_loads(self, tmp_path, small_corpus, monkeypatch):
+        """The seam of the scanner path: with `json.loads` refusing every line, a clean file parses all the
+        same, and only the bad line, decoded again by `json.loads`, takes its message from it."""
+        def refuse(line, **kwargs):
+            raise ValueError("decoded by json.loads")
+
+        path = tmp_path / "posts.jsonl"
+        write_posts_file(path, small_corpus.posts)
+        monkeypatch.setattr(corpus.json, "loads", refuse)
+        report = parse_posts_file(path)
+        assert report.diagnostics == [] and list(report.posts) == small_corpus.posts
+        with open(path, "a", encoding="utf-8") as f:
+            f.write("\n{broken\n")
+        report = parse_posts_file(path)
+        assert report.diagnostics == [f"line {len(small_corpus.posts) + 2}: decoded by json.loads"]
         assert list(report.posts) == small_corpus.posts
 
     def test_unreadable_source_is_fatal(self, tmp_path):
@@ -136,6 +154,23 @@ PARSE_CASES = {
     "a negative likes": [_line(post_id="b"), _line(likes=-1)],
     "a media_count of 0": [_line(post_id="b"), _line(media_count=0)],
     "an upload_time past int64": [_line(post_id="b"), _line(upload_time=2**63)],
+    # ids that UTF-8 cannot encode: a lone surrogate, as a raw code point or a JSON escape; an escaped pair is legal
+    "lone surrogates in ids": [_line(post_id="p\ud800"), _line(post_id="b").replace('"u"', '"u\\udc00"'),
+                               _line().replace('"a"', '"p\\ud8003"'), _line().replace('"a"', '"p\\ud83d\\ude00"')],
+    # the edges of the scanner path: what `json.loads` skips or refuses around the one value of a line
+    "a BOM before the object": ["\ufeff" + _line(), _line(post_id="b")],
+    "a line that is only a BOM": ["\ufeff", "\ufeff\n", _line()],
+    "spaces or a tab before the object": ["  " + _line() + "\n", "\t" + _line(post_id="b"),
+                                          " \t\r\n" + _line(post_id="c")],
+    "JSON whitespace after the object": [_line() + " \t", _line(post_id="b") + " \t\n", _line(post_id="c") + "\r\n\t"],
+    "other whitespace after the object": [_line() + "\x0c", _line(post_id="b") + "\x85\n", _line(post_id="c") + "\xa0",
+                                          _line(post_id="d") + "\u2028\n", _line(post_id="e")],
+    "two values on a line": [_line() + _line(post_id="b"), _line(post_id="c") + " 1\n", _line(post_id="d") + ",",
+                             _line(post_id="e") + " }", _line(post_id="f")],
+    "NaN and Infinity as likes": [_line(likes=math.nan), _line(likes=math.inf), _line(likes=-math.inf),
+                                  _line(post_id="b")[:-1] + ', "likes": NaN}', _line(post_id="c")],
+    "trailing data on a last line without a newline": [_line() + "\n", _line(post_id="b") + "x"],
+    "trailing data after a newline": [_line() + "\nx", _line(post_id="b") + "\n\n", _line(post_id="c")],
 }
 
 # Values for each field of a generated line: legal ones, then ones that break a rule
@@ -314,6 +349,17 @@ def _analysed(*captions: str) -> tuple[PostTable, list[tuple]]:
 
 class TestAnalyzeCaption:
     """The table's caption columns: `caption_words`, `caption_key` and `keys`."""
+
+    def test_lower_casing_makes_no_tag_sign_and_no_space(self):
+        """The premise of the tokenizer's shortcut for a caption without '#' and '@', over every code point:
+        only '#' and '@' lower-case to text holding '#' or '@', each whitespace character to itself, and every
+        other character to non-empty text without whitespace."""
+        chars = list(map(chr, range(sys.maxunicode + 1)))
+        lowered = [char.lower() for char in chars]
+        assert [char for char, low in zip(chars, lowered) if "#" in low or "@" in low] == ["#", "@"]
+        assert all(low == char for char, low in zip(chars, lowered) if char.isspace())
+        others = [low for char, low in zip(chars, lowered) if not char.isspace()]
+        assert all(others) and "".join(others).split() == ["".join(others)]
 
     def test_empty_caption(self):
         table, [(_, key, words)] = _analysed("")
