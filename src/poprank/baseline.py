@@ -58,10 +58,22 @@ class AbsolutePopModel:
     def __post_init__(self):
         if self.head.layer_dims[0] != 1 + len(NONVISUAL_FIELDS):
             raise ValueError(f"head input dim must be {1 + len(NONVISUAL_FIELDS)}, got {self.head.layer_dims[0]}")
-        self.params = np.concatenate([self.visual_scorer.params, self.head.params])
+        self._view(np.concatenate([self.visual_scorer.params, self.head.params]))
+
+    @classmethod
+    def over(cls, model: "AbsolutePopModel", params: np.ndarray) -> "AbsolutePopModel":
+        """A model in `model`'s layout whose parameters are `params` itself (no copy), as `MlpModel.over`."""
+        view = cls.__new__(cls)
+        view.visual_scorer, view.head = model.visual_scorer, model.head
+        view._view(params)
+        return view
+
+    def _view(self, params: np.ndarray) -> None:
+        """Make `params` this model's vector, and both sub-networks views into it."""
         k = self.visual_scorer.params.size
-        self.visual_scorer = MlpModel.over(self.visual_scorer.layer_dims, self.params[:k])
-        self.head = MlpModel.over(self.head.layer_dims, self.params[k:])
+        self.params = params
+        self.visual_scorer = MlpModel.over(self.visual_scorer.layer_dims, params[:k])
+        self.head = MlpModel.over(self.head.layer_dims, params[k:])
 
 
 @dataclass(frozen=True)
@@ -88,22 +100,28 @@ def init_baseline(visual_dims: list[int], seed: int) -> AbsolutePopModel:
 
 
 def baseline_loss_and_grad(
-    model: AbsolutePopModel, xv: np.ndarray, nv_log: np.ndarray, targets: np.ndarray
+    model: AbsolutePopModel, xv: np.ndarray, nv_log: np.ndarray, targets: np.ndarray,
+    grad: AbsolutePopModel | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean squared error and its exact gradient with respect to `model.params`.
 
     `nv_log` is the already ln(1+.)-transformed (n, 6) matrix; the head input
-    gradient's first column backpropagates into the visual scorer.
+    gradient's first column backpropagates into the visual scorer. Both
+    sub-networks' gradients are written into the views of `grad` (a model in
+    `model`'s layout, as `AbsolutePopModel.over` makes; allocated here when
+    None), and its joint vector is returned.
     """
+    if grad is None:
+        grad = AbsolutePopModel.over(model, np.empty_like(model.params))
     q_vis, cache_vis = mlp.forward_cached(model.visual_scorer, xv)
     head_in = np.column_stack([q_vis, nv_log])
     preds, cache_head = mlp.forward_cached(model.head, head_in)
     residuals = preds - targets
     loss = float(np.mean(residuals**2))
     g_out = 2.0 * residuals / len(targets)
-    grad_head, delta = mlp.backward(model.head, cache_head, g_out)
-    grad_vis = mlp.backward(model.visual_scorer, cache_vis, (delta @ model.head.weights[0])[:, 0])[0]
-    return loss, np.concatenate([grad_vis, grad_head])
+    _, delta = mlp.backward(model.head, cache_head, g_out, grad.head)
+    mlp.backward(model.visual_scorer, cache_vis, (delta @ model.head.weights[0])[:, 0], grad.visual_scorer)
+    return loss, grad.params
 
 
 def mse_loss(preds, targets) -> float:
@@ -133,10 +151,11 @@ def train_baseline(
     xv = np.stack([s.visual for s in samples])
     nv_log = np.stack([s.nonvisual.transformed() for s in samples])
     targets = np.array([s.target for s in samples], dtype=np.float64)
+    grad = AbsolutePopModel.over(model, np.empty_like(model.params))  # every step's gradient, made once per fit
 
     def loss_and_grad(batch: np.ndarray) -> tuple[float, np.ndarray]:
         rows = train_idx[batch]
-        return baseline_loss_and_grad(model, xv[rows], nv_log[rows], targets[rows])
+        return baseline_loss_and_grad(model, xv[rows], nv_log[rows], targets[rows], grad)
 
     def neg_val_mse() -> float:
         q_vis = mlp.forward_batch(model.visual_scorer, xv[val_idx])

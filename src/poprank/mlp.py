@@ -12,7 +12,10 @@ vector, and the gradient with respect to the first layer's output; times
 A model's parameters are one contiguous float64 vector, all weights in layer
 order then all biases; ``weights[l]``/``biases[l]`` are views into it. Gradients
 and Adam moments share the layout, and `MlpModel.over` gives a gradient the same
-per-layer views. `fit` is the one training loop.
+per-layer views. `fit` is the one training loop. The training step's arrays
+(layer outputs, deltas, the gradient, Adam's scratch) can be buffers made once
+per fit: `forward_cached`, `backward` and `adam_step` write into the ones they
+are given, and allocate the same arrays when given none.
 
 Checkpoints are a self-describing text format: a version tag, then one or more
 named model sections with layer dims and row-major weights/biases printed with
@@ -22,7 +25,7 @@ named model sections with layer dims and row-major weights/biases printed with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -96,52 +99,87 @@ def forward_batch(model: MlpModel, xs: np.ndarray) -> np.ndarray:
     return np.concatenate([_layers(model, xs[i : i + SCORE_ROWS], fixed_order=True)[0] for i in starts])
 
 
-def forward_cached(model: MlpModel, xs: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Batch forward through BLAS keeping post-activation layer inputs for the backward pass."""
-    return _layers(model, xs, fixed_order=False)
+def forward_cached(
+    model: MlpModel, xs: np.ndarray, cache: list[np.ndarray] | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Batch forward through BLAS keeping post-activation layer inputs for the backward pass.
+
+    `cache`, when given, holds one (n, dims[l+1]) buffer per layer for the
+    layer outputs, which this pass writes instead of allocating them; the
+    returned cache is ``[xs, *cache]``.
+    """
+    return _layers(model, xs, fixed_order=False, outs=cache)
 
 
-def _layers(model: MlpModel, xs: np.ndarray, fixed_order: bool) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Scores of the rows of `xs` and every layer's input; each ``h @ w.T`` by einsum if `fixed_order`, else BLAS."""
+def _layers(
+    model: MlpModel, xs: np.ndarray, fixed_order: bool, outs: list[np.ndarray] | None = None
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Scores of the rows of `xs` and every layer's input; each ``h @ w.T`` by einsum if `fixed_order`, else BLAS.
+
+    Layer l's output goes into ``outs[l]``, allocated here when `outs` is None.
+    """
     h = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if h.shape[-1] != model.layer_dims[0]:
         raise ValueError(f"input dim {h.shape[-1]} does not match model input dim {model.layer_dims[0]}")
+    if outs is None:
+        outs = [np.empty((len(h), d)) for d in model.layer_dims[1:]]
     cache = [h]
     last = model.n_layers() - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        h = (np.einsum("nk,ok->no", h, w) if fixed_order else h @ w.T) + b
+    for l, (w, b, out) in enumerate(zip(model.weights, model.biases, outs)):
+        if fixed_order:
+            np.einsum("nk,ok->no", h, w, out=out)
+        else:
+            np.matmul(h, w.T, out=out)
+        out += b
         if l != last:
-            h = np.maximum(h, 0.0)
-        cache.append(h)
+            np.maximum(out, 0.0, out=out)
+        cache.append(h := out)
     return h[:, 0], cache
 
 
-def backward(model: MlpModel, cache: list[np.ndarray], upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def backward(
+    model: MlpModel,
+    cache: list[np.ndarray],
+    upstream: np.ndarray,
+    grad: MlpModel | None = None,
+    deltas: list[np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate per-sample output gradients `upstream` (shape (n,)).
 
     Returns the parameter gradient summed over the batch, one vector in the
     model's flat layout, and `delta`, the (n, dims[1]) gradient with respect to
     the first layer's output; ``delta @ model.weights[0]`` is the input
     gradient. ReLU uses the zero subgradient at the kink. `cache` must come
-    from `forward_cached` on the same model.
+    from `forward_cached` on the same model. The gradient is written into
+    `grad` (a model in this model's layout, as `MlpModel.over` makes) and the
+    deltas into `deltas`, one (n, dims[l]) buffer for each hidden layer's
+    output l = 1 .. L-1; each is allocated here when not given.
     """
-    grad = MlpModel.over(model.layer_dims, np.empty_like(model.params))
+    if grad is None:
+        grad = MlpModel.over(model.layer_dims, np.empty_like(model.params))
     delta = np.asarray(upstream, dtype=np.float64).reshape(-1, 1)
+    if deltas is None:
+        deltas = [np.empty((len(delta), d)) for d in model.layer_dims[1:-1]]
     for l in range(model.n_layers() - 1, -1, -1):
         np.matmul(delta.T, cache[l], out=grad.weights[l])
-        grad.biases[l][...] = delta.sum(axis=0)
+        np.add.reduce(delta, axis=0, out=grad.biases[l])
         if l > 0:
-            delta = (delta @ model.weights[l]) * (cache[l] > 0.0)  # cache[l] is the ReLU output of layer l-1
+            delta = np.matmul(delta, model.weights[l], out=deltas[l - 1])
+            delta *= cache[l] > 0.0  # cache[l] is the ReLU output of layer l-1
     return grad.params, delta
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators over a flat parameter vector."""
+    """First/second moment accumulators over a flat parameter vector, and two scratch vectors for `adam_step`."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
@@ -152,19 +190,37 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, effective_
     """One bias-corrected Adam update of the flat vector `params`, in place.
 
     The l2 penalty is coupled: l2_penalty * theta is added to the gradient
-    before the moment updates (not decoupled weight decay).
+    before the moment updates (not decoupled weight decay). The update is
+
+        g = grad + l2_penalty * params
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        params -= effective_lr * (m / c1) / (sqrt(v / c2) + eps)
+
+    with each operation, in this order, written into `state.scratch`, so a
+    step allocates no parameter-sized array and leaves `grad` unchanged.
     """
     if grad.shape != params.shape or state.m.shape != params.shape:
         raise ValueError(f"gradient/moment lengths {grad.shape}/{state.m.shape} do not match parameters {params.shape}")
     state.step += 1
     c1 = 1.0 - ADAM_BETA1**state.step
     c2 = 1.0 - ADAM_BETA2**state.step
-    g = grad + l2_penalty * params
+    g, tmp = state.scratch
+    np.multiply(params, l2_penalty, out=g)
+    g += grad
     state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * g
+    state.m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * g * g
-    params -= effective_lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+    tmp *= g
+    state.v += tmp
+    update = np.divide(state.m, c1, out=g)
+    update *= effective_lr
+    denom = np.divide(state.v, c2, out=tmp)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    update /= denom
+    params -= update
 
 
 @dataclass(frozen=True)
@@ -206,8 +262,10 @@ def fit(
     loss, flat gradient), so per-epoch augmentation draws from the same stream.
     ``validate()`` (higher is better) scores each epoch after the learning-rate
     decay. Returns (losses, scores, best epoch, copy of the best parameters);
-    ties keep the earliest epoch. A batch loss or end-of-epoch parameters that
-    are not finite are a ValueError naming the epoch: training diverged.
+    ties keep the earliest epoch. A batch loss, end-of-epoch parameters or an
+    end-of-epoch Adam second moment that is not finite is a ValueError naming
+    the epoch: training diverged. The batch function's gradient is read before
+    its next call, so it may return the same buffer every time.
     """
     train_idx, val_idx = (np.asarray(ix, dtype=int) for ix in split)
     if len(train_idx) == 0 or len(val_idx) == 0:
@@ -235,6 +293,9 @@ def fit(
             if not np.isfinite(params).all():
                 raise ValueError(f"training diverged in epoch {epoch}: non-finite parameters; "
                                  "try a lower learning rate")
+            if not np.isfinite(state.v).all():  # an overflowed second moment stops the weights it divides
+                raise ValueError(f"training diverged in epoch {epoch}: non-finite Adam second moment; "
+                                 "try a lower learning rate or l2 penalty")
             losses.append(epoch_loss / n)
             lr *= config.lr_decay_per_epoch
             scores.append(validate())

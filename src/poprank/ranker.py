@@ -63,20 +63,50 @@ def pair_grad(model: MlpModel, x_a: np.ndarray, x_b: np.ndarray, label: float) -
     return MlpModel.over(model.layer_dims, grad)
 
 
-def _batch_loss_and_grad(model: MlpModel, xa: np.ndarray, xb: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+class _StepBuffers:
+    """The arrays one training step writes, made once per fit for batches of up to `rows` pairs.
+
+    For each member of a pair: its layer outputs, its hidden layers' deltas,
+    and a flat gradient with its `MlpModel.over` views.
+    """
+
+    def __init__(self, model: MlpModel, rows: int):
+        dims = model.layer_dims
+        self.n_rows = rows
+        self.members = [
+            ([np.empty((rows, d)) for d in dims[1:]], [np.empty((rows, d)) for d in dims[1:-1]],
+             MlpModel.over(dims, np.empty_like(model.params)))
+            for _ in range(2)
+        ]
+
+    def rows(self, n: int) -> list[tuple[list[np.ndarray], list[np.ndarray], MlpModel]]:
+        """Each member's layer outputs and deltas, their leading n rows, and its gradient."""
+        if n == self.n_rows:  # every batch but an epoch's last: no views to make
+            return self.members
+        return [([out[:n] for out in outs], [d[:n] for d in deltas], grad) for outs, deltas, grad in self.members]
+
+
+def _batch_loss_and_grad(
+    model: MlpModel, xa: np.ndarray, xb: np.ndarray, labels: np.ndarray, buffers: _StepBuffers | None = None
+) -> tuple[float, np.ndarray]:
     """Mean pair loss and mean flat gradient over a batch, fully vectorized.
 
-    Uses dloss/dO = P - label and sums the two streams' contributions.
+    Uses dloss/dO = P - label and sums the two streams' contributions. With
+    `buffers` the step writes its activations, deltas and gradient there, and
+    the returned gradient is a buffer the next call overwrites; without, each
+    is a fresh array.
     """
-    q_a, cache_a = mlp.forward_cached(model, xa)
-    q_b, cache_b = mlp.forward_cached(model, xb)
+    n = len(labels)
+    (outs_a, deltas_a, grad_a), (outs_b, deltas_b, grad_b) = buffers.rows(n) if buffers else [(None,) * 3] * 2
+    q_a, cache_a = mlp.forward_cached(model, xa, outs_a)
+    q_b, cache_b = mlp.forward_cached(model, xb, outs_b)
     o = q_a - q_b
     e = np.exp(-np.abs(o))
     p = np.where(o >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     loss = float(np.mean(np.where(o > 0, (1.0 - labels) * o, -labels * o) + np.log1p(e)))
-    g = (p - labels) / len(labels)
-    grad = mlp.backward(model, cache_a, g)[0]
-    grad += mlp.backward(model, cache_b, -g)[0]
+    g = (p - labels) / n
+    grad = mlp.backward(model, cache_a, g, grad_a, deltas_a)[0]
+    grad += mlp.backward(model, cache_b, -g, grad_b, deltas_b)[0]
     return loss, grad
 
 
@@ -91,20 +121,23 @@ def train(
 
     `split` is a (train_indices, val_indices) pair over `pairs`; the two sets
     must be disjoint and non-empty. Batches gather rows of `features.matrix`
-    by index, never copying it; each epoch's swap draw keeps its place in the
-    `train` stream, after the shuffle. The report holds a snapshot of the
+    by index, never copying it, and every step writes its activations, deltas
+    and gradients into one set of buffers made for the fit, with rows for
+    min(batch_size, train pairs) pairs. Each epoch's swap draw keeps its place
+    in the `train` stream, after the shuffle. The report holds a snapshot of the
     best-validation epoch; ties keep the earliest epoch. Deterministic given
     config.seed.
     """
     train_idx, val_idx = (np.asarray(ix, dtype=int) for ix in split)
     x = features.matrix
     ab = features.rows([pid for p in pairs for pid in (p.id_a, p.id_b)]).reshape(-1, 2)
+    buffers = _StepBuffers(model, min(config.batch_size, len(train_idx)))
 
     def epoch_batches(rng: np.random.Generator):
         swap = rng.random(len(train_idx)) < 0.5
         a, b = np.where(swap, ab[train_idx, ::-1].T, ab[train_idx].T)
         labels = np.where(swap, 0.0, 1.0)
-        return lambda batch: _batch_loss_and_grad(model, x[a[batch]], x[b[batch]], labels[batch])
+        return lambda batch: _batch_loss_and_grad(model, x[a[batch]], x[b[batch]], labels[batch], buffers)
 
     def val_accuracy() -> float:  # share of validation pairs with f(A) > f(B); ties count as incorrect
         return float(np.mean(mlp.forward_batch(model, x[ab[val_idx, 0]]) > mlp.forward_batch(model, x[ab[val_idx, 1]])))

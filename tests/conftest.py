@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from poprank import mlp, synthgen
+from poprank import mlp, ranker, synthgen
 from poprank.corpus import POST_FIELDS, SECONDS_PER_DAY, Post, log_likes, serialize_post
 from poprank.features import FeatureSet, header, write_rows
 from poprank.mining import PDIP, MinerConfig
@@ -353,6 +353,43 @@ def per_layer_adam_step(moments, model, grads, effective_lr, l2_penalty, step,
         v *= beta2
         v += (1.0 - beta2) * g * g
         theta -= effective_lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def reference_train(model: mlp.MlpModel, pairs: list[PDIP], features: FeatureSet, split, config: mlp.TrainConfig):
+    """`ranker.train`'s schedule, step by step from allocating parts, as a reference for the buffered loop.
+
+    Each step is the unbuffered `ranker._batch_loss_and_grad` and then
+    `per_layer_adam_step`; the shuffle, swap draw, validation and epoch
+    selection are written out again here. Trains `model` in place and returns
+    (losses, val accuracies, selected epoch, best parameters).
+    """
+    train_idx, val_idx = (np.asarray(ix, dtype=int) for ix in split)
+    x = features.matrix
+    ab = features.rows([pid for p in pairs for pid in (p.id_a, p.id_b)]).reshape(-1, 2)
+    rng = seeded_rng(config.seed, "train")
+    moments = [(np.zeros_like(a), np.zeros_like(a)) for a in model.weights + model.biases]
+    lr, step = config.learning_rate, 0
+    losses, accs, best_epoch, best = [], [], 0, model.params.copy()
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(train_idx))
+        swap = rng.random(len(train_idx)) < 0.5
+        a = np.where(swap, ab[train_idx, 1], ab[train_idx, 0])
+        b = np.where(swap, ab[train_idx, 0], ab[train_idx, 1])
+        labels = np.where(swap, 0.0, 1.0)
+        total = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            loss, grad = ranker._batch_loss_and_grad(model, x[a[batch]], x[b[batch]], labels[batch])
+            step += 1
+            per_layer_adam_step(moments, model, mlp.MlpModel.over(model.layer_dims, grad), lr, config.l2_penalty, step)
+            total += loss * len(batch)
+        losses.append(total / len(order))
+        lr *= config.lr_decay_per_epoch
+        scores_a = mlp.forward_batch(model, x[ab[val_idx, 0]])
+        accs.append(float(np.mean(scores_a > mlp.forward_batch(model, x[ab[val_idx, 1]]))))
+        if accs[-1] > max(accs[:-1], default=-np.inf):
+            best_epoch, best = epoch, model.params.copy()
+    return losses, accs, best_epoch, best
 
 
 def add_user_engagement(

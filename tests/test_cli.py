@@ -580,6 +580,16 @@ class TestOneLineErrors:
         assert code == 1 and err.startswith("error: training diverged in epoch ") and err.count("\n") == 1
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_overflowing_adam_moment_is_an_error_and_writes_nothing(self, pipeline, tmp_path, capsys, command):
+        # the second moment of l2 * theta overflows: the weights would stay at their init without a word
+        capsys.readouterr()
+        code = _run([command, "--pairs", pipeline / "pairs.csv", "--features", pipeline / "features.csv",
+                     "--epochs", "3", "--l2-penalty", "1e308", "--out-dir", tmp_path / "out"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: training diverged in epoch 0: non-finite Adam second moment")
+        assert err.count("\n") == 1 and list((tmp_path / "out").iterdir()) == []
+
     @pytest.mark.parametrize("case", ["score", "score-rescaled", "eval"])
     def test_scores_that_overflow_are_an_error_and_write_nothing(self, pipeline, tmp_path, capsys, case):
         model = mlp.init_model([features_mod.FeatureBlocks(pipeline / "features.csv").dim, 4, 1], 0)

@@ -1,6 +1,7 @@
 """Tests for the from-scratch MLP: init, forward, backward, Adam, checkpoints."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,48 @@ class TestAdamStep:
             per_layer_adam_step(moments, oracle, grads, lr, 1e-3, step)
         assert state.step == 200
         assert np.array_equal(model.params, oracle.params)
+
+    def test_step_leaves_the_gradient_unchanged(self):
+        rng = np.random.default_rng(5)
+        params = rng.normal(size=40)
+        grad = rng.normal(size=40)
+        before = grad.copy()
+        state = AdamState.for_params(params)
+        for _ in range(3):
+            adam_step(state, params, grad, 0.01, 1e-3)
+        assert np.array_equal(grad, before)
+        assert not any(np.shares_memory(grad, a) for a in (state.m, state.v, *state.scratch))
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        params = np.random.default_rng(6).normal(size=46_466)  # the baseline's parameter count
+        grad = np.random.default_rng(7).normal(size=params.size)
+        state = AdamState.for_params(params)
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                adam_step(state, params, grad, 1e-3, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.nbytes
+
+
+class TestFit:
+    def test_overflowing_second_moment_is_divergence(self):
+        # (l2 * theta)**2 overflows v to inf, and m / sqrt(v) = 0 would freeze every weight at its init
+        model = init_model([3, 4, 1], seed=1)
+        rng = np.random.default_rng(1)
+        xs, ys = rng.normal(size=(20, 3)), rng.normal(size=20)
+
+        def loss_and_grad(batch):
+            preds, cache = forward_cached(model, xs[batch])
+            residuals = preds - ys[batch]
+            return float(np.mean(residuals**2)), mlp.backward(model, cache, 2 * residuals / len(batch))[0]
+
+        config = TrainConfig(learning_rate=1e-3, l2_penalty=1e308, batch_size=5, epochs=3)
+        with pytest.raises(ValueError, match=r"^training diverged in epoch 0: non-finite Adam second moment"):
+            mlp.fit(model.params, (np.arange(15), np.arange(15, 20)), lambda rng: loss_and_grad, lambda: 0.0,
+                    config, np.random.default_rng(0))
 
 
 class TestTrainConfig:

@@ -20,7 +20,7 @@ from poprank.ranker import (
 )
 from poprank.util import seeded_rng, split_indices
 
-from conftest import logistic, row_forward
+from conftest import logistic, reference_train, row_forward
 
 
 def _flatten(grads):
@@ -164,6 +164,19 @@ class TestPairGrad:
         mean /= 5
         assert np.allclose(batch, mean, atol=1e-12)
 
+    def test_unbuffered_results_are_fresh_arrays(self):
+        # without buffers nothing returned aliases another call's result, so a caller may keep every gradient
+        rng = np.random.default_rng(56)
+        model = init_model([6, 4, 3, 1], seed=8)
+        xa, xb = rng.normal(size=(2, 5, 6))
+        labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+        first = ranker._batch_loss_and_grad(model, xa, xb, labels)[1]
+        second = ranker._batch_loss_and_grad(model, xb, xa, labels)[1]
+        assert not np.shares_memory(first, second)
+        one, two = pair_grad(model, xa[0], xb[0], 1.0), pair_grad(model, xa[1], xb[1], 0.0)
+        assert not np.shares_memory(one.params, two.params)
+        assert not np.shares_memory(one.params, model.params)
+
 
 def _toy_training_setup(n_pairs=200, dim=6, seed=0):
     """Linearly separable pair problem: score is the first feature."""
@@ -223,6 +236,24 @@ class TestTrain:
         mlp.adam_step(state, model.params, grad, effective_lr=1e-6, l2_penalty=0.0)
         loss1, _ = ranker._batch_loss_and_grad(model, xa, xb, labels)
         assert loss1 < loss0
+
+    @pytest.mark.parametrize("n_pairs, batch_size", [(101, 16), (60, 10**9), (30, 1)])
+    def test_buffered_loop_takes_the_allocating_step_bitwise(self, n_pairs, batch_size):
+        # a short last batch (81 train pairs, 81 % 16 == 1), one batch larger than the split, single-pair batches
+        pairs, features, split = _toy_training_setup(n_pairs=n_pairs, seed=4)
+        config = TrainConfig(learning_rate=3e-2, l2_penalty=1e-3, batch_size=batch_size, epochs=4, seed=4)
+        model = init_model([6, 8, 4, 1], seed=4)
+        oracle = mlp.MlpModel.over(model.layer_dims, model.params.copy())
+        losses, accs, best_epoch, best = reference_train(oracle, pairs, features, split, config)
+        tracemalloc.start()
+        try:
+            report = train(model, pairs, features, split, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.train_loss, report.val_accuracy, report.selected_epoch) == (losses, accs, best_epoch)
+        assert np.array_equal(model.params, oracle.params) and np.array_equal(report.model.params, best)
+        assert peak < 1_000_000  # buffers sized by the rows a batch has, not by `batch_size`
 
     def test_batches_are_gathered_without_copying_the_feature_matrix(self):
         pairs, features, split = _toy_training_setup(n_pairs=1000, dim=256)
