@@ -15,7 +15,13 @@ resolved configuration, the input paths (relative to the manifest) with their
 digests, and the output digests; re-running a manifest (or the same command
 line) reproduces every output byte for byte. ``rerun`` refuses a malformed
 manifest or inputs whose digests changed, writes the outputs only, and exits 1
-naming any output that differs from its recorded digest. Each field of
+naming any output that differs from its recorded digest. Every command writes
+into a staging directory inside the out-dir and moves its files into place
+only when it succeeds, so each file in the out-dir is whole, with its old bytes
+or its new ones, and a manifest a run leaves there names only the bytes beside
+it (until a ``rerun`` into that directory replaces them). The moves of one
+command are not atomic together, and a killed process can leave its
+``.<command>-*`` staging directory behind. Each field of
 ``SynthConfig``, ``MinerConfig`` and ``TrainConfig`` is a ``--field-name`` flag
 with the field's type and default; ``<command> --help`` lists them. Each input
 file is a required ``--label`` flag named once per command in ``build_parser``;
@@ -33,12 +39,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 from . import corpus, evaluate, features as features_mod, mining, mlp, ranker, synthgen
-from .util import seeded_rng, sha256_file, split_indices, written_together
+from .util import open_csv, seeded_rng, sha256_file, split_indices
 
 
 def _require_file(path: str, what: str) -> str:
@@ -95,10 +103,11 @@ def _fraction(config: dict, key: str) -> float:
 
 def run_synth(config: dict, out: Path) -> list[str]:
     synth_config = _config(synthgen.SynthConfig, config)
-    names = ["posts.jsonl", "features.csv", "latents.csv"]
-    with written_together([out / name for name in names]) as (posts, features, latents):
-        features.write(features_mod.header(synth_config.feature_dim) + "\n")
-        latents.write(synthgen.LATENTS_HEADER + "\n")
+    with (
+        open(out / "posts.jsonl", "w", encoding="utf-8", newline="\n") as posts,
+        open_csv(out / "features.csv", features_mod.header(synth_config.feature_dim)) as features,
+        open_csv(out / "latents.csv", synthgen.LATENTS_HEADER) as latents,
+    ):
         for user_posts, rows, mu in synthgen.generate_users(synth_config):  # written as each user is drawn
             ids = [post.post_id for post in user_posts]
             posts.writelines([corpus.serialize_post(post) + "\n" for post in user_posts])
@@ -108,7 +117,7 @@ def run_synth(config: dict, out: Path) -> list[str]:
         f"generated {synth_config.n_users * synth_config.posts_per_user} posts for {synth_config.n_users} users "
         f"(reference_time {synthgen.reference_time_for(synth_config)})"
     )
-    return names
+    return ["posts.jsonl", "features.csv", "latents.csv"]
 
 
 def run_stats(config: dict, out: Path, posts: corpus.PostTable) -> list[str]:
@@ -186,13 +195,20 @@ HANDLERS = {
 }
 
 
-def _execute(command: str, config: dict, out: Path) -> tuple[dict, dict]:
-    """Run one subcommand into `out`; return its input paths and its output digests.
+def _execute(command: str, config: dict, out: Path, record: bool) -> dict[str, str]:
+    """Run one subcommand into `out`, with its manifest if `record`; return its output digests.
 
     Each input file is checked and read in turn, in `READERS` order, before the handler runs. A command
     that reads pairs reads only the feature rows those pairs name. A command that reads a checkpoint gets,
     in place of the checkpoint and the features, the `scores` of those rows, scored one block of the
     file at a time, so it never holds the feature matrix.
+
+    The handler writes into a fresh staging directory `.<command>-*` inside `out`. Only when it returns
+    are the outputs hashed and moved into `out`, one `os.replace` each. With `record` the manifest is staged
+    too: any old one is removed before the first move, and the new one is moved last. The staging directory is
+    removed however the command ends, `KeyboardInterrupt` included. The manifest records input paths
+    relative to `out`, so it can be rerun from any working directory, and still holds when it and its
+    inputs move together.
     """
     out.mkdir(parents=True, exist_ok=True)
     paths = {label: config[label] for label in READERS if label in config}
@@ -212,31 +228,27 @@ def _execute(command: str, config: dict, out: Path) -> tuple[dict, dict]:
             kept, rows = len(inputs[label]), inputs[label].file_rows
         if wanted is not None:
             print(f"read {kept} of {rows} feature rows")
-    return paths, {name: sha256_file(out / name) for name in HANDLERS[command](config, out, **inputs)}
-
-
-def run_command(command: str, config: dict, out_dir: str) -> dict:
-    """Execute one subcommand, write its outputs plus a manifest, and return the manifest.
-
-    Input paths are recorded relative to the manifest's directory, so the
-    manifest can be rerun from any working directory, and still holds when
-    the manifest and its inputs move together.
-    """
-    out = Path(out_dir)
-    inputs, outputs = _execute(command, config, out)
-    manifest = {
-        "command": command,
-        "config": config,
-        "inputs": {
-            label: {"path": os.path.relpath(Path(path).resolve(), out.resolve()), "sha256": sha256_file(path)}
-            for label, path in inputs.items()
-        },
-        "outputs": outputs,
-    }
-    with open(out / f"{command}_manifest.json", "w", encoding="utf-8", newline="\n") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return manifest
+    stage = Path(tempfile.mkdtemp(prefix=f".{command}-", dir=out))
+    try:
+        names = HANDLERS[command](config, stage, **inputs)
+        outputs = {name: sha256_file(stage / name) for name in names}
+        if record:
+            recorded_inputs = {
+                label: {"path": os.path.relpath(Path(path).resolve(), out.resolve()), "sha256": sha256_file(path)}
+                for label, path in paths.items()
+            }
+            manifest = f"{command}_manifest.json"
+            with open(stage / manifest, "w", encoding="utf-8", newline="\n") as f:
+                json.dump({"command": command, "config": config, "inputs": recorded_inputs, "outputs": outputs}, f,
+                          indent=2, sort_keys=True)
+                f.write("\n")
+            (out / manifest).unlink(missing_ok=True)
+            names.append(manifest)  # moved last
+        for name in names:
+            os.replace(stage / name, out / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    return outputs
 
 
 def _read_manifest(path: str) -> dict:
@@ -275,7 +287,7 @@ def rerun(manifest_path: str, out_dir: str) -> list[str]:
             raise ValueError(f"{label} input {path} no longer matches the sha256 in {manifest_path}")
         config[label] = str(path)
     try:
-        _, outputs = _execute(recorded["command"], config, Path(out_dir))
+        outputs = _execute(recorded["command"], config, Path(out_dir), record=False)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"manifest {manifest_path}: config does not fit {recorded['command']}: {exc!r}") from exc
     return sorted(name for name, digest in recorded["outputs"].items() if outputs.get(name) != digest)
@@ -357,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
         else:
             config = {k: v for k, v in vars(args).items() if k not in ("command", "out_dir")}
-            run_command(args.command, config, args.out_dir)
+            _execute(args.command, config, Path(args.out_dir), record=True)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1

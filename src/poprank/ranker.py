@@ -102,8 +102,8 @@ def _batch_loss_and_grad(
     q_b, cache_b = mlp.forward_cached(model, xb, outs_b)
     o = q_a - q_b
     e = np.exp(-np.abs(o))
-    p = np.where(o >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    loss = float(np.mean(np.where(o > 0, (1.0 - labels) * o, -labels * o) + np.log1p(e)))
+    p = np.where(o >= 0, 1.0, e) / (1.0 + e)
+    loss = float(np.add.reduce(np.where(o > 0, (1.0 - labels) * o, -labels * o) + np.log1p(e)) / n)
     g = (p - labels) / n
     grad = mlp.backward(model, cache_a, g, grad_a, deltas_a)[0]
     grad += mlp.backward(model, cache_b, -g, grad_b, deltas_b)[0]

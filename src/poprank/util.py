@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import hashlib
-import os
 import re
-from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -54,27 +52,6 @@ def _check_id(key: str, value) -> None:
         raise ValueError(
             f"{key} {value!r} contains {bad.group()!r}; ids exclude ',', whitespace, controls and surrogates"
         )
-
-
-@contextmanager
-def written_together(paths: Sequence[Path]) -> Iterator[list[TextIO]]:
-    """Files to write, as UTF-8 with LF line ends, that appear at `paths` only together and whole.
-
-    Each is written under its path plus ".partial"; when the block ends, they
-    are renamed onto `paths`, and when it raises, they are removed.
-    """
-    parts = [path.with_name(path.name + ".partial") for path in paths]
-    with ExitStack() as files:
-        try:
-            yield [files.enter_context(open(part, "w", encoding="utf-8", newline="\n")) for part in parts]
-            files.close()
-            for part, path in zip(parts, paths):
-                os.replace(part, path)
-        except BaseException:
-            files.close()
-            for part in parts:
-                part.unlink(missing_ok=True)
-            raise
 
 
 def open_csv(path: str | Path, header: str) -> TextIO:

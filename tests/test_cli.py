@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line pipeline and its manifests."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -51,6 +52,7 @@ def pipeline(tmp_path_factory):
     trained = ["--checkpoint", out / "checkpoint.txt", "--features", out / "features.csv", "--out-dir", out]
     assert _run(["eval", "--pairs", out / "pairs.csv"] + trained) == 0
     assert _run(["score"] + trained) == 0
+    assert not [f.name for f in out.iterdir() if f.name.startswith(".")]  # no staging directory is left
     return out
 
 
@@ -666,7 +668,7 @@ class TestOneLineErrors:
         monkeypatch.setattr(synthgen, "generate_users", fail_at_the_sixth_user)
         code = _run(SYNTH_ARGS + ["--out-dir", tmp_path])
         assert code == 1 and capsys.readouterr().err == "error: out of memory\n"
-        assert list(tmp_path.iterdir()) == []  # neither an output nor a partial file
+        assert list(tmp_path.iterdir()) == []  # neither an output nor a staging directory
 
     @pytest.mark.parametrize(
         "row, message",
@@ -829,6 +831,83 @@ class TestRerun:
     def test_input_path_recorded_relative_to_manifest(self, pipeline, tmp_path):
         _, manifest = self._mine_copy(pipeline, tmp_path)
         assert json.loads(manifest.read_text())["inputs"]["posts"]["path"] == os.path.join("..", "posts.jsonl")
+
+
+def _quick_args(pipeline, command):
+    """A short run of `command` on the pipeline's files, without its --out-dir."""
+    if command == "synth":
+        return SYNTH_ARGS
+    fit = ["--epochs", "2", "--learning-rate", "1e-3", "--seed", "5"] if command in ("train", "ablate") else []
+    return _input_args(pipeline, command, {}) + fit + (["--noise-levels", "0,0.3"] if command == "ablate" else [])
+
+
+def _cut_after_the_first_line(real, exc):
+    """The writer `real`, left after the first line it writes, then raising `exc`."""
+
+    def write(target, *args):
+        if isinstance(target, Path):  # a writer of one whole file
+            real(target, *args)
+            target.write_text(target.read_text().splitlines(keepends=True)[0])
+        else:  # synthgen.write_latents(f, ids, mu) into an open file: the first user's first row
+            real(target, *(arg[:1] for arg in args))
+        raise exc
+
+    return write
+
+
+class TestStagedWrites:
+    # each command's last writer, as the command reaches it
+    LAST_WRITERS = {"synth": (synthgen, "write_latents"), "stats": (corpus, "write_stats_csv"),
+                    "mine": (corpus, "write_stats_csv"), "train": (ranker, "write_train_report_csv"),
+                    "eval": (evaluate, "write_eval_csv"), "score": (evaluate, "write_scores_csv"),
+                    "ablate": (evaluate, "write_ablation_csv")}
+
+    @pytest.mark.parametrize("command", ["synth", "stats", "mine", "train", "eval", "score", "ablate"])
+    def test_a_write_failing_partway_leaves_the_last_run_as_it_was(self, pipeline, tmp_path, capsys, monkeypatch,
+                                                                   command):
+        exc = KeyboardInterrupt() if command == "train" else OSError("No space left on device")
+        out = tmp_path / "out"
+        args = _quick_args(pipeline, command) + ["--out-dir", out]
+        assert _run(args) == 0
+        before = _dir_bytes(out)
+        module, name = self.LAST_WRITERS[command]
+        monkeypatch.setattr(module, name, _cut_after_the_first_line(getattr(module, name), exc))
+        capsys.readouterr()
+        if command == "train":
+            with pytest.raises(KeyboardInterrupt):
+                _run(args)
+        else:
+            assert _run(args) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert _dir_bytes(out) == before  # every output and the manifest, and no new entry
+
+    def test_a_failed_move_leaves_no_manifest_naming_other_bytes(self, pipeline, tmp_path, capsys):
+        args = _quick_args(pipeline, "train") + ["--out-dir", tmp_path]
+        assert _run(args) == 0
+        (tmp_path / "train_report.csv").unlink()
+        (tmp_path / "train_report.csv").mkdir()  # the report can no longer be replaced
+        capsys.readouterr()
+        assert _run(args + ["--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        manifest = tmp_path / "train_manifest.json"
+        if manifest.exists():  # it may name only the bytes beside it
+            for name, digest in json.loads(manifest.read_text())["outputs"].items():
+                assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        assert not [f.name for f in tmp_path.iterdir() if f.name.startswith(".")]
+
+    def test_rerun_into_an_older_run_replaces_its_outputs_and_keeps_its_manifest(self, pipeline, tmp_path):
+        older = _quick_args(pipeline, "mine") + ["--threshold", "0.99", "--out-dir", tmp_path]
+        assert _run(older) == 0
+        before = _dir_bytes(tmp_path)
+        assert before["pairs.csv"] != (pipeline / "pairs.csv").read_bytes()
+        assert _run(["rerun", pipeline / "mine_manifest.json", "--out-dir", tmp_path]) == 0
+        after = _dir_bytes(tmp_path)
+        assert sorted(after) == sorted(before)  # nothing else appears
+        assert after["mine_manifest.json"] == before["mine_manifest.json"]
+        for name in ("pairs.csv", "pair_stats.csv"):
+            assert after[name] == (pipeline / name).read_bytes()
 
 
 def _valid_mine_manifest(pipeline, tmp_path):
