@@ -43,7 +43,10 @@ import shutil
 import sys
 import tempfile
 from dataclasses import fields
+from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 from . import corpus, evaluate, features as features_mod, mining, mlp, ranker, synthgen
 from .util import open_csv, seeded_rng, sha256_file, split_indices
@@ -108,11 +111,14 @@ def run_synth(config: dict, out: Path) -> list[str]:
         open_csv(out / "features.csv", features_mod.header(synth_config.feature_dim)) as features,
         open_csv(out / "latents.csv", synthgen.LATENTS_HEADER) as latents,
     ):
-        for user_posts, rows, mu in synthgen.generate_users(synth_config):  # written as each user is drawn
+        users = synthgen.generate_users(synth_config)
+        values = synth_config.posts_per_user * synth_config.feature_dim
+        while block := list(islice(users, max(1, features_mod.WRITE_VALUES // values))):  # written as drawn
+            user_posts = [post for block_posts, _, _ in block for post in block_posts]
             ids = [post.post_id for post in user_posts]
             posts.writelines([corpus.serialize_post(post) + "\n" for post in user_posts])
-            features_mod.write_rows(features, ids, rows)
-            synthgen.write_latents(latents, ids, mu)
+            features_mod.write_rows(features, ids, np.concatenate([rows for _, rows, _ in block]))
+            synthgen.write_latents(latents, ids, [m for _, _, mu in block for m in mu])
     print(
         f"generated {synth_config.n_users * synth_config.posts_per_user} posts for {synth_config.n_users} users "
         f"(reference_time {synthgen.reference_time_for(synth_config)})"

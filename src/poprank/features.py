@@ -10,6 +10,7 @@ mapping from post_id to that post's row.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from collections.abc import Collection, Container, Iterable, Iterator, Mapping, Sequence
@@ -22,6 +23,7 @@ import numpy as np
 from .util import _ID_FORBIDDEN, _check_id
 
 FEATURE_VALUES = 1 << 15  # values per numpy parse when reading a features file: bounds the memory a block takes
+WRITE_VALUES = 1 << 13  # values per block formatted when writing one, unless a row holds more
 # float() does not strip these around a number and numpy's reader does (both strip the other whitespace)
 _LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 
@@ -79,10 +81,198 @@ def header(dim: int) -> str:
 
 
 def write_rows(f: TextIO, ids: Sequence[str], matrix: np.ndarray) -> None:
-    """Write the (len(ids), D) `matrix` as rows of a features file, one at a time to keep memory flat."""
-    row_format = "%s" + ",%.17g" * matrix.shape[1] + "\n"  # round-trips float64
-    for post_id, row in zip(ids, matrix):
-        f.write(row_format % (post_id, *row.tolist()))
+    """Write the (len(ids), D) `matrix` as rows of a features file, each value as `'%.17g' % value` (which
+    round-trips float64), formatted in blocks of at most max(D, WRITE_VALUES) values to keep memory flat."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or len(matrix) != len(ids):
+        raise ValueError(f"feature matrix of shape {matrix.shape} is not one row per id ({len(ids)})")
+    size = max(1, WRITE_VALUES // max(1, matrix.shape[1]))
+    for start in range(0, len(ids), size):
+        f.write(_format_rows(ids[start : start + size], matrix[start : start + size]).decode("utf-8"))
+
+
+# The block formatter's constants. _PAD pads a block's bytes: no UTF-8 text holds it, so one compaction drops it alone.
+_PAD = 0xFF
+_CELL = 25  # one value's slot: ',' and the longest text, as '-2.2250738585072014e-308'
+_E16, _E17 = 10**16, 10**17  # the 17-digit range
+_SCIENTIFIC, _SLOW = 21, 22  # layout codes after the fixed-point ones, k + 4 for k in [-4, 16]
+# The fast path takes 1e-250 < |x| < 1e250, so k in [-251, 250] and powers 10**(16 - k) in [-234, 267], with margin
+_MIN_POWER, _MAX_POWER, _MIN_EXPONENT = -240, 270, -260
+_SPLITTER = 2.0**27 + 1
+
+
+def _format_rows(ids: Sequence[str], matrix: np.ndarray) -> bytes:
+    """The UTF-8 text of the features rows of `ids` and their (len(ids), D) float64 `matrix`.
+
+    Each row is laid out in one row of a byte matrix: the id, D cells of
+    _CELL bytes and the line end, padded with _PAD, which one compaction drops.
+    """
+    encoded = [post_id.encode("utf-8") for post_id in ids]  # UTF-8 holds no _PAD byte, so an id keeps every byte
+    width = max(map(len, encoded), default=0)
+    text = np.empty((len(ids), width + matrix.shape[1] * _CELL + 1), dtype=np.uint8)
+    padded = b"".join(post_id.ljust(width, b"\xff") for post_id in encoded)
+    text[:, :width] = np.frombuffer(padded, np.uint8).reshape(len(ids), width)
+    text[:, -1] = ord("\n")
+    _format_cells(matrix, np.ndarray((*matrix.shape, _CELL), np.uint8, text, width, (text.strides[0], _CELL, 1)))
+    return text[text != _PAD].tobytes()
+
+
+def _format_cells(values: np.ndarray, cells: np.ndarray) -> None:
+    """Write ',' and `'%.17g' % x`, padded with _PAD, into the _CELL bytes of `cells` (shaped values.shape +
+    (_CELL,)) for each x of the float64 `values`.
+
+    Python's '%.17g' takes dtoa's exact bignum path for every value, as 17
+    digits are past its fast path. Here, for 1e-250 < |x| < 1e250, the 17
+    digits D = round(|x| * 10**(16 - k)) come from the double-double product
+    of |x| and 10**(16 - k), exact to about 1e-14 of a unit: Dekker's
+    two-product with the high part of the power, plus |x| times its low part.
+    The exponent k is floor(log10 |x|), taken from numpy's log10 only as a
+    guess: a cell whose unrounded product falls outside [1e16, 1e17) is done
+    again with k - 1 or k + 1, and a rounding up to 1e17 carries into k + 1.
+    (A product too close to 1e16 or 1e17 to place gives the same text on
+    either side, as the rounding carries, or one that stays outside.)
+    Python's '%' formats the cells this cannot prove: zeros, non-finite values,
+    |x| outside that range, one whose product stays outside [1e16, 1e17), and
+    a product within 1e-9 of a rounding tie (exact ties exist: from about 1e5
+    to 1e17 a value with few fraction bits can be one, as 1000000000000000.25).
+
+    The text is laid out as '%g' lays it out: fixed point for -4 <= k < 17,
+    else d.ddde±XX, without trailing zeros or a bare point. The cells are
+    sorted by layout (one per k of fixed point, then scientific, then
+    Python's), each layout fills a contiguous slice of rows, and one gather
+    puts them back in order.
+    """
+    tables = _tables()
+    values = values.ravel()
+    a = np.abs(values)
+    fast = (a > 1e-250) & (a < 1e250)
+    a[~fast] = 1.0  # a placeholder; these cells go to Python
+    k = np.floor(np.log10(a)).astype(np.int64)
+    whole, frac = tables.scaled(a, k)
+    for _ in range(2):  # log10's guess is off by one at most, so one pass puts every cell in range
+        shift = (whole >= _E17).astype(np.int64) - (whole < _E16)
+        redo = np.flatnonzero(shift)
+        if not redo.size:
+            break
+        k[redo] += shift[redo]
+        whole[redo], frac[redo] = tables.scaled(a[redo], k[redo])
+    slow = ~fast | (whole < _E16) | (whole >= _E17) | (np.abs(frac - 0.5) < 1e-9)
+    digits = whole + (frac > 0.5)
+    carry = digits == _E17
+    digits[carry] = _E16
+    k += carry
+    layout = np.where(slow, _SLOW, np.where((k >= -4) & (k < 17), k + 4, _SCIENTIFIC)).astype(np.int8)
+    order = np.argsort(layout, kind="stable")
+    bounds = [0, *np.cumsum(np.bincount(layout, minlength=_SLOW + 1)).tolist()]  # layout c fills rows bounds[c:c + 2]
+    n_fast = bounds[_SLOW]
+    sorted_cells = np.full((values.size, _CELL), _PAD, dtype=np.uint8)
+    sorted_cells[:, 0] = ord(",")
+    sorted_cells[:n_fast, 1] = np.where(np.signbit(values[order[:n_fast]]), ord("-"), _PAD)
+    text = tables.digit_text(digits[order[:n_fast]])
+    for code, start, end in zip(range(_SLOW), bounds, bounds[1:]):
+        if start == end:
+            continue
+        cell, digit = sorted_cells[start:end, 2:], text[start:end]  # a cell from its first digit's slot on
+        if code == _SCIENTIFIC:  # d.ddde±XX
+            cell[:, 0] = digit[:, 0]
+            cell[:, 1] = np.where(digit[:, 1] != _PAD, ord("."), _PAD)
+            cell[:, 2:18] = digit[:, 1:]
+            cell[:, 18:] = tables.exponents[k[order[start:end]] - _MIN_EXPONENT]
+        elif code >= 4:  # the k + 1 integer digits, zeros kept, then the point if a fraction digit follows
+            point = code - 3
+            cell[:, :point] = np.where(digit[:, :point] == _PAD, ord("0"), digit[:, :point])
+            if point < 17:
+                cell[:, point] = np.where(digit[:, point] != _PAD, ord("."), _PAD)
+                cell[:, point + 1 : 18] = digit[:, point:]
+        else:  # '0.', then -k - 1 zeros and the digits
+            zeros = 3 - code
+            cell[:, : 2 + zeros] = ord("0")
+            cell[:, 1] = ord(".")
+            cell[:, 2 + zeros : 19 + zeros] = digit
+    for row, x in enumerate(values[order[n_fast:]].tolist(), start=n_fast):
+        slow_text = _python_text(x)
+        sorted_cells[row, 1 : 1 + len(slow_text)] = np.frombuffer(slow_text, np.uint8)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    np.take(sorted_cells, position.reshape(cells.shape[:-1]), axis=0, out=cells, mode="clip")
+
+
+def _python_text(x: float) -> bytes:
+    """`'%.17g' % x`: the text of a value the fast path of `_format_cells` cannot prove."""
+    return ("%.17g" % x).encode("ascii")
+
+
+class _FormatTables:
+    """What `_format_cells` looks up: 10**p as a double-double for p in [_MIN_POWER, _MAX_POWER], the text of 0..9999
+    with and without its trailing zeros, and the 'e±XX' of each exponent. Built by `_tables` on the first write."""
+
+    def __init__(self):
+        hi, lo = [], []
+        for p in range(_MIN_POWER, _MAX_POWER + 1):  # exact rationals from Python ints: no module for them is loaded
+            n = 10 ** abs(p)
+            hi.append(float(n) if p >= 0 else 1 / n)  # int / int is correctly rounded
+            num, den = hi[-1].as_integer_ratio()
+            lo.append(float(n - num) if p >= 0 else (den - num * n) / (den * n))
+        self.hi, self.lo = np.array(hi), np.array(lo)
+        self.hi_hi, self.hi_lo = _split(self.hi)
+        codes = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+        text = (codes + ord("0")).astype(np.uint8)
+        trailing = np.logical_and.accumulate(codes[:, ::-1] == 0, axis=1)[:, ::-1]
+        self.groups = np.concatenate([text, np.where(trailing, _PAD, text)]).view(np.uint32).ravel()
+        self.exponents = np.frombuffer(b"".join(
+            (b"e-" if e < 0 else b"e+") + (b"%02d" % abs(e)).rjust(3, b"\xff")
+            for e in range(_MIN_EXPONENT, -_MIN_EXPONENT + 1)
+        ), dtype=np.uint8).reshape(-1, 5)
+
+    def scaled(self, a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """floor(a * 10**(16 - k)) as int64 and its fraction, from a double-double product exact to about 1e-14."""
+        p = 16 - k - _MIN_POWER
+        hi, hi_hi, hi_lo = self.hi[p], self.hi_hi[p], self.hi_lo[p]
+        a_hi, a_lo = _split(a)
+        product = a * hi
+        error = a_hi * hi_hi  # Dekker's two-product: product + error == a * hi exactly
+        error -= product
+        error += a_hi * hi_lo
+        error += a_lo * hi_hi
+        error += a_lo * hi_lo
+        error += a * self.lo[p]
+        whole = np.floor(product)
+        product -= whole  # exact: what of the product is below the unit
+        product += error
+        carried = np.floor(product)
+        product -= carried
+        whole = whole.astype(np.int64)
+        whole += carried.astype(np.int64)
+        return whole, product
+
+    def digit_text(self, digits: np.ndarray) -> np.ndarray:
+        """The (n, 17) text of the 17-digit `digits`, with its trailing zeros as _PAD."""
+        high = digits // 10**8
+        low = (digits - high * 10**8).astype(np.int32)
+        high = high.astype(np.int32)
+        top = high // 10**4
+        groups = np.empty((digits.size, 5), dtype=np.int32)  # the lead digit, then four groups of four
+        groups[:, 0] = top // 10**4
+        groups[:, 1] = top - groups[:, 0] * 10**4
+        groups[:, 2] = high - top * 10**4
+        groups[:, 3] = low // 10**4
+        groups[:, 4] = low - groups[:, 3] * 10**4
+        strip = groups[:, 4] == 0  # a group takes the stripped text when every later group is zero
+        groups[:, 4] += 10**4
+        for g in (3, 2, 1):
+            groups[:, g] += strip * 10**4
+            strip &= groups[:, g] == 10**4
+        return np.take(self.groups, groups).view(np.uint8)[:, 3:]  # the lead group is '000d'
+
+
+_tables = functools.cache(_FormatTables)
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: x == high + low exactly, each with at most 26 significant bits."""
+    t = _SPLITTER * x
+    high = t - (t - x)
+    return high, x - high
 
 
 def require_features(ids: Iterable[str], present: Container[str]) -> None:

@@ -123,7 +123,8 @@ def train(
     must be disjoint and non-empty. Batches gather rows of `features.matrix`
     by index, never copying it, and every step writes its activations, deltas
     and gradients into one set of buffers made for the fit, with rows for
-    min(batch_size, train pairs) pairs. Each epoch's swap draw keeps its place
+    min(batch_size, train pairs) pairs; the validation pairs are scored in
+    slices of as many rows. Each epoch's swap draw keeps its place
     in the `train` stream, after the shuffle. The report holds a snapshot of the
     best-validation epoch; ties keep the earliest epoch. Deterministic given
     config.seed.
@@ -140,7 +141,11 @@ def train(
         return lambda batch: _batch_loss_and_grad(model, x[a[batch]], x[b[batch]], labels[batch], buffers)
 
     def val_accuracy() -> float:  # share of validation pairs with f(A) > f(B); ties count as incorrect
-        return float(np.mean(mlp.forward_batch(model, x[ab[val_idx, 0]]) > mlp.forward_batch(model, x[ab[val_idx, 1]])))
+        correct = 0
+        for start in range(0, len(val_idx), buffers.n_rows):  # in slices of a batch's rows: a row scores the same bits
+            a, b = ab[val_idx[start : start + buffers.n_rows]].T
+            correct += int(np.count_nonzero(mlp.forward_batch(model, x[a]) > mlp.forward_batch(model, x[b])))
+        return correct / len(val_idx)
 
     losses, accs, best_epoch, best = mlp.fit(
         model.params, split, epoch_batches, val_accuracy, config, seeded_rng(config.seed, "train")

@@ -35,8 +35,9 @@ order:
     informative columns, `normal(0, noise, size=(P, n_informative))`.
 
 The Python left per post builds its `Post` and joins its caption.
-`generate_users` yields the corpus one user at a time, so `synth` writes each
-user's rows as they are drawn; `generate_corpus` collects them in memory.
+`generate_users` yields the corpus one user at a time, so `synth` writes
+blocks of a few users' rows as they are drawn; `generate_corpus` collects
+them in memory.
 `tests/test_synthgen.py` checks the generator against a reference that makes
 the same draws and builds one post at a time.
 """

@@ -1,7 +1,12 @@
 """Tests for the columnar feature set and its file format."""
 
+import io
 import math
+import os
+import subprocess
+import sys
 from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +166,103 @@ def test_save_load_round_trip_is_bitwise(tmp_path_factory, case):
     assert loaded.ids == ids
     assert loaded.matrix.shape == matrix.shape
     assert loaded.matrix.tobytes() == np.ascontiguousarray(matrix).tobytes()  # keeps -0.0 and subnormals
+
+
+def _written(ids, matrix) -> str:
+    f = io.StringIO()
+    features_mod.write_rows(f, ids, matrix)
+    return f.getvalue()
+
+
+def _percent_rows(ids, matrix) -> str:
+    """Reference writer: Python's '%.17g' for every value, one row at a time."""
+    row_format = "%s" + ",%.17g" * matrix.shape[1] + "\n"
+    return "".join(row_format % (post_id, *row.tolist()) for post_id, row in zip(ids, matrix))
+
+
+def _edge_values() -> list[float]:
+    """Values where '%.17g' rounds, carries or switches layout, or where numpy's log10 may guess the exponent wrong."""
+    values = []
+    for p in range(-320, 309):  # every power of ten in float64's range, with its neighbours
+        x = float(f"1e{p}")
+        values += [x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, math.inf))]
+    values += [1000000000000000.25, 1000000000000000.75]  # exact ties: round half to even
+    values += [99999999999999999.0, 9.9999999999999999e-05]  # 17 nines round up to the next power
+    values += [1e-5, 9.9999999999999e-05, 1e-4, 1.0000000000001e-4]  # scientific | fixed
+    values += [9.999999999999998e15, 1e16, 9.999999999999998e16, 1e17]  # fixed | scientific
+    values += [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-250, 1e250, 0.1, 1.5, 123456.0]
+    return values + [-x for x in values]
+
+
+_EDGE_VALUES = _edge_values()
+
+
+class TestWriteRows:
+    """`write_rows` writes the bytes of Python's '%.17g', from a block formatter that leaves Python the values it
+    cannot prove."""
+
+    @pytest.mark.parametrize("ids", [["e"], ["\u00e9t\u00e9"]])  # a non-ASCII id is written as UTF-8
+    def test_each_edge_value_alone(self, ids):
+        for x in _EDGE_VALUES:
+            matrix = np.array([[x]])
+            assert _written(ids, matrix) == _percent_rows(ids, matrix), x
+
+    def test_edge_values_inside_a_block_of_ordinary_values(self):
+        rng = np.random.default_rng(23)
+        matrix = rng.normal(size=(len(_EDGE_VALUES), 9))
+        matrix[np.arange(len(matrix)), rng.integers(0, 9, size=len(matrix))] = _EDGE_VALUES
+        ids = ["", "a\x00b"] + [f"\u00e9{i}" for i in range(2, len(matrix))]  # every id byte is kept, NUL included
+        assert _written(ids, matrix) == _percent_rows(ids, matrix)
+
+    def test_more_rows_than_a_block(self):
+        matrix = np.random.default_rng(5).normal(size=(features_mod.WRITE_VALUES // 3 + 7, 3)) * 1e3
+        ids = [f"p{i}" for i in range(len(matrix))]
+        assert _written(ids, matrix) == _percent_rows(ids, matrix)
+
+    def test_only_unprovable_values_reach_python(self, monkeypatch):
+        formatted = []
+
+        def recording_python_text(x):
+            formatted.append(x)
+            return ("%.17g" % x).encode("ascii")
+
+        monkeypatch.setattr(features_mod, "_python_text", recording_python_text)
+        rng = np.random.default_rng(6)
+        # magnitudes from 1e-200 to 1e200 but for [1e5, 1e17), where a value with few fraction bits can be an exact tie
+        ordinary = rng.normal(size=(64, 64)) * 10.0 ** rng.choice(np.r_[-200:5, 17:200], size=(64, 64))
+        _written([f"p{i}" for i in range(64)], ordinary)
+        powers = 10.0 ** np.r_[-200:5, 23:200]  # where numpy's log10 may guess the exponent one too high or low
+        _written(["below", "above"], np.stack([np.nextafter(powers, 0.0), np.nextafter(powers, math.inf)]))
+        assert formatted == []
+        slow = [0.0, -0.0, 1000000000000000.25, -1000000000000000.75, 1e-300, 5e-324, 1e300, math.inf]
+        _written(["p"], np.array([slow]))
+        assert sorted(formatted) == sorted(slow)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 3), (3,)])
+    def test_a_matrix_of_another_row_count_is_refused(self, shape):
+        with pytest.raises(ValueError, match="not one row per id"):
+            _written(["a", "b", "c"], np.zeros(shape))
+
+    def test_importing_the_cli_builds_no_tables(self):
+        code = ("import sys, poprank.cli, poprank.features as f; "
+                "print(f._tables.cache_info().currsize, 'fractions' in sys.modules, 'decimal' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.split() == ["0", "False", "False"]
+
+
+_any_float64 = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))).filter(math.isfinite),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1000000000000000.25, 99999999999999999.0, 1e16, 1e-5]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 40)), elements=_any_float64))
+def test_write_rows_writes_the_percent_bytes_of_any_finite_float64(matrix):
+    ids = [f"p{i}" for i in range(len(matrix))]
+    assert _written(ids, matrix) == _percent_rows(ids, matrix)
 
 
 def _row_parser(path):
