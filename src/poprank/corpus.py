@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import operator
+from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ class Post:
 
 
 POST_FIELDS = tuple(f.name for f in dataclasses.fields(Post))
+_CAPTION_ANALYSIS = ("caption_words", "caption_key", "keys")  # `PostTable`'s lazy attributes
 
 
 @dataclass(frozen=True)
@@ -67,28 +69,37 @@ class PostTable(Sequence):
 
     Per post: `ids`, `user` (an index into `users`), int64 `upload_time`,
     `likes` and `media_count`, bool `is_video` and `caption` (an index into
-    `captions`). Per distinct caption, analysed once: `caption_words`, its
-    plain-word count, and `caption_key`, a code that two captions share exactly
-    when their hashtag and mention multisets are equal; `keys[code]` is that
-    pair of multisets as sorted tuples. The columns are taken in `POST_FIELDS`
-    order; an integer outside int64 is an OverflowError.
+    `captions`). Per distinct caption, analysed once, when one of these is
+    first read: `caption_words`, its plain-word count, and `caption_key`, a
+    code that two captions share exactly when their hashtag and mention
+    multisets are equal; `keys[code]` is that pair of multisets as sorted
+    tuples. Only the captions the table's rows reference are analysed, so a
+    `take` analyses its own; the entries of the others are 0. The columns are
+    taken in `POST_FIELDS` order; an integer outside int64 is an OverflowError.
     """
 
     def __init__(self, post_id, user_id, upload_time, likes, caption, media_count, is_video):
         self.ids = list(post_id)
-        self.users, user = _codes(user_id)
-        self.captions, caption = _codes(caption)
+        self.users, self.user = _codes(user_id)
+        self.captions, self.caption = _codes(caption)
+        self.upload_time, self.likes = _frozen(upload_time, np.int64), _frozen(likes, np.int64)
+        self.media_count, self.is_video = _frozen(media_count, np.int64), _frozen(is_video, bool)
+
+    def __getattr__(self, name: str):
+        """Analyse the referenced captions on the first read of `caption_words`, `caption_key` or `keys`."""
+        if name not in _CAPTION_ANALYSIS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        used = np.flatnonzero(np.bincount(self.caption, minlength=len(self.captions)))  # the captions the rows use
         keys: dict[tuple, int] = {}
         words, key = [], []
-        for text in self.captions:
+        for text in map(self.captions.__getitem__, used.tolist()):
             hashtags, mentions, word_count = _caption_parts(text)
             words.append(word_count)
             key.append(keys.setdefault((tuple(hashtags), tuple(mentions)), len(keys)))
         self.keys = list(keys)
-        self.caption_words, self.caption_key = _frozen(words, np.int64), _frozen(key, np.intp)
-        self.user, self.caption = _frozen(user, np.intp), _frozen(caption, np.intp)
-        self.upload_time, self.likes = _frozen(upload_time, np.int64), _frozen(likes, np.int64)
-        self.media_count, self.is_video = _frozen(media_count, np.int64), _frozen(is_video, bool)
+        self.caption_words = _scattered(words, used, len(self.captions), np.int64)
+        self.caption_key = _scattered(key, used, len(self.captions), np.intp)
+        return getattr(self, name)
 
     @classmethod
     def of(cls, posts: Sequence[Post]) -> PostTable:
@@ -101,6 +112,8 @@ class PostTable(Sequence):
         """The posts at `rows` (indices, or a boolean mask), sharing this table's users and captions."""
         rows = np.flatnonzero(rows) if rows.dtype == bool else rows
         table = copy.copy(self)
+        for name in _CAPTION_ANALYSIS:
+            table.__dict__.pop(name, None)
         table.ids = [self.ids[row] for row in rows.tolist()]
         for name in ("user", "upload_time", "likes", "caption", "media_count", "is_video"):
             setattr(table, name, _frozen(getattr(self, name)[rows]))
@@ -121,15 +134,24 @@ class PostTable(Sequence):
                    self.media_count.tolist(), self.is_video.tolist())
 
 
-def _codes(values) -> tuple[list, list[int]]:
-    """The distinct values in order of first appearance, and the index of each value among them."""
+def _codes(values) -> tuple[list, np.ndarray]:
+    """The distinct values in order of first appearance, and the read-only index of each value among them."""
     index: dict = {}
-    codes = [index.setdefault(v, len(index)) for v in values]
+    codes = np.fromiter((index.setdefault(v, len(index)) for v in values), np.intp, count=len(values))
+    codes.flags.writeable = False
     return list(index), codes
 
 
 def _frozen(values, dtype=None) -> np.ndarray:
     array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def _scattered(values: list, at: np.ndarray, size: int, dtype) -> np.ndarray:
+    """A read-only array of `size` zeros but for `values` at the indices `at`."""
+    array = np.zeros(size, dtype)
+    array[at] = values
     array.flags.writeable = False
     return array
 
@@ -155,16 +177,17 @@ def _id_fault(key: str, value) -> str | None:
     return None
 
 
-def _broken_rules(columns: list[tuple]) -> dict[int, str]:
+def _broken_rules(columns: list[tuple], seen: set[str]) -> dict[int, str]:
     """The first rule each broken record breaks, as {row: message}; `columns` are in `POST_FIELDS` order.
 
     The rules in order: the id rule on post_id, then on user_id; caption is a
     string; upload_time, likes and media_count are ints; likes >= 0;
     media_count >= 1; is_video is a boolean; the three ints fit int64; and a
-    post_id repeated from an earlier unbroken row. Each rule is checked on its
-    whole column once, and value by value only where that fails, over the rows
-    no earlier rule broke. JSON gives exact `str`, `int` and `bool` values, so
-    `type(v) is int` is an int that is not a bool.
+    post_id repeated from an earlier unbroken row, here or among the ids in
+    `seen`, to which the ids of these unbroken rows are added. Each rule is
+    checked on its whole column once, and value by value only where that
+    fails, over the rows no earlier rule broke. JSON gives exact `str`, `int`
+    and `bool` values, so `type(v) is int` is an int that is not a bool.
     """
     post_id, user_id, upload_time, likes, caption, media_count, is_video = columns
     broken: dict[int, str] = {}
@@ -189,10 +212,20 @@ def _broken_rules(columns: list[tuple]) -> dict[int, str]:
     for key, values in ints.items():
         rule(values, exact[key] and INT64_MIN <= min(values) and max(values) <= INT64_MAX,
              lambda v: not INT64_MIN <= v <= INT64_MAX and f"{key} must fit in a signed 64-bit integer")
-    seen: set[str] = set()  # the ids of the unbroken rows so far; `seen.add` returns None
-    rule(post_id, post_ids_are_str and len(set(post_id)) == len(post_id),
-         lambda v: f"duplicate post_id {v!r}" if v in seen else seen.add(v))
+    unique = post_ids_are_str and len(set(post_id)) == len(post_id) and seen.isdisjoint(post_id)
+    rule(post_id, unique, lambda v: f"duplicate post_id {v!r}" if v in seen else seen.add(v))  # `add` gives None
+    if unique:  # the value-by-value pass, which adds each unbroken row's id, did not run
+        seen.update(_kept(post_id, broken))
     return broken
+
+
+def _kept(values: tuple, broken: dict[int, str]) -> Sequence:
+    """The values at the rows that are not broken."""
+    return [value for row, value in enumerate(values) if row not in broken] if broken else values
+
+
+CHUNK_ROWS = 4096  # decoded records held at once, before their rules run and their values join the table
+_SHARED = ("user_id", "caption")  # the fields whose equal values the table shares as one object
 
 
 def parse_posts(source: Iterable[str] | TextIO) -> ParseReport:
@@ -201,8 +234,13 @@ def parse_posts(source: Iterable[str] | TextIO) -> ParseReport:
     Malformed lines and duplicate post_ids are skipped and reported as
     diagnostics carrying the 1-based line number; they never abort the parse.
     Posts are returned in input order. Each line is decoded on its own and
-    `source` is read once; then one ordered pass over the columns
-    (`_broken_rules`) reports each record for the first rule it breaks.
+    `source` is read once. The decoded records are checked a chunk of
+    `CHUNK_ROWS` at a time, by one ordered pass over the chunk's columns
+    (`_broken_rules`) that reports each record for the first rule it breaks;
+    the set of the unbroken post_ids so far carries the duplicate rule from
+    chunk to chunk. Then the chunk's unbroken values join the table's
+    columns, the ints packed as int64 and the equal user_ids and captions
+    shared as one string, and the chunk is dropped.
 
     A line goes straight to json's C scanner (the `scan_once` that
     `json.loads` calls, bound once), and is taken from it when the scanner
@@ -214,10 +252,26 @@ def parse_posts(source: Iterable[str] | TextIO) -> ParseReport:
     its diagnostic.
     """
     errors: dict[int, str] = {}  # line number -> diagnostic
-    rows, linenos = [], []
+    rows, linenos = [], []  # the current chunk's records and their line numbers
+    columns = ([], [], array("q"), array("q"), [], array("q"), array("b"))  # the table's, in `POST_FIELDS` order
+    strings: dict[str, str] = {}  # each distinct user_id and caption, as the one object the table holds
+    seen: set[str] = set()  # the post_ids of the unbroken records so far
+
+    def add_chunk() -> None:
+        chunk = list(zip(*rows))
+        broken = _broken_rules(chunk, seen)
+        errors.update((linenos[row], message) for row, message in broken.items())
+        for name, column, values in zip(POST_FIELDS, columns, chunk):
+            values = _kept(values, broken)
+            column.extend(map(strings.setdefault, values, values) if name in _SHARED else values)
+        rows.clear()
+        linenos.clear()
+
     values_of = operator.itemgetter(*POST_FIELDS)
     scan = json.decoder.JSONDecoder().scan_once
     for lineno, line in enumerate(source, start=1):
+        if len(rows) == CHUNK_ROWS:
+            add_chunk()
         try:
             record, end = scan(line, 0)
             if not line[end:].strip(" \t\n\r"):
@@ -242,12 +296,9 @@ def parse_posts(source: Iterable[str] | TextIO) -> ParseReport:
                 errors[lineno] = "record is not an object"
             continue
         linenos.append(lineno)
+    if rows:
+        add_chunk()
 
-    columns = list(zip(*rows)) or [()] * len(POST_FIELDS)
-    broken = _broken_rules(columns)
-    errors.update((linenos[row], message) for row, message in broken.items())
-    if broken:
-        columns = [[value for row, value in enumerate(column) if row not in broken] for column in columns]
     diagnostics = [f"line {lineno}: {errors[lineno]}" for lineno in sorted(errors)]
     return ParseReport(posts=PostTable(*columns), diagnostics=diagnostics)
 

@@ -513,7 +513,8 @@ def _peak_rss_mb(args) -> float:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in kilobytes on Linux")
 def test_synth_and_score_memory_does_not_grow_with_the_rows(tmp_path):
-    """`synth` holds one user's rows and `score` one block: 6,000 rows of 256-d features, 11 MB more than 600 rows,
+    """`synth` holds one block of whole users (as many as fit in 8,192 feature values: two users, 24 rows, at
+    256-d) and `score` one block of the features file: 6,000 rows of 256-d features, 11 MB more than 600 rows,
     raise neither command's peak by 4 MB."""
     checkpoint = tmp_path / "checkpoint.txt"
     mlp.save_checkpoint(checkpoint, {"scorer": mlp.init_model([256, 64, 32, 1], 0)})
