@@ -19,14 +19,14 @@ naming any output that differs from its recorded digest. Every command writes
 into a staging directory inside the out-dir and moves its files into place
 only when it succeeds, so each file in the out-dir is whole, with its old bytes
 or its new ones, and a manifest a run leaves there names only the bytes beside
-it (until a ``rerun`` into that directory replaces them). The moves of one
-command are not atomic together, and a killed process can leave its
-``.<command>-*`` staging directory behind. Each field of
-``SynthConfig``, ``MinerConfig`` and ``TrainConfig`` is a ``--field-name`` flag
-with the field's type and default; ``<command> --help`` lists them. Each input
-file is a required ``--label`` flag named once per command in ``build_parser``;
-``READERS`` maps the label to its reader, and one loop checks, reads and
-records every input, for a run and a rerun alike.
+it: ``rerun`` refuses an out-dir holding the same command's manifest with other
+bytes than the one it reruns. The moves of one command are not atomic together,
+and a killed process can leave its ``.<command>-*`` staging directory behind.
+Each field of ``SynthConfig``, ``MinerConfig`` and ``TrainConfig`` is a
+``--field-name`` flag with the field's type and default; ``<command> --help``
+lists them. Each input file is a required ``--label`` flag named once per
+command in ``build_parser``; ``READERS`` maps the label to its reader, and one
+loop checks, reads and records every input, for a run and a rerun alike.
 
 Usage:
     poprank synth --out-dir runs/demo
@@ -104,7 +104,7 @@ def _fraction(config: dict, key: str) -> float:
     return config[key]
 
 
-def run_synth(config: dict, out: Path) -> list[str]:
+def run_synth(config: dict, out: Path, inputs: dict) -> list[str]:
     synth_config = _config(synthgen.SynthConfig, config)
     with (
         open(out / "posts.jsonl", "w", encoding="utf-8", newline="\n") as posts,
@@ -126,24 +126,28 @@ def run_synth(config: dict, out: Path) -> list[str]:
     return ["posts.jsonl", "features.csv", "latents.csv"]
 
 
-def run_stats(config: dict, out: Path, posts: corpus.PostTable) -> list[str]:
-    stats = corpus.corpus_stats(posts)
+def run_stats(config: dict, out: Path, inputs: dict) -> list[str]:
+    stats = corpus.corpus_stats(inputs.pop("posts"))
     corpus.write_stats_csv(out / "corpus_stats.csv", stats)
     print(f"{stats.n_posts} posts from {stats.n_users} users, mean likes {stats.mean_likes:.1f}")
     return ["corpus_stats.csv"]
 
 
-def run_mine(config: dict, out: Path, posts: corpus.PostTable) -> list[str]:
+def run_mine(config: dict, out: Path, inputs: dict) -> list[str]:
     miner = _config(mining.MinerConfig, config)
+    posts = inputs.pop("posts")
+    n_posts = len(posts)
     candidates = corpus.filter_candidates(posts, miner.reference_time)
+    del posts  # the full table is freed here: only the candidates are mined
     pairs = mining.mine_pairs(candidates, None, miner)
     mining.write_pairs(out / "pairs.csv", pairs)
     corpus.write_stats_csv(out / "pair_stats.csv", mining.pair_stats(pairs, candidates))
-    print(f"mined {len(pairs)} pairs from {len(candidates)} candidates ({len(posts)} posts)")
+    print(f"mined {len(pairs)} pairs from {len(candidates)} candidates ({n_posts} posts)")
     return ["pairs.csv", "pair_stats.csv"]
 
 
-def run_train(config: dict, out: Path, pairs: list[mining.PDIP], features: features_mod.FeatureSet) -> list[str]:
+def run_train(config: dict, out: Path, inputs: dict) -> list[str]:
+    pairs, features = inputs.pop("pairs"), inputs.pop("features")
     dims = [features.dim] + _entries(config, "hidden_dims", "layer width") + [1]
     split_rng = seeded_rng(config["seed"], "train-split")
     train_idx, val_idx = split_indices(len(pairs), _fraction(config, "val_fraction"), split_rng)
@@ -158,7 +162,8 @@ def run_train(config: dict, out: Path, pairs: list[mining.PDIP], features: featu
     return ["checkpoint.txt", "train_report.csv"]
 
 
-def run_eval(config: dict, out: Path, pairs: list[mining.PDIP], scores: dict[str, float]) -> list[str]:
+def run_eval(config: dict, out: Path, inputs: dict) -> list[str]:
+    pairs, scores = inputs.pop("pairs"), inputs.pop("scores")
     features_mod.require_features([pid for p in pairs for pid in (p.id_a, p.id_b)], scores)
     result = evaluate.pairwise_accuracy(scores, pairs)  # the scores `score` writes
     evaluate.write_eval_csv(out / "eval_result.csv", result)
@@ -166,7 +171,8 @@ def run_eval(config: dict, out: Path, pairs: list[mining.PDIP], scores: dict[str
     return ["eval_result.csv"]
 
 
-def run_score(config: dict, out: Path, scores: dict[str, float]) -> list[str]:
+def run_score(config: dict, out: Path, inputs: dict) -> list[str]:
+    scores = inputs.pop("scores")
     if config["rescale_max"] is not None:
         scores = evaluate.rescale_for_display(scores, config["rescale_max"])
     evaluate.write_scores_csv(out / "scores.csv", scores)
@@ -174,10 +180,10 @@ def run_score(config: dict, out: Path, scores: dict[str, float]) -> list[str]:
     return ["scores.csv"]
 
 
-def run_ablate(config: dict, out: Path, pairs: list[mining.PDIP], features: features_mod.FeatureSet) -> list[str]:
+def run_ablate(config: dict, out: Path, inputs: dict) -> list[str]:
     table = evaluate.noise_ablation(
-        pairs,
-        features,
+        inputs.pop("pairs"),
+        inputs.pop("features"),
         _config(ranker.TrainConfig, config),
         noise_levels=_entries(config, "noise_levels", "level"),
         hidden_dims=_entries(config, "hidden_dims", "layer width"),
@@ -190,6 +196,8 @@ def run_ablate(config: dict, out: Path, pairs: list[mining.PDIP], features: feat
     return ["ablation.csv"]
 
 
+# command -> handler(config, out, inputs): `inputs` maps each input label to what was read, and the handler pops
+# the labels it uses, so the caller holds no input and the handler can free one once it is done with it
 HANDLERS = {
     "synth": run_synth,
     "stats": run_stats,
@@ -207,7 +215,7 @@ def _execute(command: str, config: dict, out: Path, record: bool) -> dict[str, s
     Each input file is checked and read in turn, in `READERS` order, before the handler runs. A command
     that reads pairs reads only the feature rows those pairs name. A command that reads a checkpoint gets,
     in place of the checkpoint and the features, the `scores` of those rows, scored one block of the
-    file at a time, so it never holds the feature matrix.
+    file at a time, so it never holds the feature matrix. The handler pops its inputs from `inputs`.
 
     The handler writes into a fresh staging directory `.<command>-*` inside `out`. Only when it returns
     are the outputs hashed and moved into `out`, one `os.replace` each. With `record` the manifest is staged
@@ -236,7 +244,7 @@ def _execute(command: str, config: dict, out: Path, record: bool) -> dict[str, s
             print(f"read {kept} of {rows} feature rows")
     stage = Path(tempfile.mkdtemp(prefix=f".{command}-", dir=out))
     try:
-        names = HANDLERS[command](config, stage, **inputs)
+        names = HANDLERS[command](config, stage, inputs)
         outputs = {name: sha256_file(stage / name) for name in names}
         if record:
             recorded_inputs = {
@@ -284,8 +292,14 @@ def rerun(manifest_path: str, out_dir: str) -> list[str]:
     Input paths resolve against the manifest's directory, and every input
     must still have its recorded sha256, else ValueError before anything
     runs. Only the outputs are written: the manifest stays the record of the run.
+    So an `out_dir` that holds a `<command>_manifest.json` with other bytes
+    than this manifest's is a ValueError before anything is written: the
+    outputs moved in would no longer be the bytes that manifest names.
     """
     recorded = _read_manifest(manifest_path)
+    beside = Path(out_dir) / f"{recorded['command']}_manifest.json"
+    if beside.exists() and beside.read_bytes() != Path(manifest_path).read_bytes():
+        raise ValueError(f"{out_dir} holds another run's {beside.name}; rerun {manifest_path} into another directory")
     config = dict(recorded["config"])
     for label, entry in recorded["inputs"].items():
         path = Path(manifest_path).parent / entry["path"]

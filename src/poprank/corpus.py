@@ -298,6 +298,8 @@ def parse_posts(source: Iterable[str] | TextIO) -> ParseReport:
         linenos.append(lineno)
     if rows:
         add_chunk()
+    seen.clear()  # freed before `PostTable` builds its own index of the shared strings
+    strings.clear()
 
     diagnostics = [f"line {lineno}: {errors[lineno]}" for lineno in sorted(errors)]
     return ParseReport(posts=PostTable(*columns), diagnostics=diagnostics)
@@ -393,7 +395,7 @@ def corpus_stats(posts: Sequence[Post]) -> CorpusStats:
     no_caption = no_hashtag & no_mention & (table.caption_words == 0)
     return CorpusStats(
         n_posts=n,
-        n_users=len(np.unique(table.user)),
+        n_users=int(np.count_nonzero(np.bincount(table.user))),
         mean_likes=sum(table.likes.tolist()) / n,
         proportion_no_hashtag=int(uses[no_hashtag].sum()) / n,
         proportion_no_mention=int(uses[no_mention].sum()) / n,

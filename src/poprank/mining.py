@@ -32,7 +32,7 @@ from .util import _check_id, open_csv
 _CDF_P = 0.2316419
 _CDF_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
 
-BLOCK_POSTS = 2048  # candidate posts of whole users scored together; bounds the pair arrays
+BLOCK_POSTS = 1024  # candidate posts of whole users scored together; bounds the pair arrays
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,16 @@ def split_indices(n: int, holdout_fraction: float, rng: np.random.Generator) -> 
     return perm[: n - n_holdout], perm[n - n_holdout :]
 
 
+HASH_BUFFER = 1 << 18  # bytes of a file read at a time, into the one buffer `sha256_file` reuses
+
+
 def sha256_file(path: str | Path) -> str:
+    """The hex sha256 of a file, read into one reused buffer of `HASH_BUFFER` bytes, so no read allocates."""
     h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
+    buffer = memoryview(bytearray(HASH_BUFFER))
+    with open(path, "rb", buffering=0) as f:
+        while n := f.readinto(buffer):
+            h.update(buffer[:n])
     return h.hexdigest()
 
 

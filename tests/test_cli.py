@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from poprank import corpus, evaluate, features as features_mod, mlp, ranker, synthgen
+from poprank import cli, corpus, evaluate, features as features_mod, mining, mlp, ranker, synthgen
 from poprank.cli import build_parser, main
 from poprank.mining import MinerConfig, read_pairs
 
@@ -529,6 +530,28 @@ def test_synth_and_score_memory_does_not_grow_with_the_rows(tmp_path):
     assert max(growth) < 4.0, peaks
 
 
+def test_mine_frees_the_post_table_before_it_mines(pipeline, tmp_path, monkeypatch):
+    """Only the candidates are mined, so the full post table is gone by the time `mining.mine_pairs` runs."""
+    tables, alive = [], []
+    read_posts, mine_pairs = cli.READERS["posts"], mining.mine_pairs
+
+    def read_and_watch(path):
+        table = read_posts(path)
+        tables.append(weakref.ref(table))
+        return table
+
+    def mine_and_look(*args, **kwargs):
+        alive.append(tables[0]() is not None)
+        return mine_pairs(*args, **kwargs)
+
+    monkeypatch.setitem(cli.READERS, "posts", read_and_watch)
+    monkeypatch.setattr(mining, "mine_pairs", mine_and_look)
+    assert _run(_quick_args(pipeline, "mine") + ["--out-dir", tmp_path]) == 0
+    assert alive == [False]
+    for name in ("pairs.csv", "pair_stats.csv"):
+        assert (tmp_path / name).read_bytes() == (pipeline / name).read_bytes()
+
+
 # Each command's input labels, in the order it checks and reads them, and the pipeline file each one names
 INPUTS = {"stats": ["posts"], "mine": ["posts"], "train": ["pairs", "features"],
           "eval": ["checkpoint", "pairs", "features"], "score": ["checkpoint", "features"],
@@ -829,6 +852,12 @@ class TestRerun:
         assert _run(["rerun", os.path.join("..", "corpus", "mine_manifest.json"), "--out-dir", "redo"]) == 0
         assert (elsewhere / "redo" / "pairs.csv").read_bytes() == (corpus_dir / "pairs.csv").read_bytes()
 
+    def test_rerun_into_the_manifests_own_directory_exits_zero(self, pipeline, tmp_path):
+        _, manifest = self._mine_copy(pipeline, tmp_path)
+        before = _dir_bytes(manifest.parent)
+        assert _run(["rerun", manifest, "--out-dir", manifest.parent]) == 0
+        assert _dir_bytes(manifest.parent) == before
+
     def test_input_path_recorded_relative_to_manifest(self, pipeline, tmp_path):
         _, manifest = self._mine_copy(pipeline, tmp_path)
         assert json.loads(manifest.read_text())["inputs"]["posts"]["path"] == os.path.join("..", "posts.jsonl")
@@ -898,17 +927,16 @@ class TestStagedWrites:
                 assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
         assert not [f.name for f in tmp_path.iterdir() if f.name.startswith(".")]
 
-    def test_rerun_into_an_older_run_replaces_its_outputs_and_keeps_its_manifest(self, pipeline, tmp_path):
+    def test_rerun_into_an_older_run_is_refused_and_leaves_it_as_it_was(self, pipeline, tmp_path, capsys):
         older = _quick_args(pipeline, "mine") + ["--threshold", "0.99", "--out-dir", tmp_path]
         assert _run(older) == 0
         before = _dir_bytes(tmp_path)
         assert before["pairs.csv"] != (pipeline / "pairs.csv").read_bytes()
-        assert _run(["rerun", pipeline / "mine_manifest.json", "--out-dir", tmp_path]) == 0
-        after = _dir_bytes(tmp_path)
-        assert sorted(after) == sorted(before)  # nothing else appears
-        assert after["mine_manifest.json"] == before["mine_manifest.json"]
-        for name in ("pairs.csv", "pair_stats.csv"):
-            assert after[name] == (pipeline / name).read_bytes()
+        capsys.readouterr()
+        assert _run(["rerun", pipeline / "mine_manifest.json", "--out-dir", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "mine_manifest.json" in err and err.count("\n") == 1
+        assert _dir_bytes(tmp_path) == before  # every output and the manifest, and no new entry
 
 
 def _valid_mine_manifest(pipeline, tmp_path):
