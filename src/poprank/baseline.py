@@ -145,7 +145,9 @@ def train_baseline(
 
     Same schedule as the pairwise ranker (`mlp.fit`): seeded shuffle,
     minibatches, Adam with coupled l2 over the joint parameter vector,
-    multiplicative per-epoch learning-rate decay.
+    multiplicative per-epoch learning-rate decay. The validation MSE is
+    computed by the training pass (`mlp.forward_cached`, through BLAS), as
+    in `ranker.train`.
     """
     train_idx, val_idx = (np.asarray(ix, dtype=int) for ix in split)
     xv = np.stack([s.visual for s in samples])
@@ -158,8 +160,8 @@ def train_baseline(
         return baseline_loss_and_grad(model, xv[rows], nv_log[rows], targets[rows], grad)
 
     def neg_val_mse() -> float:
-        q_vis = mlp.forward_batch(model.visual_scorer, xv[val_idx])
-        return -mse_loss(mlp.forward_batch(model.head, np.column_stack([q_vis, nv_log[val_idx]])), targets[val_idx])
+        q_vis = mlp.forward_cached(model.visual_scorer, xv[val_idx])[0]
+        return -mse_loss(mlp.forward_cached(model.head, np.column_stack([q_vis, nv_log[val_idx]]))[0], targets[val_idx])
 
     losses, scores, best_epoch, best_params = mlp.fit(
         model.params, split, lambda rng: loss_and_grad, neg_val_mse, config, seeded_rng(config.seed, "train-baseline")

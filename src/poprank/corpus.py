@@ -15,7 +15,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-import logging
 import math
 import operator
 from array import array
@@ -28,8 +27,6 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .util import _ID_FORBIDDEN, _check_id, open_csv
-
-log = logging.getLogger(__name__)
 
 SECONDS_PER_DAY = 86400
 MIN_LIKES = 50
@@ -363,7 +360,9 @@ def filter_candidates(posts: Sequence[Post], reference_time: int) -> PostTable:
     table = PostTable.of(posts)
     future = int(np.count_nonzero(table.upload_time > reference_time))
     if future:
-        log.warning("%d posts are uploaded after reference_time %d", future, reference_time)
+        import logging  # here, not at the top: poprank's one log call, and its import costs every command 0.6 MB
+
+        logging.getLogger(__name__).warning("%d posts are uploaded after reference_time %d", future, reference_time)
     rules = (
         table.likes >= MIN_LIKES,
         table.media_count == 1,

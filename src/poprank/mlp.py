@@ -2,12 +2,13 @@
 
 A model is a stack of affine layers with ReLU on the hidden layers and an
 identity scalar output. Weights are stored as (fan_out, fan_in) matrices so a
-batch forward pass is ``Z = H @ W.T + b``: through BLAS in training
-(`forward_cached`), and through numpy's fixed-order einsum loop in scoring
-(`forward_batch`), so that a row scores the same bits in any batch. The
-backward pass returns the exact gradient of every parameter as one flat
-vector, and the gradient with respect to the first layer's output; times
-``weights[0]`` it is a chained input's gradient.
+batch forward pass is ``Z = H @ W.T + b``: through BLAS in training and in
+its validation (`forward_cached`), and through numpy's fixed-order einsum loop
+wherever a score is written or compared with a written one (`forward_batch`),
+so that a row scores the same bits in any batch. The backward pass returns
+the exact gradient of every parameter as one flat vector, and the gradient
+with respect to the first layer's output; times ``weights[0]`` it is a chained
+input's gradient.
 
 A model's parameters are one contiguous float64 vector, all weights in layer
 order then all biases; ``weights[l]``/``biases[l]`` are views into it. Gradients

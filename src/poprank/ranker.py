@@ -123,9 +123,12 @@ def train(
     must be disjoint and non-empty. Batches gather rows of `features.matrix`
     by index, never copying it, and every step writes its activations, deltas
     and gradients into one set of buffers made for the fit, with rows for
-    min(batch_size, train pairs) pairs; the validation pairs are scored in
-    slices of as many rows. Each epoch's swap draw keeps its place
-    in the `train` stream, after the shuffle. The report holds a snapshot of the
+    min(batch_size, train pairs) pairs. The validation pairs are scored by
+    the training pass (`mlp.forward_cached`, through BLAS) in slices of as
+    many rows, into the same layer-output buffers: validation writes no
+    score, it only selects the epoch, whose parameters already depend on the
+    BLAS kernel. Each epoch's swap draw keeps its place in the `train`
+    stream, after the shuffle. The report holds a snapshot of the
     best-validation epoch; ties keep the earliest epoch. Deterministic given
     config.seed.
     """
@@ -142,9 +145,11 @@ def train(
 
     def val_accuracy() -> float:  # share of validation pairs with f(A) > f(B); ties count as incorrect
         correct = 0
-        for start in range(0, len(val_idx), buffers.n_rows):  # in slices of a batch's rows: a row scores the same bits
+        for start in range(0, len(val_idx), buffers.n_rows):  # in slices of a batch's rows, into the step's buffers
             a, b = ab[val_idx[start : start + buffers.n_rows]].T
-            correct += int(np.count_nonzero(mlp.forward_batch(model, x[a]) > mlp.forward_batch(model, x[b])))
+            (outs_a, _, _), (outs_b, _, _) = buffers.rows(len(a))
+            q_a = mlp.forward_cached(model, x[a], outs_a)[0]
+            correct += int(np.count_nonzero(q_a > mlp.forward_cached(model, x[b], outs_b)[0]))
         return correct / len(val_idx)
 
     losses, accs, best_epoch, best = mlp.fit(

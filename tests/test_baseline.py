@@ -162,6 +162,17 @@ class TestTrainBaseline:
         digest = hashlib.sha256(report.model.params.tobytes()).hexdigest()
         assert digest == "c5af0bc269972b0f611ee743b873eba60a22c06a55f00f56b53b9e5e0b9033b7"
 
+    def test_validation_does_not_use_the_fixed_order_scorer(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mlp.forward_batch called during a fit")
+
+        monkeypatch.setattr(mlp, "forward_batch", refuse)
+        _, _, _, samples = _engagement_dataset()
+        samples = samples[:100]
+        split = split_indices(len(samples), 0.2, seeded_rng(0, "s"))
+        report = train_baseline(init_baseline([16, 8, 1], seed=0), samples, split, TrainConfig(epochs=2, seed=0))
+        assert len(report.val_mse) == 2 and all(np.isfinite(report.val_mse))
+
     def test_planted_signal_gives_high_pearson(self):
         _, _, _, samples = _engagement_dataset()
         model = init_baseline([16, 16, 8, 1], seed=7)

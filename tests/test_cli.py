@@ -552,6 +552,18 @@ def test_mine_frees_the_post_table_before_it_mines(pipeline, tmp_path, monkeypat
         assert (tmp_path / name).read_bytes() == (pipeline / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["stats", "mine", "eval", "score"])
+def test_commands_that_draw_no_random_numbers_import_neither_numpy_random_nor_logging(pipeline, tmp_path, command):
+    """Importing `numpy.random` costs a process about 6 MB of RSS and `logging` about 0.6 MB; these commands need
+    neither, on a corpus with no posts uploaded after the reference time (the one case that logs)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    code = ("import sys; from poprank.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'numpy.random' in sys.modules, 'logging' in sys.modules)")
+    args = [*map(str, _quick_args(pipeline, command)), "--out-dir", str(tmp_path)]
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split()[-3:] == ["0", "False", "False"], run.stderr
+
+
 # Each command's input labels, in the order it checks and reads them, and the pipeline file each one names
 INPUTS = {"stats": ["posts"], "mine": ["posts"], "train": ["pairs", "features"],
           "eval": ["checkpoint", "pairs", "features"], "score": ["checkpoint", "features"],

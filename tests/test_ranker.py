@@ -267,6 +267,25 @@ class TestTrain:
             tracemalloc.stop()
         assert peak < features.matrix.nbytes / 2  # a copy of both members of every pair is the whole matrix
 
+    def test_validation_does_not_use_the_fixed_order_scorer(self, monkeypatch):
+        """Validation writes no score, so it runs through the training pass; `forward_batch` is for written ones."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mlp.forward_batch called during a fit")
+
+        monkeypatch.setattr(mlp, "forward_batch", refuse)
+        pairs, features, split = _toy_training_setup(n_pairs=101, seed=4)
+        report = train(init_model([6, 8, 4, 1], seed=4), pairs, features, split, TrainConfig(batch_size=16, epochs=3))
+        assert len(report.val_accuracy) == 3
+
+    def test_ties_on_validation_count_as_incorrect(self):
+        """A first layer of zeros scores every post alike: every validation pair is a tie, so accuracy is 0.0."""
+        pairs, features, split = _toy_training_setup(n_pairs=60, seed=2)
+        model = init_model([6, 8, 4, 1], seed=2)
+        model.weights[0][:] = 0.0
+        report = train(model, pairs, features, split, TrainConfig(learning_rate=0.0, batch_size=16, epochs=3))
+        assert report.val_accuracy == [0.0, 0.0, 0.0] and report.selected_epoch == 0
+
     def test_missing_feature_fails_before_training(self):
         pairs, features, split = _toy_training_setup(n_pairs=20)
         features = FeatureSet.of({pid: features[pid] for pid in features if pid != "a3"})
