@@ -26,6 +26,7 @@ named model sections with layer dims and row-major weights/biases printed with
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -79,6 +80,8 @@ def init_model(layer_dims: list[int], seed: int | np.random.Generator) -> MlpMod
         raise ValueError(f"output dim must be 1, got {layer_dims[-1]}")
     if any(d < 1 for d in layer_dims):
         raise ValueError(f"all dims must be positive, got {layer_dims}")
+    if sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(layer_dims, layer_dims[1:])) > sys.maxsize // 8:
+        raise ValueError(f"dims {layer_dims} need more parameters than one float64 array holds")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):

@@ -93,8 +93,10 @@ class SynthConfig:
             raise ValueError("std parameters must be finite and >= 0")
         if not 1 <= self.time_span_days <= MAX_TIME_SPAN_DAYS:
             raise ValueError(f"time_span_days must be in [1, {MAX_TIME_SPAN_DAYS}]")
-        if self.hashtag_vocab < 1 or self.mention_vocab < 1:
-            raise ValueError("hashtag_vocab and mention_vocab must be >= 1")
+        if not (1 <= self.hashtag_vocab <= 2**63 and 1 <= self.mention_vocab <= 2**63):  # numpy's int64 `integers`
+            raise ValueError("hashtag_vocab and mention_vocab must be in [1, 2**63]")
+        if self.posts_per_user * self.feature_dim > sys.maxsize // 8:  # a user's feature rows: one float64 array
+            raise ValueError(f"posts_per_user * feature_dim must be at most {sys.maxsize // 8}")
         # numpy's normal draws stay within about 14 stds; with 40, exp(log-likes) and the features stay finite
         if not abs(self.mu_mean) + 40.0 * (self.mu_std + self.sigma_true) < LOG_FLOAT_MAX:
             raise ValueError(f"mu_mean must be finite, with |mu_mean| + 40 * (mu_std + sigma_true) < {LOG_FLOAT_MAX:.2f}")

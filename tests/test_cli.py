@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line pipeline and its manifests."""
 
+import gc
 import hashlib
 import json
 import os
@@ -564,6 +565,56 @@ def test_commands_that_draw_no_random_numbers_import_neither_numpy_random_nor_lo
     assert run.stdout.split()[-3:] == ["0", "False", "False"], run.stderr
 
 
+def _fresh_interpreter(code, *args):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True)
+
+
+# atexit runs its handlers last in, first out: a probe registered before `main` runs after `main`'s hook
+_FREEZE_PROBE = "import atexit, gc; atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+_MAIN = "import sys; from poprank.cli import main; code = main(sys.argv[1:]); "
+
+
+@pytest.mark.parametrize("outcome", ["succeeds", "fails"])
+def test_a_command_freezes_the_heap_at_exit(pipeline, tmp_path, outcome):
+    """The interpreter's collections at exit skip every object, all of which die with the process."""
+    args = _quick_args(pipeline, "stats") if outcome == "succeeds" else ["stats", "--posts", tmp_path / "nope"]
+    run = _fresh_interpreter(_FREEZE_PROBE + _MAIN + "sys.exit(code)", *args, "--out-dir", tmp_path / "out")
+    assert (run.returncode, run.stdout.splitlines()[-1]) == ({"succeeds": 0, "fails": 1}[outcome], "True"), run.stderr
+
+
+def test_importing_the_cli_leaves_the_exit_as_it_was():
+    run = _fresh_interpreter(_FREEZE_PROBE + "import poprank.cli")
+    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
+
+
+def test_main_registers_its_exit_hook_once_per_process(pipeline, tmp_path):
+    count_freezes = ("import atexit, gc; freezes = []; freeze = gc.freeze; "
+                     "gc.freeze = lambda: freezes.append(freeze()); atexit.register(lambda: print(len(freezes))); ")
+    run = _fresh_interpreter(count_freezes + _MAIN + "main(sys.argv[1:]); main(sys.argv[1:])",
+                             *_quick_args(pipeline, "stats"), "--out-dir", tmp_path)
+    assert (run.returncode, run.stdout.splitlines()[-1]) == (0, "1"), run.stderr
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(pipeline, tmp_path):
+    before = gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+    assert _run(_quick_args(pipeline, "stats") + ["--out-dir", tmp_path]) == 0
+    assert (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("command", ["synth", "stats", "mine", "train", "eval", "score"])
+def test_a_command_leaves_no_file_open_when_main_returns(pipeline, tmp_path, command):
+    """What makes freezing the heap at exit safe: no file waits for a collection at exit to be flushed or closed."""
+    code = _MAIN + (
+        "import gc, io; std = [sys.stdin, sys.stdout, sys.stderr, sys.__stdin__, sys.__stdout__, sys.__stderr__]; "
+        "std += [s.buffer for s in std if hasattr(s, 'buffer')]; std += [s.raw for s in std if hasattr(s, 'raw')]; "
+        "print(code, [repr(o) for o in gc.get_objects() if isinstance(o, io.IOBase) and not o.closed "
+        "and not any(o is s for s in std)])"
+    )
+    run = _fresh_interpreter(code, *_quick_args(pipeline, command), "--out-dir", tmp_path)
+    assert run.stdout.splitlines()[-1] == "0 []", run.stderr
+
+
 # Each command's input labels, in the order it checks and reads them, and the pipeline file each one names
 INPUTS = {"stats": ["posts"], "mine": ["posts"], "train": ["pairs", "features"],
           "eval": ["checkpoint", "pairs", "features"], "score": ["checkpoint", "features"],
@@ -669,13 +720,32 @@ class TestOneLineErrors:
         "flag, value, option",
         [("--hashtag-vocab", "0", "hashtag_vocab"), ("--mention-vocab", "0", "mention_vocab"),
          ("--mu-mean", "nan", "mu_mean"), ("--mu-mean", "inf", "mu_mean"), ("--mu-mean", "800", "mu_mean"),
-         ("--time-span-days", "106751991148783", "time_span_days")],
+         ("--time-span-days", "106751991148783", "time_span_days"),
+         # sizes numpy cannot hold: a bound of its int64 `integers` past 2**63, an array past sys.maxsize bytes
+         ("--hashtag-vocab", "9223372036854775809", "hashtag_vocab"),
+         ("--mention-vocab", "9223372036854775809", "mention_vocab"),
+         ("--feature-dim", "9223372036854775807", "feature_dim")],
     )
     def test_synth_rejects_bad_option(self, tmp_path, capsys, flag, value, option):
         code = _run(SYNTH_ARGS + [flag, value, "--out-dir", tmp_path])
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error: ") and option in err and err.count("\n") == 1
-        assert not (tmp_path / "posts.jsonl").exists()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--hashtag-vocab", "--mention-vocab"])
+    def test_synth_takes_the_largest_vocabulary_numpy_draws_from(self, tmp_path, flag):
+        assert _run(["synth", "--n-users", "1", "--posts-per-user", "2", flag, str(2**63), "--out-dir", tmp_path]) == 0
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("hidden", ["99999999999999999999", "8,99999999999999999999"])
+    def test_hidden_dims_numpy_cannot_hold(self, pipeline, tmp_path, capsys, command, hidden):
+        dims = [features_mod.FeatureBlocks(pipeline / "features.csv").dim, *map(int, hidden.split(",")), 1]
+        capsys.readouterr()
+        code = _run([command, "--pairs", pipeline / "pairs.csv", "--features", pipeline / "features.csv",
+                     "--hidden-dims", hidden, "--epochs", "1", "--out-dir", tmp_path])
+        err = capsys.readouterr().err
+        assert code == 1 and err == f"error: dims {dims} need more parameters than one float64 array holds\n"
+        assert list(tmp_path.iterdir()) == []
 
     # An impossible size (say `--feature-dim 100000000000`) fails its allocation; raised here without allocating,
     # since on a host that overcommits memory a real huge allocation can succeed and the process be killed later
