@@ -80,15 +80,33 @@ def header(dim: int) -> str:
     return f"post_id,dim={dim}"
 
 
-def write_rows(f: TextIO, ids: Sequence[str], matrix: np.ndarray) -> None:
+def write_rows(f: TextIO, ids: Sequence[str], matrix: np.ndarray, buffers: RowBuffers | None = None) -> None:
     """Write the (len(ids), D) `matrix` as rows of a features file, each value as `'%.17g' % value` (which
-    round-trips float64), formatted in blocks of at most max(D, WRITE_VALUES) values to keep memory flat."""
+    round-trips float64), formatted in blocks of at most max(D, WRITE_VALUES) values to keep memory flat.
+    A writer that calls this once per block of its own passes one `RowBuffers` to every call, so that no block
+    frees its byte arrays for the allocator to hand back to the OS and fault in again; given none, it makes one."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or len(matrix) != len(ids):
         raise ValueError(f"feature matrix of shape {matrix.shape} is not one row per id ({len(ids)})")
+    buffers = buffers or RowBuffers()
     size = max(1, WRITE_VALUES // max(1, matrix.shape[1]))
     for start in range(0, len(ids), size):
-        f.write(_format_rows(ids[start : start + size], matrix[start : start + size]).decode("utf-8"))
+        f.write(_format_rows(ids[start : start + size], matrix[start : start + size], buffers).decode("utf-8"))
+
+
+class RowBuffers:
+    """The byte arrays `_format_rows` lays a block out in: the row byte matrix, its pad mask and the compacted
+    bytes, each flat and grown only when a block needs more bytes than they hold."""
+
+    def __init__(self):
+        self.text, self.mask, self.kept = np.empty(0, np.uint8), np.empty(0, bool), np.empty(0, np.uint8)
+
+    def rows(self, n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """The byte matrix and pad mask of `n` rows of `width` bytes, views of the buffers."""
+        if n * width > self.text.size:
+            self.text, self.kept = np.empty(n * width, np.uint8), np.empty(n * width, np.uint8)
+            self.mask = np.empty(n * width, bool)
+        return self.text[: n * width].reshape(n, width), self.mask[: n * width].reshape(n, width)
 
 
 # The block formatter's constants. _PAD pads a block's bytes: no UTF-8 text holds it, so one compaction drops it alone.
@@ -101,7 +119,7 @@ _MIN_POWER, _MAX_POWER, _MIN_EXPONENT = -240, 270, -260
 _SPLITTER = 2.0**27 + 1
 
 
-def _format_rows(ids: Sequence[str], matrix: np.ndarray) -> bytes:
+def _format_rows(ids: Sequence[str], matrix: np.ndarray, buffers: RowBuffers) -> bytes:
     """The UTF-8 text of the features rows of `ids` and their (len(ids), D) float64 `matrix`.
 
     Each row is laid out in one row of a byte matrix: the id, D cells of
@@ -109,12 +127,13 @@ def _format_rows(ids: Sequence[str], matrix: np.ndarray) -> bytes:
     """
     encoded = [post_id.encode("utf-8") for post_id in ids]  # UTF-8 holds no _PAD byte, so an id keeps every byte
     width = max(map(len, encoded), default=0)
-    text = np.empty((len(ids), width + matrix.shape[1] * _CELL + 1), dtype=np.uint8)
+    text, mask = buffers.rows(len(ids), width + matrix.shape[1] * _CELL + 1)
     padded = b"".join(post_id.ljust(width, b"\xff") for post_id in encoded)
     text[:, :width] = np.frombuffer(padded, np.uint8).reshape(len(ids), width)
     text[:, -1] = ord("\n")
     _format_cells(matrix, np.ndarray((*matrix.shape, _CELL), np.uint8, text, width, (text.strides[0], _CELL, 1)))
-    return text[text != _PAD].tobytes()
+    kept = buffers.kept[: np.count_nonzero(np.not_equal(text, _PAD, out=mask))]
+    return np.compress(mask.ravel(), text.ravel(), out=kept).tobytes()
 
 
 def _format_cells(values: np.ndarray, cells: np.ndarray) -> None:

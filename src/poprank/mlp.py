@@ -316,8 +316,8 @@ def save_checkpoint(path: str | Path, models: dict[str, MlpModel]) -> None:
             f.write(f"model {name}\n")
             f.write("dims " + " ".join(str(d) for d in model.layer_dims) + "\n")
             for l in range(model.n_layers()):
-                for row in [*model.weights[l].tolist(), model.biases[l].tolist()]:  # %.17g round-trips float64
-                    f.write(" ".join(["%.17g"] * len(row)) % tuple(row) + "\n")
+                for row in [*model.weights[l], model.biases[l]]:  # one row's floats at a time; %.17g round-trips
+                    f.write(" ".join(["%.17g"] * len(row)) % tuple(row.tolist()) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> dict[str, MlpModel]:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from poprank import features as features_mod
+from poprank import cli, features as features_mod
 from poprank.features import FeatureSet, load_features, read_keyed_floats
 
 from conftest import write_features_file
@@ -237,6 +237,61 @@ class TestWriteRows:
         slow = [0.0, -0.0, 1000000000000000.25, -1000000000000000.75, 1e-300, 5e-324, 1e300, math.inf]
         _written(["p"], np.array([slow]))
         assert sorted(formatted) == sorted(slow)
+
+    def test_one_set_of_buffers_reused_across_writes_gives_the_bytes_of_fresh_writes(self):
+        """Consecutive writes through one `RowBuffers` differ in id width (ASCII and multi-byte UTF-8), in D and in
+        row count, and hold cells that go to Python; no byte a larger block left in the buffers shows after it."""
+        rng = np.random.default_rng(28)
+        slow = [0.0, -0.0, 1000000000000000.25, 1e-300, -math.inf, 1e300]
+        cases = [
+            ([f"\u00e9t\u00e9-\u4e2d{i}" for i in range(40)], rng.normal(size=(40, 17))),
+            (["a", "b"], np.array([slow, slow[::-1]])),
+            ([f"p{i}" for i in range(700)], rng.normal(size=(700, 30)) * 1e6),  # more rows than one block holds
+            (["long-ascii-id-" * 4], np.r_[rng.normal(size=250), slow][None]),
+            (["x", "\u00e9"], rng.normal(size=(2, features_mod.WRITE_VALUES + 3))),  # a row past WRITE_VALUES
+            (["q"], np.array([[1.5]])),
+        ]
+        buffers = features_mod.RowBuffers()
+        for ids, matrix in cases:
+            f = io.StringIO()
+            features_mod.write_rows(f, ids, matrix, buffers)
+            assert f.getvalue() == _written(ids, matrix) == _percent_rows(ids, matrix), (len(ids), matrix.shape)
+
+    def test_buffers_are_kept_while_a_block_fits_and_grow_when_it_does_not(self):
+        rng = np.random.default_rng(29)
+        buffers = features_mod.RowBuffers()
+
+        def write(ids, dim):
+            features_mod.write_rows(io.StringIO(), ids, rng.normal(size=(len(ids), dim)), buffers)
+            arrays = (buffers.text, buffers.mask, buffers.kept)
+            assert len({a.size for a in arrays}) == 1
+            return [a.ctypes.data for a in arrays], buffers.text.size
+
+        first = write([f"p{i:02}" for i in range(24)], 256)
+        for ids, dim in [([f"q{i:02}" for i in range(24)], 256), (["r"] * 3, 256), ([f"s{i}" for i in range(30)], 100)]:
+            assert write(ids, dim) == first  # fits: the same arrays
+        for ids, dim in [([f"p{i:02}" for i in range(32)], 256), ([f"{'w' * 20}{i}" for i in range(32)], 256)]:
+            addresses, size = write(ids, dim)  # more rows, then a wider id: new, larger arrays
+            assert size > first[1] and all(new != old for new, old in zip(addresses, first[0]))
+            first = addresses, size
+
+    def test_a_synth_run_formats_every_block_in_one_set_of_buffers(self, tmp_path, monkeypatch):
+        made, passed, write_rows = [], [], features_mod.write_rows
+
+        class Counted(features_mod.RowBuffers):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        def recording(f, ids, matrix, buffers=None):
+            passed.append(buffers)
+            return write_rows(f, ids, matrix, buffers)
+
+        monkeypatch.setattr(features_mod, "RowBuffers", Counted)
+        monkeypatch.setattr(features_mod, "write_rows", recording)
+        args = ["synth", "--n-users", "9", "--posts-per-user", "12", "--feature-dim", "256", "--out-dir", tmp_path]
+        assert cli.main([str(a) for a in args]) == 0
+        assert len(made) == 1 and len(passed) == 5 and all(buffers is made[0] for buffers in passed)
 
     @pytest.mark.parametrize("shape", [(2, 3), (4, 3), (3,)])
     def test_a_matrix_of_another_row_count_is_refused(self, shape):

@@ -336,6 +336,19 @@ class TestCheckpoint:
         save_checkpoint(p2, {"scorer": model})
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_save_formats_one_row_at_a_time(self, tmp_path):
+        """A 256-64-32-1 model's first layer, as one `.tolist()`, would take about 530 KiB of Python floats at once
+        (`train`'s peak, as it saves); a row at a time takes about 34 KiB."""
+        model, path = init_model([256, 64, 32, 1], seed=4), tmp_path / "model.txt"
+        save_checkpoint(path, {"scorer": model})  # a first save, so that state made once per process is not counted
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, {"scorer": model})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
+
 
 class TestCheckpointDamage:
     @pytest.fixture
