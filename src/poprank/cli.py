@@ -120,9 +120,9 @@ def run_synth(config: dict, out: Path, inputs: dict) -> list[str]:
         values = synth_config.posts_per_user * synth_config.feature_dim
         buffers = features_mod.RowBuffers()  # one set per file: a block's arrays, once freed, are faulted in again
         while block := list(islice(users, max(1, features_mod.WRITE_VALUES // values))):  # written as drawn
-            user_posts = [post for block_posts, _, _ in block for post in block_posts]
-            ids = [post.post_id for post in user_posts]
-            posts.writelines([corpus.serialize_post(post) + "\n" for post in user_posts])
+            ids = [post_id for columns, _, _ in block for post_id in columns[0]]
+            for columns, _, _ in block:
+                posts.write("".join(corpus.post_lines(*columns)))
             features_mod.write_rows(features, ids, np.concatenate([rows for _, rows, _ in block]), buffers)
             synthgen.write_latents(latents, ids, [m for _, _, mu in block for m in mu])
     print(

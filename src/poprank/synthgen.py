@@ -34,10 +34,10 @@ order:
 10. the feature rows, `normal(0, 1, size=(P, D))`, then the noise of their
     informative columns, `normal(0, noise, size=(P, n_informative))`.
 
-The Python left per post builds its `Post` and joins its caption.
-`generate_users` yields the corpus one user at a time, so `synth` writes
-blocks of a few users' rows as they are drawn; `generate_corpus` collects
-them in memory.
+The Python left per post joins its caption and makes its like count and id.
+`generate_users` yields the corpus one user at a time, each user's posts as
+columns, so `synth` writes blocks of a few users' rows as they are drawn and
+never builds a `Post`; `generate_corpus` collects them in memory as posts.
 `tests/test_synthgen.py` checks the generator against a reference that makes
 the same draws and builds one post at a time.
 """
@@ -48,7 +48,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import TextIO
 
 import numpy as np
@@ -114,23 +114,24 @@ def reference_time_for(config: SynthConfig) -> int:
     return BASE_TIME + config.time_span_days * SECONDS_PER_DAY
 
 
-def generate_users(config: SynthConfig) -> Iterator[tuple[list[Post], np.ndarray, list[float]]]:
+def generate_users(config: SynthConfig) -> Iterator[tuple[tuple[list, ...], np.ndarray, list[float]]]:
     """Generate a deterministic corpus one user at a time, with per-post latent popularity.
 
-    Yields each user's posts, the (P, D) feature rows of those posts and each
-    post's latent mu, in user order. Each user's stream draws each quantity
-    once, as one array over the user's posts, in the order the module
-    docstring gives. A like count of 2**63 or more (exp(S) passes 2**63 at
-    S = 43.7, so only a large `mu_mean` draws one) is saturated at INT64_MAX,
-    so every post fits the posts format.
+    Yields each user's posts as seven lists in `POST_FIELDS` order (post_id,
+    user_id, upload_time, likes, caption, media_count, is_video), the (P, D)
+    feature rows of those posts and each post's latent mu, in user order.
+    Each user's stream draws each quantity once, as one array over the
+    user's posts, in the order the module docstring gives. A like count of
+    2**63 or more (exp(S) passes 2**63 at S = 43.7, so only a large `mu_mean`
+    draws one) is saturated at INT64_MAX, so every post fits the posts format.
     """
     informative = seeded_rng(config.seed, "informative-coefficients").uniform(
         0.5, 1.5, size=config.n_informative
     )
     n, n_informative = config.posts_per_user, config.n_informative
     span_s = config.time_span_days * SECONDS_PER_DAY
-    suffixes = [f"_p{i:03d}" for i in range(n)]
     owners = np.tile(np.arange(n), 3)  # the post of each entry of a user's word, hashtag and mention counts
+    suffixes = [f"_p{i:03d}" for i in range(n)]  # after `owners`: a size numpy refuses fails before this list grows
     for u in range(config.n_users):
         user_id = f"u{u:05d}"
         rng = seeded_rng(config.seed, "user", user_id)
@@ -163,9 +164,9 @@ def generate_users(config: SynthConfig) -> Iterator[tuple[list[Post], np.ndarray
         # or on a rounding tie shows that bit
         likes = [min(max(0, round(math.exp(s) - 1.0)), INT64_MAX) for s in log_likes.tolist()]
         captions = [" ".join(islice(tokens, k)) for k in (n_words + n_hash + n_ment).tolist()]
-        posts = list(map(Post, [user_id + suffix for suffix in suffixes], repeat(user_id), upload_times.tolist(),
-                         likes, captions, media_counts.tolist(), videos.tolist()))
-        yield posts, rows, mu.tolist()
+        columns = ([user_id + suffix for suffix in suffixes], [user_id] * n, upload_times.tolist(), likes, captions,
+                   media_counts.tolist(), videos.tolist())
+        yield columns, rows, mu.tolist()
 
 
 def generate_corpus(config: SynthConfig) -> SynthCorpus:
@@ -173,10 +174,10 @@ def generate_corpus(config: SynthConfig) -> SynthCorpus:
     posts, latent_mu = [], {}
     n = config.posts_per_user
     matrix = np.empty((config.n_users * n, config.feature_dim))
-    for u, (user_posts, rows, mu) in enumerate(generate_users(config)):
+    for u, (columns, rows, mu) in enumerate(generate_users(config)):
         matrix[u * n : (u + 1) * n] = rows
-        posts += user_posts
-        latent_mu.update(zip([p.post_id for p in user_posts], mu))
+        posts += map(Post, *columns)
+        latent_mu.update(zip(columns[0], mu))
     return SynthCorpus(posts, FeatureSet([p.post_id for p in posts], matrix), latent_mu)
 
 

@@ -19,6 +19,7 @@ from poprank.cli import build_parser, main
 from poprank.mining import MinerConfig, read_pairs
 
 from conftest import read_id_values, reference_mine_pairs, write_features_file
+from test_digests import DENSE_SYNTH_ARGS, PINNED_DENSE
 
 REF = str(synthgen.reference_time_for(synthgen.SynthConfig(time_span_days=45)))
 
@@ -78,6 +79,16 @@ class TestSynth:
         assert _run(SYNTH_ARGS + ["--out-dir", a]) == 0
         assert _run(SYNTH_ARGS + ["--out-dir", b]) == 0
         assert _dir_bytes(a) == _dir_bytes(b)
+
+    def test_writes_its_posts_without_building_a_post(self, tmp_path, monkeypatch):
+        """`synth` writes the generator's columns: with `Post` raising when constructed, it writes the pinned bytes."""
+        def no_post(*args):
+            raise AssertionError("a Post was built")
+
+        monkeypatch.setattr(synthgen, "Post", no_post)
+        monkeypatch.setattr(corpus, "Post", no_post)
+        assert _run(DENSE_SYNTH_ARGS + ["--out-dir", tmp_path]) == 0
+        assert json.loads((tmp_path / "synth_manifest.json").read_text())["outputs"] == PINNED_DENSE
 
 
 class TestMine:

@@ -1,5 +1,6 @@
 """Tests for post parsing, caption analysis, candidate filtering, and stats."""
 
+import dataclasses
 import io
 import json
 import math
@@ -28,6 +29,7 @@ from poprank.corpus import (
     log_likes,
     parse_posts,
     parse_posts_file,
+    post_lines,
     serialize_post,
 )
 
@@ -302,7 +304,7 @@ class TestParseInChunks:
         """The tracemalloc peak of parsing 30,000 synthetic posts (a 5 MB file), which all parse."""
         config = synthgen.SynthConfig(n_users=50, posts_per_user=600, feature_dim=1, n_informative=1, seed=3)
         path = tmp_path / "posts.jsonl"
-        write_posts_file(path, [post for posts, _, _ in synthgen.generate_users(config) for post in posts])
+        write_posts_file(path, synthgen.generate_corpus(config).posts)
         tracemalloc.start()
         try:
             report = parse_posts_file(path)
@@ -363,6 +365,26 @@ class TestSerializePost:
         write_posts_file(tmp_path / "posts.jsonl", [post])
         report = parse_posts_file(tmp_path / "posts.jsonl")
         assert report.diagnostics == [] and list(report.posts) == [make_post(caption="\U00010000")]
+
+
+def _int64_from(low: int):
+    """Ints from `low` to INT64_MAX, with both ends drawn often."""
+    return st.integers(low, 2**63 - 1) | st.sampled_from([low, 2**63 - 1])
+
+
+class TestPostLines:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.builds(Post, legal_ids, legal_ids, _int64_from(-(2**63)), _int64_from(0), ANY_TEXT,
+                              _int64_from(1), st.booleans()), max_size=8, unique_by=lambda p: p.post_id))
+    def test_lines_from_columns_are_the_posts_lines(self, posts):
+        """The column formatter writes each post's `serialize_post` line, and the lines parse as they always did:
+        every post as written, but for a caption's surrogate pairs, which JSON reads as the characters they
+        encode."""
+        lines = post_lines(*[[getattr(post, name) for post in posts] for name in POST_FIELDS])
+        assert lines == [serialize_post(post) + "\n" for post in posts]
+        got, expected = _parse_both(lines)
+        assert got == expected
+        assert got == ([dataclasses.replace(post, caption=json.loads(json.dumps(post.caption))) for post in posts], [])
 
 
 # Caption tokens where lower-casing or classifying could go wrong: upper-case tags, bare '#' and '@', a dotted

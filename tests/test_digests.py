@@ -56,6 +56,20 @@ def test_wide_synth_digests_are_pinned(tmp_path):
     assert json.loads((tmp_path / "synth_manifest.json").read_text())["outputs"] == PINNED_WIDE
 
 
+# `synth` at the per-user shape of the bench's `dense` workload: 600 posts per user, 16-d features
+DENSE_SYNTH_ARGS = ["synth", "--n-users", "3", "--posts-per-user", "600", "--feature-dim", "16", "--seed", "2"]
+PINNED_DENSE = {
+    "features.csv": "2a923ac32026eadc77d7dfd9cc0afc20f1b8712cd7e3714e3a38c1b4e000b1f2",
+    "latents.csv": "7765dde0b3d104a51c03965131166a461547dc0373b1c78f41b38824267503e6",
+    "posts.jsonl": "06a9eacb2429cc2063e23d215b09226028b34fc928763fa4a2885cf0d6abf661",
+}
+
+
+def test_dense_synth_digests_are_pinned(tmp_path):
+    assert main(DENSE_SYNTH_ARGS + ["--out-dir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "synth_manifest.json").read_text())["outputs"] == PINNED_DENSE
+
+
 LABELS = ("synth", "stats", "mine", "train", "eval", "score", "rescaled", "ablate")
 
 

@@ -1,6 +1,7 @@
 """Tests for the synthetic corpus generator and its latent-truth oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,24 @@ class TestGenerateCorpus:
             SynthConfig(mu_std=1e300)  # a finite mean whose draws overflow a like count
         with pytest.raises(ValueError, match="time_span_days"):
             SynthConfig(time_span_days=106_751_991_148_783)  # the reference time would pass int64
+
+    def test_a_refused_size_fails_before_the_ids_are_built(self, monkeypatch):
+        """A `posts_per_user` whose first array numpy refuses raises at once, so `synth` prints one line instead of
+        growing a list of ids toward the memory limit. The refusal is raised without allocating, since a host
+        that overcommits memory can grant a real huge allocation and kill the process later."""
+        def refuse(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(synthgen.np, "arange", refuse)  # the generator's first call sized by posts_per_user
+        users = synthgen.generate_users(SynthConfig(n_users=1, posts_per_user=10**6, feature_dim=1, n_informative=1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError):
+                next(users)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
 
 def _bitwise(c: synthgen.SynthCorpus):
