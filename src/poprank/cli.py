@@ -158,11 +158,13 @@ def run_train(config: dict, out: Path, inputs: dict) -> list[str]:
     split_rng = seeded_rng(config["seed"], "train-split")
     train_idx, val_idx = split_indices(len(pairs), _fraction(config, "val_fraction"), split_rng)
     model = mlp.init_model(dims, seeded_rng(config["seed"], "init"))
-    report = ranker.train(model, pairs, features, (train_idx, val_idx), _config(ranker.TrainConfig, config))
+    train_config = _config(ranker.TrainConfig, config)
+    report = ranker.train(model, pairs, features, (train_idx, val_idx), train_config)
     mlp.save_checkpoint(out / "checkpoint.txt", {"scorer": report.model})
     ranker.write_train_report_csv(out / "train_report.csv", report)
+    steps = train_config.epochs * -(-len(train_idx) // train_config.batch_size)  # one Adam step per batch
     print(
-        f"trained on {len(train_idx)} pairs, selected epoch {report.selected_epoch} "
+        f"trained on {len(train_idx)} pairs in {steps} Adam steps, selected epoch {report.selected_epoch} "
         f"with validation accuracy {report.val_accuracy[report.selected_epoch]:.4f}"
     )
     return ["checkpoint.txt", "train_report.csv"]

@@ -16,7 +16,11 @@ and Adam moments share the layout, and `MlpModel.over` gives a gradient the same
 per-layer views. `fit` is the one training loop. The training step's arrays
 (layer outputs, deltas, the gradient, Adam's scratch) can be buffers made once
 per fit: `forward_cached`, `backward` and `adam_step` write into the ones they
-are given, and allocate the same arrays when given none.
+are given, and allocate the same arrays when given none. The training passes
+(`forward_cached`, `backward`) also take a stack of batches on a leading axis,
+as the pairwise ranker runs both members of its pairs: numpy's matmul makes
+one BLAS call per stacked batch with that batch's own shapes, so each batch
+gets the bits of its own pass, in about half the numpy calls of two passes.
 
 Checkpoints are a self-describing text format: a version tag, then one or more
 named model sections with layer dims and row-major weights/biases printed with
@@ -39,14 +43,14 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates and de
 
 
 def _layer_views(layer_dims: list[int], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer weight and bias views into `flat` (all weights, then all biases)."""
+    """Per-layer weight and bias views into the last axis of `flat` (all weights, then all biases)."""
     shapes = list(zip(layer_dims[1:], layer_dims[:-1]))
     sizes = [fan_out * fan_in for fan_out, fan_in in shapes] + [fan_out for fan_out, _ in shapes]
-    if sum(sizes) != flat.size:
-        raise ValueError(f"parameter vector has {flat.size} entries, dims {layer_dims} need {sum(sizes)}")
-    pos = 0
-    parts = [flat[pos : (pos := pos + size)] for size in sizes]
-    return [part.reshape(shape) for part, shape in zip(parts, shapes)], parts[len(shapes) :]
+    if sum(sizes) != flat.shape[-1]:
+        raise ValueError(f"parameter vector has {flat.shape[-1]} entries, dims {layer_dims} need {sum(sizes)}")
+    pos, lead = 0, flat.shape[:-1]
+    parts = [flat[..., pos : (pos := pos + size)] for size in sizes]
+    return [part.reshape(*lead, *shape) for part, shape in zip(parts, shapes)], parts[len(shapes) :]
 
 
 class MlpModel:
@@ -62,7 +66,12 @@ class MlpModel:
 
     @classmethod
     def over(cls, layer_dims: list[int], params: np.ndarray) -> "MlpModel":
-        """A model whose parameters are `params` itself (no copy)."""
+        """A model whose parameters are `params` itself (no copy).
+
+        `params` may carry leading axes: over a (k, P) array, ``weights[l]`` is
+        a (k, dims[l+1], dims[l]) view and ``biases[l]`` a (k, dims[l+1]) one,
+        which is how `backward` writes one gradient per stacked member.
+        """
         model = cls.__new__(cls)
         model.layer_dims, model.params = list(layer_dims), params
         model.weights, model.biases = _layer_views(model.layer_dims, params)
@@ -110,7 +119,9 @@ def forward_cached(
 
     `cache`, when given, holds one (n, dims[l+1]) buffer per layer for the
     layer outputs, which this pass writes instead of allocating them; the
-    returned cache is ``[xs, *cache]``.
+    returned cache is ``[xs, *cache]``. A (k, n, D) `xs` is a stack of k
+    batches, each multiplied as its own (n, D) batch: the scores are (k, n)
+    and each buffer is (k, n, dims[l+1]).
     """
     return _layers(model, xs, fixed_order=False, outs=cache)
 
@@ -126,7 +137,7 @@ def _layers(
     if h.shape[-1] != model.layer_dims[0]:
         raise ValueError(f"input dim {h.shape[-1]} does not match model input dim {model.layer_dims[0]}")
     if outs is None:
-        outs = [np.empty((len(h), d)) for d in model.layer_dims[1:]]
+        outs = [np.empty((*h.shape[:-1], d)) for d in model.layer_dims[1:]]
     cache = [h]
     last = model.n_layers() - 1
     for l, (w, b, out) in enumerate(zip(model.weights, model.biases, outs)):
@@ -138,7 +149,7 @@ def _layers(
         if l != last:
             np.maximum(out, 0.0, out=out)
         cache.append(h := out)
-    return h[:, 0], cache
+    return h[..., 0], cache
 
 
 def backward(
@@ -148,7 +159,7 @@ def backward(
     grad: MlpModel | None = None,
     deltas: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backpropagate per-sample output gradients `upstream` (shape (n,)).
+    """Backpropagate per-sample output gradients `upstream`, of shape (n,) or (..., n).
 
     Returns the parameter gradient summed over the batch, one vector in the
     model's flat layout, and `delta`, the (n, dims[1]) gradient with respect to
@@ -158,15 +169,21 @@ def backward(
     `grad` (a model in this model's layout, as `MlpModel.over` makes) and the
     deltas into `deltas`, one (n, dims[l]) buffer for each hidden layer's
     output l = 1 .. L-1; each is allocated here when not given.
+
+    Leading axes are a stack of independent batches, as `forward_cached`
+    takes them: with `upstream` (k, n) and a cache of (k, n, dims[l]) arrays,
+    the gradient is (k, P), one row per batch (`grad` over a (k, P) array),
+    and `delta` is (k, n, dims[1]). Each batch's matmuls and sums have the
+    shapes and order of its own 2-D pass, so each row is that pass's bits.
     """
+    delta = np.asarray(upstream, dtype=np.float64)[..., None]
     if grad is None:
-        grad = MlpModel.over(model.layer_dims, np.empty_like(model.params))
-    delta = np.asarray(upstream, dtype=np.float64).reshape(-1, 1)
+        grad = MlpModel.over(model.layer_dims, np.empty((*delta.shape[:-2], model.params.size)))
     if deltas is None:
-        deltas = [np.empty((len(delta), d)) for d in model.layer_dims[1:-1]]
+        deltas = [np.empty((*delta.shape[:-1], d)) for d in model.layer_dims[1:-1]]
     for l in range(model.n_layers() - 1, -1, -1):
-        np.matmul(delta.T, cache[l], out=grad.weights[l])
-        np.add.reduce(delta, axis=0, out=grad.biases[l])
+        np.matmul(delta.swapaxes(-1, -2), cache[l], out=grad.weights[l])
+        np.add.reduce(delta, axis=-2, out=grad.biases[l])
         if l > 0:
             delta = np.matmul(delta, model.weights[l], out=deltas[l - 1])
             delta *= cache[l] > 0.0  # cache[l] is the ReLU output of layer l-1
@@ -351,7 +368,11 @@ def load_checkpoint(path: str | Path) -> dict[str, MlpModel]:
         dims = header[1].split()[1:]
         if len(dims) < 2 or not all(d.isdecimal() and int(d) > 0 for d in dims):
             raise ValueError(f"line {pos + 2}: model dims must be at least two positive integers")
+        if int(dims[-1]) != 1:
+            raise ValueError(f"line {pos + 2}: output dim must be 1, got {dims[-1]}")
         name, dims = header[0][len("model ") :], [int(d) for d in dims]
+        if name in models:
+            raise ValueError(f"line {pos + 1}: a second model section named {name!r}")
         pos += 2
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):

@@ -66,48 +66,65 @@ def pair_grad(model: MlpModel, x_a: np.ndarray, x_b: np.ndarray, label: float) -
 class _StepBuffers:
     """The arrays one training step writes, made once per fit for batches of up to `rows` pairs.
 
-    For each member of a pair: its layer outputs, its hidden layers' deltas,
-    and a flat gradient with its `MlpModel.over` views.
+    One stacked set for both members of a pair, member A at index 0 and B at
+    1: the gathered inputs, up to (2, rows, dims[0]); the layer outputs,
+    (2, rows, dims[l+1]) each; the hidden layers' deltas, (2, rows, dims[l])
+    each; the (2, P) gradient, one row per member, with its `MlpModel.over`
+    views; and the (2, rows) upstream gradient. Gathered into one buffer, a
+    step frees no input array: a fresh gather per step (256 KiB at 256-d)
+    read about 0.1 MB more peak RSS for `train` on the bench's `embed`.
     """
 
     def __init__(self, model: MlpModel, rows: int):
         dims = model.layer_dims
         self.n_rows = rows
-        self.members = [
-            ([np.empty((rows, d)) for d in dims[1:]], [np.empty((rows, d)) for d in dims[1:-1]],
-             MlpModel.over(dims, np.empty_like(model.params)))
-            for _ in range(2)
-        ]
+        self.outs = [np.empty((2, rows, d)) for d in dims[1:]]
+        self.deltas = [np.empty((2, rows, d)) for d in dims[1:-1]]
+        self.grad = MlpModel.over(dims, np.empty((2, model.params.size)))
+        self.upstream = np.empty((2, rows))
+        self.inputs = np.empty(2 * rows * dims[0])
 
-    def rows(self, n: int) -> list[tuple[list[np.ndarray], list[np.ndarray], MlpModel]]:
-        """Each member's layer outputs and deltas, their leading n rows, and its gradient."""
+    def gather(self, x: np.ndarray, ab: np.ndarray) -> np.ndarray:
+        """The rows of `x` that the (2, n) indices `ab` name, as a (2, n, D) stack in the inputs buffer."""
+        out = self.inputs[: ab.size * x.shape[1]].reshape(*ab.shape, x.shape[1])
+        return np.take(x, ab, axis=0, out=out, mode="clip")  # row indices, all valid; "raise" would copy `out`
+
+    def rows(self, n: int) -> tuple[list[np.ndarray], list[np.ndarray], MlpModel, np.ndarray]:
+        """The layer outputs, deltas and upstream gradient cut to their leading n rows, and the gradient."""
         if n == self.n_rows:  # every batch but an epoch's last: no views to make
-            return self.members
-        return [([out[:n] for out in outs], [d[:n] for d in deltas], grad) for outs, deltas, grad in self.members]
+            return self.outs, self.deltas, self.grad, self.upstream
+        return [o[:, :n] for o in self.outs], [d[:, :n] for d in self.deltas], self.grad, self.upstream[:, :n]
 
 
 def _batch_loss_and_grad(
     model: MlpModel, xa: np.ndarray, xb: np.ndarray, labels: np.ndarray, buffers: _StepBuffers | None = None
 ) -> tuple[float, np.ndarray]:
-    """Mean pair loss and mean flat gradient over a batch, fully vectorized.
+    """Mean pair loss and mean flat gradient over a batch: `_step` of the two members stacked."""
+    return _step(model, np.stack([xa, xb]), labels, buffers)
 
-    Uses dloss/dO = P - label and sums the two streams' contributions. With
-    `buffers` the step writes its activations, deltas and gradient there, and
-    the returned gradient is a buffer the next call overwrites; without, each
-    is a fresh array.
+
+def _step(
+    model: MlpModel, x_ab: np.ndarray, labels: np.ndarray, buffers: _StepBuffers | None = None
+) -> tuple[float, np.ndarray]:
+    """Mean pair loss and mean flat gradient over a batch whose (2, n, D) `x_ab` stacks members A and B.
+
+    Uses dloss/dO = P - label: one stacked forward and backward pass with
+    upstream g for A and -g for B, then the two members' gradient rows summed
+    into A's. With `buffers` the step writes its activations, deltas and
+    gradient there, and the returned gradient is a buffer the next call
+    overwrites; without, each is a fresh array.
     """
     n = len(labels)
-    (outs_a, deltas_a, grad_a), (outs_b, deltas_b, grad_b) = buffers.rows(n) if buffers else [(None,) * 3] * 2
-    q_a, cache_a = mlp.forward_cached(model, xa, outs_a)
-    q_b, cache_b = mlp.forward_cached(model, xb, outs_b)
-    o = q_a - q_b
+    outs, deltas, grad, upstream = buffers.rows(n) if buffers else (None, None, None, np.empty((2, n)))
+    q, cache = mlp.forward_cached(model, x_ab, outs)
+    o = q[0] - q[1]
     e = np.exp(-np.abs(o))
     p = np.where(o >= 0, 1.0, e) / (1.0 + e)
     loss = float(np.add.reduce(np.where(o > 0, (1.0 - labels) * o, -labels * o) + np.log1p(e)) / n)
-    g = (p - labels) / n
-    grad = mlp.backward(model, cache_a, g, grad_a, deltas_a)[0]
-    grad += mlp.backward(model, cache_b, -g, grad_b, deltas_b)[0]
-    return loss, grad
+    g = np.divide(p - labels, n, out=upstream[0])
+    np.negative(g, out=upstream[1])
+    grads = mlp.backward(model, cache, upstream, grad, deltas)[0]
+    return loss, np.add(grads[0], grads[1], out=grads[0])
 
 
 def train(
@@ -120,17 +137,18 @@ def train(
     """Train `model` in place on the train split, select by validation accuracy.
 
     `split` is a (train_indices, val_indices) pair over `pairs`; the two sets
-    must be disjoint and non-empty. Batches gather rows of `features.matrix`
-    by index, never copying it, and every step writes its activations, deltas
-    and gradients into one set of buffers made for the fit, with rows for
-    min(batch_size, train pairs) pairs. The validation pairs are scored by
-    the training pass (`mlp.forward_cached`, through BLAS) in slices of as
-    many rows, into the same layer-output buffers: validation writes no
-    score, it only selects the epoch, whose parameters already depend on the
-    BLAS kernel. Each epoch's swap draw keeps its place in the `train`
-    stream, after the shuffle. The report holds a snapshot of the
-    best-validation epoch; ties keep the earliest epoch. Deterministic given
-    config.seed.
+    must be disjoint and non-empty. Each batch gathers both members' rows of
+    `features.matrix` by index, never copying the matrix, as one (2, n, D)
+    stack that one stacked pass runs, and every step writes its inputs,
+    activations, deltas and gradients into one set of buffers made for the
+    fit, with rows for min(batch_size, train pairs) pairs. The validation
+    pairs are scored by the training pass (`mlp.forward_cached`, through
+    BLAS) in slices of as many rows, into the same input and layer-output
+    buffers: validation writes no score, it only selects the epoch, whose
+    parameters already depend on the BLAS kernel. Each epoch's swap draw
+    keeps its place in the `train` stream, after the shuffle. The report
+    holds a snapshot of the best-validation epoch; ties keep the earliest
+    epoch. Deterministic given config.seed.
     """
     train_idx, val_idx = (np.asarray(ix, dtype=int) for ix in split)
     x = features.matrix
@@ -139,17 +157,16 @@ def train(
 
     def epoch_batches(rng: np.random.Generator):
         swap = rng.random(len(train_idx)) < 0.5
-        a, b = np.where(swap, ab[train_idx, ::-1].T, ab[train_idx].T)
+        ab_epoch = np.where(swap, ab[train_idx, ::-1].T, ab[train_idx].T)  # (2, pairs): members A and B
         labels = np.where(swap, 0.0, 1.0)
-        return lambda batch: _batch_loss_and_grad(model, x[a[batch]], x[b[batch]], labels[batch], buffers)
+        return lambda batch: _step(model, buffers.gather(x, ab_epoch[:, batch]), labels[batch], buffers)
 
     def val_accuracy() -> float:  # share of validation pairs with f(A) > f(B); ties count as incorrect
         correct = 0
         for start in range(0, len(val_idx), buffers.n_rows):  # in slices of a batch's rows, into the step's buffers
-            a, b = ab[val_idx[start : start + buffers.n_rows]].T
-            (outs_a, _, _), (outs_b, _, _) = buffers.rows(len(a))
-            q_a = mlp.forward_cached(model, x[a], outs_a)[0]
-            correct += int(np.count_nonzero(q_a > mlp.forward_cached(model, x[b], outs_b)[0]))
+            ab_val = ab[val_idx[start : start + buffers.n_rows]].T
+            q = mlp.forward_cached(model, buffers.gather(x, ab_val), buffers.rows(ab_val.shape[1])[0])[0]
+            correct += int(np.count_nonzero(q[0] > q[1]))
         return correct / len(val_idx)
 
     losses, accs, best_epoch, best = mlp.fit(

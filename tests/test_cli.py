@@ -680,6 +680,27 @@ class TestOneLineErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: line 41: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["score", "eval"])
+    @pytest.mark.parametrize("damage", ["output dim 2", "scorer twice"])
+    def test_a_checkpoint_the_loader_refuses_is_one_error_and_writes_nothing(
+        self, pipeline, tmp_path, capsys, command, damage
+    ):
+        lines = (pipeline / "checkpoint.txt").read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.txt"
+        if damage == "scorer twice":  # the second section used to replace the first
+            bad.write_text("".join(lines + lines[1:]))
+            line = len(lines) + 1
+        else:  # a two-output scorer used to score by its first output
+            dim = int(lines[2].split()[1])
+            two = mlp.MlpModel([dim, 3, 2], [np.ones((3, dim)), np.ones((2, 3))], [np.zeros(3), np.zeros(2)])
+            mlp.save_checkpoint(bad, {"scorer": two})
+            line = 3
+        capsys.readouterr()
+        assert _run(_input_args(pipeline, command, {"checkpoint": bad}) + ["--out-dir", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+        assert not list((tmp_path / "out").glob("*"))
+
     """Bad numbers and bad files end in one `error:` line and exit 1."""
 
     @pytest.mark.parametrize("flag", ["--learning-rate", "--l2-penalty"])

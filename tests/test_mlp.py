@@ -175,6 +175,39 @@ class TestBackward:
             fd = (row_forward(model, xp) - row_forward(model, xm)) / (2 * h)
             assert inputs[0, i] == pytest.approx(fd, abs=1e-6)
 
+    @pytest.mark.parametrize("dims", [[16, 64, 32, 1], [256, 64, 32, 1]])
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_a_stacked_pass_is_each_members_own_pass_bitwise(self, dims, n, buffered):
+        """A (2, n, D) stack through `forward_cached` and `backward` gives each member the bits of its 2-D passes."""
+        rng = np.random.default_rng(n)
+        model = init_model(dims, seed=n)
+        for b in model.biases:
+            b[:] = rng.normal(0, 0.1, size=b.shape)
+        xs, upstream = rng.normal(size=(2, n, dims[0])), rng.normal(size=(2, n))
+        outs = deltas = grad = None
+        if buffered:  # buffers with rows for 64, cut to n rows as for an epoch's last batch
+            flat = np.empty((2, model.params.size))
+            outs = [np.empty((2, 64, d))[:, :n] for d in dims[1:]]
+            deltas = [np.empty((2, 64, d))[:, :n] for d in dims[1:-1]]
+            grad = MlpModel.over(dims, flat)
+        scores, cache = forward_cached(model, xs, outs)
+        params, delta = mlp.backward(model, cache, upstream, grad, deltas)
+        assert params.shape == (2, model.params.size) and delta.shape == (2, n, dims[1])
+        if buffered:
+            assert params is flat and all(h is out for h, out in zip(cache[1:], outs))
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.int64)
+
+        for k in range(2):
+            own_scores, own_cache = forward_cached(model, xs[k].copy())
+            own_params, own_delta = mlp.backward(model, own_cache, upstream[k].copy())
+            assert np.array_equal(bits(scores[k]), bits(own_scores))
+            assert all(np.array_equal(bits(h[k]), bits(own)) for h, own in zip(cache[1:], own_cache[1:]))
+            assert np.array_equal(bits(params[k]), bits(own_params))
+            assert np.array_equal(bits(delta[k]), bits(own_delta))
+
 
 class TestAdamStep:
     def _scalar_model(self, value=1.0):
@@ -391,6 +424,20 @@ class TestCheckpointDamage:
         path = tmp_path / "bad.txt"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"^line 5: "):
+            load_checkpoint(path)
+
+    def test_an_output_dim_other_than_one_names_its_line(self, tmp_path):
+        path = tmp_path / "two_outputs.txt"
+        model = MlpModel([4, 3, 2], weights=[np.ones((3, 4)), np.ones((2, 3))], biases=[np.zeros(3), np.zeros(2)])
+        save_checkpoint(path, {"scorer": model})
+        with pytest.raises(ValueError, match=r"^line 3: output dim must be 1, got 2$"):
+            load_checkpoint(path)
+
+    def test_a_repeated_section_name_names_its_line(self, text, tmp_path):
+        lines = text.splitlines(keepends=True)
+        path = tmp_path / "twice.txt"
+        path.write_text("".join(lines + lines[1:]))
+        with pytest.raises(ValueError, match=rf"^line {len(lines) + 1}: a second model section named 'scorer'$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
