@@ -318,20 +318,16 @@ _json_str = json.encoder.encode_basestring_ascii
 
 
 def post_lines(post_id, user_id, upload_time, likes, caption, media_count, is_video) -> list[str]:
-    """The `serialize_post` line of each post, newline-terminated; the columns are in `POST_FIELDS` order."""
+    """The one-line JSON form of each post, newline-terminated; the columns are in `POST_FIELDS` order.
+
+    `parse_posts` inverts each line exactly, but for one case. A high surrogate
+    followed by a low one, as two code points, is written as two `\\u` escapes
+    (as `json.dumps` writes it), and JSON reads those back as the one character
+    the pair encodes: '\\ud800\\udc00' reads as '\\U00010000'.
+    """
     line = _POST_JSON + "\n"
     return [line % (_json_str(c), _JSON_BOOL[v], n, m, _json_str(p), t, _json_str(u))
             for p, u, t, n, c, m, v in zip(post_id, user_id, upload_time, likes, caption, media_count, is_video)]
-
-
-def serialize_post(post: Post) -> str:
-    """One-line JSON form of a post; `parse_posts` inverts it exactly, but for one case.
-
-    A high surrogate followed by a low one, as two code points, is written as
-    two `\\u` escapes (as `json.dumps` writes it), and JSON reads those back as
-    the one character the pair encodes: '\\ud800\\udc00' reads as '\\U00010000'.
-    """
-    return post_lines(*[[getattr(post, name)] for name in POST_FIELDS])[0][:-1]
 
 
 def _caption_parts(caption: str) -> tuple[list[str], list[str], int]:

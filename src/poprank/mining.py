@@ -33,6 +33,7 @@ _CDF_P = 0.2316419
 _CDF_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
 
 BLOCK_POSTS = 1024  # candidate posts of whole users scored together; bounds the pair arrays
+PAIRS_HEADER = "id_a,id_b,user_id,prob,delta_s"
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ def pair_stats(pairs: list[PDIP], posts: Sequence[Post]) -> PairStats:
 
 def write_pairs(path: str | Path, pairs: list[PDIP]) -> None:
     """Emit pairs as CSV: id_a, id_b, user_id, prob (6 decimals), delta_s."""
-    with open_csv(path, "id_a,id_b,user_id,prob,delta_s") as f:
+    with open_csv(path, PAIRS_HEADER) as f:
         for p in pairs:
             f.write(f"{p.id_a},{p.id_b},{p.user_id},{p.prob:.6f},{p.delta_s:.17g}\n")
 
@@ -225,7 +226,7 @@ def read_pairs(path: str | Path) -> list[PDIP]:
     pairs = []
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
-        if header != "id_a,id_b,user_id,prob,delta_s":
+        if header != PAIRS_HEADER:
             raise ValueError(f"unexpected pairs header: {header!r}")
         for lineno, line in enumerate(f, start=2):
             if not line.strip():

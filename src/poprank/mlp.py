@@ -16,11 +16,12 @@ and Adam moments share the layout, and `MlpModel.over` gives a gradient the same
 per-layer views. `fit` is the one training loop. The training step's arrays
 (layer outputs, deltas, the gradient, Adam's scratch) can be buffers made once
 per fit: `forward_cached`, `backward` and `adam_step` write into the ones they
-are given, and allocate the same arrays when given none. The training passes
-(`forward_cached`, `backward`) also take a stack of batches on a leading axis,
-as the pairwise ranker runs both members of its pairs: numpy's matmul makes
-one BLAS call per stacked batch with that batch's own shapes, so each batch
-gets the bits of its own pass, in about half the numpy calls of two passes.
+are given (the leading rows of a layer-output or delta buffer with more rows
+than the batch), and allocate the same arrays when given none. The training
+passes also take a stack of batches on a leading axis, as the pairwise ranker
+runs both members of its pairs: numpy's matmul makes one BLAS call per
+stacked batch with that batch's own shapes, so each batch gets the bits of
+its own pass, in about half the numpy calls of two passes.
 
 Checkpoints are a self-describing text format: a version tag, then one or more
 named model sections with layer dims and row-major weights/biases printed with
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -117,11 +118,12 @@ def forward_cached(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Batch forward through BLAS keeping post-activation layer inputs for the backward pass.
 
-    `cache`, when given, holds one (n, dims[l+1]) buffer per layer for the
-    layer outputs, which this pass writes instead of allocating them; the
-    returned cache is ``[xs, *cache]``. A (k, n, D) `xs` is a stack of k
+    `cache`, when given, holds one buffer per layer for the layer outputs, of
+    at least the batch's n rows: this pass writes their leading rows,
+    ``cache[l][..., :n, :]``, instead of allocating the outputs, and returns
+    ``[xs, *those rows]`` as the cache. A (k, n, D) `xs` is a stack of k
     batches, each multiplied as its own (n, D) batch: the scores are (k, n)
-    and each buffer is (k, n, dims[l+1]).
+    and each buffer is (k, m, dims[l+1]) with m >= n.
     """
     return _layers(model, xs, fixed_order=False, outs=cache)
 
@@ -131,16 +133,17 @@ def _layers(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Scores of the rows of `xs` and every layer's input; each ``h @ w.T`` by einsum if `fixed_order`, else BLAS.
 
-    Layer l's output goes into ``outs[l]``, allocated here when `outs` is None.
+    Layer l's output goes into the leading rows of ``outs[l]``, allocated here when `outs` is None.
     """
     h = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if h.shape[-1] != model.layer_dims[0]:
         raise ValueError(f"input dim {h.shape[-1]} does not match model input dim {model.layer_dims[0]}")
     if outs is None:
         outs = [np.empty((*h.shape[:-1], d)) for d in model.layer_dims[1:]]
-    cache = [h]
+    cache, n = [h], h.shape[-2]
     last = model.n_layers() - 1
     for l, (w, b, out) in enumerate(zip(model.weights, model.biases, outs)):
+        out = out[..., :n, :]
         if fixed_order:
             np.einsum("nk,ok->no", h, w, out=out)
         else:
@@ -167,8 +170,8 @@ def backward(
     gradient. ReLU uses the zero subgradient at the kink. `cache` must come
     from `forward_cached` on the same model. The gradient is written into
     `grad` (a model in this model's layout, as `MlpModel.over` makes) and the
-    deltas into `deltas`, one (n, dims[l]) buffer for each hidden layer's
-    output l = 1 .. L-1; each is allocated here when not given.
+    deltas into the leading rows of `deltas`, one buffer of at least n rows for
+    each hidden layer's output l = 1 .. L-1; each is allocated when not given.
 
     Leading axes are a stack of independent batches, as `forward_cached`
     takes them: with `upstream` (k, n) and a cache of (k, n, dims[l]) arrays,
@@ -177,6 +180,7 @@ def backward(
     shapes and order of its own 2-D pass, so each row is that pass's bits.
     """
     delta = np.asarray(upstream, dtype=np.float64)[..., None]
+    n = delta.shape[-2]
     if grad is None:
         grad = MlpModel.over(model.layer_dims, np.empty((*delta.shape[:-2], model.params.size)))
     if deltas is None:
@@ -185,26 +189,17 @@ def backward(
         np.matmul(delta.swapaxes(-1, -2), cache[l], out=grad.weights[l])
         np.add.reduce(delta, axis=-2, out=grad.biases[l])
         if l > 0:
-            delta = np.matmul(delta, model.weights[l], out=deltas[l - 1])
+            delta = np.matmul(delta, model.weights[l], out=deltas[l - 1][..., :n, :])
             delta *= cache[l] > 0.0  # cache[l] is the ReLU output of layer l-1
     return grad.params, delta
 
 
-@dataclass
 class AdamState:
     """First/second moment accumulators over a flat parameter vector, and two scratch vectors for `adam_step`."""
 
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
-
-    @classmethod
-    def for_params(cls, params: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
+    def __init__(self, params: np.ndarray):
+        self.m, self.v, self.step = np.zeros_like(params), np.zeros_like(params), 0
+        self.scratch = (np.empty_like(params), np.empty_like(params))
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, effective_lr: float, l2_penalty: float) -> None:
@@ -294,7 +289,7 @@ def fit(
     if set(train_idx.tolist()) & set(val_idx.tolist()):
         raise ValueError("train and validation splits overlap")
 
-    state = AdamState.for_params(params)
+    state = AdamState(params)
     lr = config.learning_rate
     losses, scores = [], []
     best, best_epoch, best_params = -np.inf, 0, params.copy()

@@ -59,7 +59,7 @@ def pair_loss(o: float, label: float) -> float:
 
 def pair_grad(model: MlpModel, x_a: np.ndarray, x_b: np.ndarray, label: float) -> MlpModel:
     """Exact gradient of pair_loss(pair_logit(...)) w.r.t. the shared parameters, in the model's layout."""
-    _, grad = _batch_loss_and_grad(model, np.atleast_2d(x_a), np.atleast_2d(x_b), np.array([float(label)]))
+    _, grad = _step(model, np.stack([np.atleast_2d(x_a), np.atleast_2d(x_b)]), np.array([float(label)]))
     return MlpModel.over(model.layer_dims, grad)
 
 
@@ -70,9 +70,11 @@ class _StepBuffers:
     1: the gathered inputs, up to (2, rows, dims[0]); the layer outputs,
     (2, rows, dims[l+1]) each; the hidden layers' deltas, (2, rows, dims[l])
     each; the (2, P) gradient, one row per member, with its `MlpModel.over`
-    views; and the (2, rows) upstream gradient. Gathered into one buffer, a
-    step frees no input array: a fresh gather per step (256 KiB at 256-d)
-    read about 0.1 MB more peak RSS for `train` on the bench's `embed`.
+    views; and the (2, rows) upstream gradient. A batch of fewer pairs hands
+    the passes the buffers whole, and they write the leading rows. Gathered
+    into one buffer, a step frees no input array: a fresh gather per step
+    (256 KiB at 256-d) read about 0.1 MB more peak RSS for `train` on the
+    bench's `embed`.
     """
 
     def __init__(self, model: MlpModel, rows: int):
@@ -89,19 +91,6 @@ class _StepBuffers:
         out = self.inputs[: ab.size * x.shape[1]].reshape(*ab.shape, x.shape[1])
         return np.take(x, ab, axis=0, out=out, mode="clip")  # row indices, all valid; "raise" would copy `out`
 
-    def rows(self, n: int) -> tuple[list[np.ndarray], list[np.ndarray], MlpModel, np.ndarray]:
-        """The layer outputs, deltas and upstream gradient cut to their leading n rows, and the gradient."""
-        if n == self.n_rows:  # every batch but an epoch's last: no views to make
-            return self.outs, self.deltas, self.grad, self.upstream
-        return [o[:, :n] for o in self.outs], [d[:, :n] for d in self.deltas], self.grad, self.upstream[:, :n]
-
-
-def _batch_loss_and_grad(
-    model: MlpModel, xa: np.ndarray, xb: np.ndarray, labels: np.ndarray, buffers: _StepBuffers | None = None
-) -> tuple[float, np.ndarray]:
-    """Mean pair loss and mean flat gradient over a batch: `_step` of the two members stacked."""
-    return _step(model, np.stack([xa, xb]), labels, buffers)
-
 
 def _step(
     model: MlpModel, x_ab: np.ndarray, labels: np.ndarray, buffers: _StepBuffers | None = None
@@ -115,7 +104,8 @@ def _step(
     overwrites; without, each is a fresh array.
     """
     n = len(labels)
-    outs, deltas, grad, upstream = buffers.rows(n) if buffers else (None, None, None, np.empty((2, n)))
+    outs, deltas, grad = (buffers.outs, buffers.deltas, buffers.grad) if buffers else (None, None, None)
+    upstream = buffers.upstream[:, :n] if buffers else np.empty((2, n))
     q, cache = mlp.forward_cached(model, x_ab, outs)
     o = q[0] - q[1]
     e = np.exp(-np.abs(o))
@@ -165,7 +155,7 @@ def train(
         correct = 0
         for start in range(0, len(val_idx), buffers.n_rows):  # in slices of a batch's rows, into the step's buffers
             ab_val = ab[val_idx[start : start + buffers.n_rows]].T
-            q = mlp.forward_cached(model, buffers.gather(x, ab_val), buffers.rows(ab_val.shape[1])[0])[0]
+            q = mlp.forward_cached(model, buffers.gather(x, ab_val), buffers.outs)[0]
             correct += int(np.count_nonzero(q[0] > q[1]))
         return correct / len(val_idx)
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import strategies as st
 
 from poprank import mlp, ranker, synthgen
-from poprank.corpus import POST_FIELDS, SECONDS_PER_DAY, Post, log_likes, serialize_post
+from poprank.corpus import POST_FIELDS, SECONDS_PER_DAY, Post, log_likes, post_lines
 from poprank.features import FeatureSet, header, write_rows
 from poprank.mining import PDIP, MinerConfig
 from poprank.util import _check_id, open_csv, seeded_rng
@@ -298,6 +298,11 @@ def read_id_values(path, header: str) -> dict[str, float]:
     return {post_id: float(value) for post_id, value in (line.split(",") for line in lines[1:])}
 
 
+def serialize_post(post: Post) -> str:
+    """One post's line of a posts file, without its newline: `corpus.post_lines` of one-post columns."""
+    return post_lines(*[[getattr(post, name)] for name in POST_FIELDS])[0][:-1]
+
+
 # The files `synth` writes, through the row writers it writes them with
 def write_posts_file(path, posts) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -358,7 +363,7 @@ def per_layer_adam_step(moments, model, grads, effective_lr, l2_penalty, step,
 def reference_train(model: mlp.MlpModel, pairs: list[PDIP], features: FeatureSet, split, config: mlp.TrainConfig):
     """`ranker.train`'s schedule, step by step from allocating parts, as a reference for the buffered loop.
 
-    Each step is the unbuffered `ranker._batch_loss_and_grad` and then
+    Each step is the unbuffered `ranker._step` and then
     `per_layer_adam_step`; the shuffle, swap draw, validation and epoch
     selection are written out again here. Trains `model` in place and returns
     (losses, val accuracies, selected epoch, best parameters).
@@ -379,7 +384,7 @@ def reference_train(model: mlp.MlpModel, pairs: list[PDIP], features: FeatureSet
         total = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, grad = ranker._batch_loss_and_grad(model, x[a[batch]], x[b[batch]], labels[batch])
+            loss, grad = ranker._step(model, np.stack([x[a[batch]], x[b[batch]]]), labels[batch])
             step += 1
             per_layer_adam_step(moments, model, mlp.MlpModel.over(model.layer_dims, grad), lr, config.l2_penalty, step)
             total += loss * len(batch)

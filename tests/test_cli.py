@@ -278,6 +278,13 @@ class TestEvalScoreAblate:
         assert max(scores.values()) == 100.0
         assert min(scores.values()) == 0.0
 
+    def test_score_rescale_max_of_no_posts_writes_the_header(self, pipeline, tmp_path):
+        empty = tmp_path / "features.csv"
+        empty.write_text((pipeline / "features.csv").read_text().partition("\n")[0] + "\n")
+        code = _run(["score", "--checkpoint", pipeline / "checkpoint.txt", "--features", empty,
+                     "--rescale-max", "5", "--out-dir", tmp_path / "out"])
+        assert code == 0 and (tmp_path / "out" / "scores.csv").read_text() == "post_id,score\n"
+
     def test_score_rescale_max_of_scores_spanning_past_the_float_range(self, pipeline, tmp_path):
         x = features_mod.load_features(pipeline / "features.csv").matrix
         k = int(np.argmax(np.ptp(x, axis=0) / np.abs(x).max(axis=0)))  # the column spanning most of both signs
@@ -293,6 +300,17 @@ class TestEvalScoreAblate:
         scores = read_id_values(tmp_path / "rescaled" / "scores.csv", "post_id,score")
         assert all(0.0 <= s <= 100.0 for s in scores.values())  # False for nan
         assert max(scores.values()) == 100.0 and min(scores.values()) == 0.0
+
+    def test_eval_skips_a_blank_pairs_line(self, pipeline, tmp_path):
+        lines = (pipeline / "pairs.csv").read_text().splitlines()
+        blank = tmp_path / "pairs.csv"
+        blank.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        common = ["--checkpoint", pipeline / "checkpoint.txt", "--features", pipeline / "features.csv"]
+        assert _run(["eval", "--pairs", blank, *common, "--out-dir", tmp_path / "blank"]) == 0
+        assert _run(["eval", "--pairs", pipeline / "pairs.csv", *common, "--out-dir", tmp_path / "plain"]) == 0
+        result = (tmp_path / "blank" / "eval_result.csv").read_text()
+        assert result == (tmp_path / "plain" / "eval_result.csv").read_text()
+        assert int(result.splitlines()[1].split(",")[0]) == len(lines) - 1
 
     def test_score_plain(self, pipeline, tmp_path):
         code = _run(["score", "--checkpoint", pipeline / "checkpoint.txt", "--features", pipeline / "features.csv",
@@ -833,7 +851,9 @@ class TestOneLineErrors:
         [("a,b,u,abc,1.0", "line 3: could not convert string to float: 'abc'"),
          ("a,b,u,nan,1.0", "line 3: prob must be in [0, 1]"),
          ("a,b,u,0.99,inf", "line 3: prob must be in [0, 1] and delta_s finite"),
-         ("a,a,u,0.99,1.0", "line 3: post_id 'a' is paired with itself")],
+         ("a,a,u,0.99,1.0", "line 3: post_id 'a' is paired with itself"),
+         ("a,b,u,0.99", "line 3: expected 5 fields, got 4"),
+         ("a,b,u,0.99,1.0,x", "line 3: expected 5 fields, got 6")],
     )
     @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
     def test_bad_pairs_row(self, pipeline, tmp_path, capsys, row, message, command):
@@ -845,6 +865,37 @@ class TestOneLineErrors:
         code = _run(args)
         err = capsys.readouterr().err
         assert code == 1 and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--max-interval-days", "0", "max_interval_days must be positive, got 0"),
+         ("--max-caption-words", "-1", "max_caption_words must be >= 0, got -1")],
+    )
+    def test_mine_rejects_bad_window(self, pipeline, tmp_path, capsys, flag, value, message):
+        code = _run(["mine", "--posts", pipeline / "posts.jsonl", "--reference-time", REF, flag, value,
+                     "--out-dir", tmp_path / "out"])
+        assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--batch-size", "0", "batch_size must be >= 1"), ("--epochs", "0", "epochs must be >= 1"),
+         ("--lr-decay", "0", "lr_decay_per_epoch must be in (0, 1]"),
+         ("--lr-decay", "1.5", "lr_decay_per_epoch must be in (0, 1]")],
+    )
+    def test_train_rejects_bad_schedule(self, pipeline, tmp_path, capsys, flag, value, message):
+        code = _run(["train", "--pairs", pipeline / "pairs.csv", "--features", pipeline / "features.csv",
+                     flag, value, "--out-dir", tmp_path / "out"])
+        assert code == 1 and capsys.readouterr().err == f"error: {message}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_score_rejects_a_checkpoint_without_a_scorer(self, pipeline, tmp_path, capsys):
+        other, dim = tmp_path / "other.txt", features_mod.FeatureBlocks(pipeline / "features.csv").dim
+        mlp.save_checkpoint(other, {"other": mlp.init_model([dim, 4, 1], 0)})
+        code = _run(["score", "--checkpoint", other, "--features", pipeline / "features.csv",
+                     "--out-dir", tmp_path / "out"])
+        assert code == 1 and capsys.readouterr().err == f"error: checkpoint has no 'scorer' section: {other}\n"
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("levels", ["", ","])
     def test_ablate_rejects_no_noise_level(self, pipeline, tmp_path, capsys, levels):

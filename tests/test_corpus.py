@@ -30,10 +30,10 @@ from poprank.corpus import (
     parse_posts,
     parse_posts_file,
     post_lines,
-    serialize_post,
 )
 
-from conftest import BASE, DAY, caption_parts, legal_ids, make_post, reference_parse_posts, write_posts_file
+from conftest import (BASE, DAY, caption_parts, legal_ids, make_post, reference_parse_posts, serialize_post,
+                      write_posts_file)
 
 
 class TestParsePosts:
@@ -377,11 +377,12 @@ class TestPostLines:
     @given(st.lists(st.builds(Post, legal_ids, legal_ids, _int64_from(-(2**63)), _int64_from(0), ANY_TEXT,
                               _int64_from(1), st.booleans()), max_size=8, unique_by=lambda p: p.post_id))
     def test_lines_from_columns_are_the_posts_lines(self, posts):
-        """The column formatter writes each post's `serialize_post` line, and the lines parse as they always did:
+        """The column formatter writes each post's `json.dumps` line, and the lines parse as they always did:
         every post as written, but for a caption's surrogate pairs, which JSON reads as the characters they
         encode."""
         lines = post_lines(*[[getattr(post, name) for post in posts] for name in POST_FIELDS])
-        assert lines == [serialize_post(post) + "\n" for post in posts]
+        records = [{k: getattr(post, k) for k in POST_FIELDS} for post in posts]
+        assert lines == [json.dumps(record, sort_keys=True, ensure_ascii=True) + "\n" for record in records]
         got, expected = _parse_both(lines)
         assert got == expected
         assert got == ([dataclasses.replace(post, caption=json.loads(json.dumps(post.caption))) for post in posts], [])

@@ -156,6 +156,11 @@ class TestFlatLayout:
         with pytest.raises(ValueError):
             MlpModel(layer_dims=[3, 1], weights=[np.zeros((3, 1))], biases=[np.zeros(1)])
 
+    @pytest.mark.parametrize("size", [8, 10])
+    def test_over_rejects_a_vector_of_the_wrong_length(self, size):
+        with pytest.raises(ValueError, match=rf"^parameter vector has {size} entries, dims \[3, 2, 1\] need 11$"):
+            MlpModel.over([3, 2, 1], np.zeros(size))
+
 
 class TestBackward:
     def test_input_gradient_via_finite_differences(self):
@@ -186,16 +191,17 @@ class TestBackward:
             b[:] = rng.normal(0, 0.1, size=b.shape)
         xs, upstream = rng.normal(size=(2, n, dims[0])), rng.normal(size=(2, n))
         outs = deltas = grad = None
-        if buffered:  # buffers with rows for 64, cut to n rows as for an epoch's last batch
+        if buffered:  # buffers with rows for 64, given whole as for an epoch's last batch; the pass writes n rows
             flat = np.empty((2, model.params.size))
-            outs = [np.empty((2, 64, d))[:, :n] for d in dims[1:]]
-            deltas = [np.empty((2, 64, d))[:, :n] for d in dims[1:-1]]
+            outs = [np.empty((2, 64, d)) for d in dims[1:]]
+            deltas = [np.empty((2, 64, d)) for d in dims[1:-1]]
             grad = MlpModel.over(dims, flat)
         scores, cache = forward_cached(model, xs, outs)
         params, delta = mlp.backward(model, cache, upstream, grad, deltas)
         assert params.shape == (2, model.params.size) and delta.shape == (2, n, dims[1])
         if buffered:
-            assert params is flat and all(h is out for h, out in zip(cache[1:], outs))
+            assert params is flat and all(np.shares_memory(h, out) for h, out in zip(cache[1:], outs))
+            assert all(h.shape == (2, n, out.shape[-1]) for h, out in zip(cache[1:], outs))
 
         def bits(a):
             return np.ascontiguousarray(a).view(np.int64)
@@ -215,7 +221,7 @@ class TestAdamStep:
 
     def test_zero_gradient_no_move(self):
         model = self._scalar_model(0.7)
-        state = AdamState.for_params(model.params)
+        state = AdamState(model.params)
         grads = zero_gradients(model)
         adam_step(state, model.params, grads.params, effective_lr=0.1, l2_penalty=0.0)
         assert model.weights[0][0, 0] == 0.7
@@ -224,7 +230,7 @@ class TestAdamStep:
     def test_first_step_is_bias_corrected_sign_step(self):
         # hand evaluation: m_hat = g, v_hat = g^2, delta = -lr * g / (|g| + eps)
         model = self._scalar_model(1.0)
-        state = AdamState.for_params(model.params)
+        state = AdamState(model.params)
         grads = zero_gradients(model)
         g = 0.37
         grads.weights[0][0, 0] = g
@@ -236,14 +242,14 @@ class TestAdamStep:
 
     def test_l2_pulls_toward_zero(self):
         model = self._scalar_model(2.0)
-        state = AdamState.for_params(model.params)
+        state = AdamState(model.params)
         adam_step(state, model.params, zero_gradients(model).params, effective_lr=0.05, l2_penalty=1e-2)
         assert model.weights[0][0, 0] < 2.0
 
     def test_shape_mismatch(self):
         model = self._scalar_model()
         other = init_model([3, 1], seed=0)
-        state = AdamState.for_params(model.params)
+        state = AdamState(model.params)
         with pytest.raises(ValueError):
             adam_step(state, model.params, zero_gradients(other).params, 0.1, 0.0)
 
@@ -253,7 +259,7 @@ class TestAdamStep:
 
         def run():
             model = self._scalar_model(0.5)
-            state = AdamState.for_params(model.params)
+            state = AdamState(model.params)
             for g in grads_seq:
                 grad = zero_gradients(model)
                 grad.weights[0][0, 0] = g
@@ -268,7 +274,7 @@ class TestAdamStep:
         model = init_model([6, 5, 3, 1], seed=4)
         oracle = MlpModel.over(model.layer_dims, model.params.copy())
         moments = [(np.zeros_like(a), np.zeros_like(a)) for a in oracle.weights + oracle.biases]
-        state = AdamState.for_params(model.params)
+        state = AdamState(model.params)
         for step in range(1, 201):
             grads = zero_gradients(model)
             grads.params[:] = rng.normal(0.0, 10.0 ** rng.uniform(-4, 1), size=grads.params.size)
@@ -283,7 +289,7 @@ class TestAdamStep:
         params = rng.normal(size=40)
         grad = rng.normal(size=40)
         before = grad.copy()
-        state = AdamState.for_params(params)
+        state = AdamState(params)
         for _ in range(3):
             adam_step(state, params, grad, 0.01, 1e-3)
         assert np.array_equal(grad, before)
@@ -292,7 +298,7 @@ class TestAdamStep:
     def test_step_allocates_no_parameter_sized_array(self):
         params = np.random.default_rng(6).normal(size=46_466)  # the baseline's parameter count
         grad = np.random.default_rng(7).normal(size=params.size)
-        state = AdamState.for_params(params)
+        state = AdamState(params)
         tracemalloc.start()
         try:
             for _ in range(10):
@@ -318,6 +324,14 @@ class TestFit:
         config = TrainConfig(learning_rate=1e-3, l2_penalty=1e308, batch_size=5, epochs=3)
         with pytest.raises(ValueError, match=r"^training diverged in epoch 0: non-finite Adam second moment"):
             mlp.fit(model.params, (np.arange(15), np.arange(15, 20)), lambda rng: loss_and_grad, lambda: 0.0,
+                    config, np.random.default_rng(0))
+
+    def test_overflowing_parameters_are_divergence(self):
+        # a constant gradient moves each parameter by about the learning rate a step: 1e308 twice overflows
+        params, grad = np.zeros(3), np.ones(3)
+        config = TrainConfig(learning_rate=1e308, l2_penalty=0.0, batch_size=1, epochs=2)
+        with pytest.raises(ValueError, match=r"^training diverged in epoch 0: non-finite parameters"):
+            mlp.fit(params, (np.arange(3), np.array([3])), lambda rng: lambda batch: (0.0, grad), lambda: 0.0,
                     config, np.random.default_rng(0))
 
 

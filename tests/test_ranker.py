@@ -156,7 +156,7 @@ class TestPairGrad:
         xa = rng.normal(size=(5, 6))
         xb = rng.normal(size=(5, 6))
         labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-        _, batch = ranker._batch_loss_and_grad(model, xa, xb, labels)
+        _, batch = ranker._step(model, np.stack([xa, xb]), labels)
         singles = [pair_grad(model, xa[i], xb[i], labels[i]) for i in range(5)]
         mean = _flatten(singles[0])
         for s in singles[1:]:
@@ -170,8 +170,8 @@ class TestPairGrad:
         model = init_model([6, 4, 3, 1], seed=8)
         xa, xb = rng.normal(size=(2, 5, 6))
         labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-        first = ranker._batch_loss_and_grad(model, xa, xb, labels)[1]
-        second = ranker._batch_loss_and_grad(model, xb, xa, labels)[1]
+        first = ranker._step(model, np.stack([xa, xb]), labels)[1]
+        second = ranker._step(model, np.stack([xb, xa]), labels)[1]
         assert not np.shares_memory(first, second)
         one, two = pair_grad(model, xa[0], xb[0], 1.0), pair_grad(model, xa[1], xb[1], 0.0)
         assert not np.shares_memory(one.params, two.params)
@@ -231,10 +231,10 @@ class TestTrain:
         xa = features.matrix[features.rows([p.id_a for p in pairs])]
         xb = features.matrix[features.rows([p.id_b for p in pairs])]
         labels = np.ones(len(pairs))
-        loss0, grad = ranker._batch_loss_and_grad(model, xa, xb, labels)
-        state = mlp.AdamState.for_params(model.params)
+        loss0, grad = ranker._step(model, np.stack([xa, xb]), labels)
+        state = mlp.AdamState(model.params)
         mlp.adam_step(state, model.params, grad, effective_lr=1e-6, l2_penalty=0.0)
-        loss1, _ = ranker._batch_loss_and_grad(model, xa, xb, labels)
+        loss1, _ = ranker._step(model, np.stack([xa, xb]), labels)
         assert loss1 < loss0
 
     @pytest.mark.parametrize("n_pairs, batch_size", [(101, 16), (60, 10**9), (30, 1)])

@@ -1,4 +1,4 @@
-"""Tests of the file digest in poprank.util."""
+"""Tests of poprank.util: the file digest and the holdout split."""
 
 import hashlib
 import tracemalloc
@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from poprank.util import HASH_BUFFER, sha256_file
+from poprank.util import HASH_BUFFER, sha256_file, split_indices
 
 B = HASH_BUFFER
 
@@ -33,3 +33,9 @@ def test_hashing_holds_one_small_buffer(tmp_path):
         tracemalloc.stop()
     assert digest == hashlib.sha256(data).hexdigest()
     assert peak < 512 * 2**10, peak
+
+
+@pytest.mark.parametrize("fraction", [1.0, -0.1, float("nan")])
+def test_split_indices_rejects_a_holdout_fraction_outside_0_1(fraction):
+    with pytest.raises(ValueError, match=r"^holdout_fraction must be in \[0, 1\), got "):
+        split_indices(10, fraction, np.random.default_rng(0))
