@@ -12,7 +12,7 @@ user statistics by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,33 +47,19 @@ class NonVisualFeatures:
 NONVISUAL_FIELDS = tuple(f.name for f in fields(NonVisualFeatures))
 
 
-@dataclass
 class AbsolutePopModel:
-    """Visual scorer and head; construction copies both into one vector `params`."""
+    """Visual scorer and head over the vector `params` itself (no copy): the visual scorer's parameters first."""
 
-    visual_scorer: MlpModel
-    head: MlpModel
-    params: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.head.layer_dims[0] != 1 + len(NONVISUAL_FIELDS):
-            raise ValueError(f"head input dim must be {1 + len(NONVISUAL_FIELDS)}, got {self.head.layer_dims[0]}")
-        self._view(np.concatenate([self.visual_scorer.params, self.head.params]))
-
-    @classmethod
-    def over(cls, model: "AbsolutePopModel", params: np.ndarray) -> "AbsolutePopModel":
-        """A model in `model`'s layout whose parameters are `params` itself (no copy), as `MlpModel.over`."""
-        view = cls.__new__(cls)
-        view.visual_scorer, view.head = model.visual_scorer, model.head
-        view._view(params)
-        return view
-
-    def _view(self, params: np.ndarray) -> None:
-        """Make `params` this model's vector, and both sub-networks views into it."""
-        k = self.visual_scorer.params.size
+    def __init__(self, visual_dims: list[int], head_dims: list[int], params: np.ndarray):
+        if head_dims[0] != 1 + len(NONVISUAL_FIELDS):
+            raise ValueError(f"head input dim must be {1 + len(NONVISUAL_FIELDS)}, got {head_dims[0]}")
+        k = mlp.n_params(visual_dims)
         self.params = params
-        self.visual_scorer = MlpModel.over(self.visual_scorer.layer_dims, params[:k])
-        self.head = MlpModel.over(self.head.layer_dims, params[k:])
+        self.visual_scorer, self.head = MlpModel(visual_dims, params[:k]), MlpModel(head_dims, params[k:])
+
+    def over(self, params: np.ndarray) -> "AbsolutePopModel":
+        """A model of this model's dims over `params` itself (no copy)."""
+        return AbsolutePopModel(self.visual_scorer.layer_dims, self.head.layer_dims, params)
 
 
 @dataclass(frozen=True)
@@ -96,23 +82,20 @@ class BaselineReport:
 
 def init_baseline(visual_dims: list[int], seed: int) -> AbsolutePopModel:
     rng = seeded_rng(seed, "baseline-init")
-    return AbsolutePopModel(visual_scorer=mlp.init_model(visual_dims, rng), head=mlp.init_model(HEAD_DIMS, rng))
+    params = np.concatenate([mlp.init_model(visual_dims, rng).params, mlp.init_model(HEAD_DIMS, rng).params])
+    return AbsolutePopModel(visual_dims, HEAD_DIMS, params)
 
 
 def baseline_loss_and_grad(
-    model: AbsolutePopModel, xv: np.ndarray, nv_log: np.ndarray, targets: np.ndarray,
-    grad: AbsolutePopModel | None = None,
+    model: AbsolutePopModel, xv: np.ndarray, nv_log: np.ndarray, targets: np.ndarray, grad: AbsolutePopModel
 ) -> tuple[float, np.ndarray]:
     """Mean squared error and its exact gradient with respect to `model.params`.
 
     `nv_log` is the already ln(1+.)-transformed (n, 6) matrix; the head input
     gradient's first column backpropagates into the visual scorer. Both
     sub-networks' gradients are written into the views of `grad` (a model in
-    `model`'s layout, as `AbsolutePopModel.over` makes; allocated here when
-    None), and its joint vector is returned.
+    `model`'s layout, as `model.over` makes), and its joint vector is returned.
     """
-    if grad is None:
-        grad = AbsolutePopModel.over(model, np.empty_like(model.params))
     q_vis, cache_vis = mlp.forward_cached(model.visual_scorer, xv)
     head_in = np.column_stack([q_vis, nv_log])
     preds, cache_head = mlp.forward_cached(model.head, head_in)
@@ -153,7 +136,7 @@ def train_baseline(
     xv = np.stack([s.visual for s in samples])
     nv_log = np.stack([s.nonvisual.transformed() for s in samples])
     targets = np.array([s.target for s in samples], dtype=np.float64)
-    grad = AbsolutePopModel.over(model, np.empty_like(model.params))  # every step's gradient, made once per fit
+    grad = model.over(np.empty_like(model.params))  # every step's gradient, made once per fit
 
     def loss_and_grad(batch: np.ndarray) -> tuple[float, np.ndarray]:
         rows = train_idx[batch]
@@ -166,9 +149,7 @@ def train_baseline(
     losses, scores, best_epoch, best_params = mlp.fit(
         model.params, split, lambda rng: loss_and_grad, neg_val_mse, config, seeded_rng(config.seed, "train-baseline")
     )
-    best = AbsolutePopModel(model.visual_scorer, model.head)  # construction copies into a new vector
-    best.params[:] = best_params
-    return BaselineReport(losses, [-score for score in scores], best_epoch, best)
+    return BaselineReport(losses, [-score for score in scores], best_epoch, model.over(best_params))
 
 
 def eval_baseline_as_intrinsic(model: AbsolutePopModel, pairs: list[PDIP], features: FeatureSet) -> evaluate.EvalResult:

@@ -291,6 +291,9 @@ def _read_manifest(path: str) -> dict:
     for label, entry in recorded["inputs"].items():
         if not (isinstance(entry, dict) and isinstance(entry.get("path"), str) and isinstance(entry.get("sha256"), str)):
             raise ValueError(f"manifest {path}: input {label!r} must have a string 'path' and 'sha256'")
+    labels = [label for label in READERS if label in recorded["config"]]  # the inputs `_execute` records
+    if set(recorded["inputs"]) != set(labels):
+        raise ValueError(f"manifest {path}: inputs {sorted(recorded['inputs'])} are not its config's inputs {labels}")
     return recorded
 
 

@@ -10,18 +10,18 @@ the exact gradient of every parameter as one flat vector, and the gradient
 with respect to the first layer's output; times ``weights[0]`` it is a chained
 input's gradient.
 
-A model's parameters are one contiguous float64 vector, all weights in layer
-order then all biases; ``weights[l]``/``biases[l]`` are views into it. Gradients
-and Adam moments share the layout, and `MlpModel.over` gives a gradient the same
-per-layer views. `fit` is the one training loop. The training step's arrays
-(layer outputs, deltas, the gradient, Adam's scratch) can be buffers made once
-per fit: `forward_cached`, `backward` and `adam_step` write into the ones they
-are given (the leading rows of a layer-output or delta buffer with more rows
-than the batch), and allocate the same arrays when given none. The training
-passes also take a stack of batches on a leading axis, as the pairwise ranker
-runs both members of its pairs: numpy's matmul makes one BLAS call per
-stacked batch with that batch's own shapes, so each batch gets the bits of
-its own pass, in about half the numpy calls of two passes.
+A model is its layer dims over one contiguous float64 vector, all weights in
+layer order then all biases; ``weights[l]``/``biases[l]`` are views into it.
+Gradients and Adam moments share the layout, and ``MlpModel(dims, grad)`` gives
+a gradient the same per-layer views. `fit` is the one training loop. The
+ranker's step arrays (layer outputs, deltas, the gradient, Adam's scratch) are
+made once per fit: `forward_cached`, `backward` and `adam_step` write into the
+buffers they are given (the leading rows of a layer-output or delta buffer with
+more rows than the batch). The training passes also take a stack of batches
+on a leading axis, as the pairwise ranker runs both members of its pairs:
+numpy's matmul makes one BLAS call per stacked batch with that batch's own
+shapes, so each batch gets the bits of its own pass, in about half the numpy
+calls of two passes.
 
 Checkpoints are a self-describing text format: a version tag, then one or more
 named model sections with layer dims and row-major weights/biases printed with
@@ -43,40 +43,28 @@ SCORE_ROWS = 4096  # rows per pass in `forward_batch`: bounds the memory its act
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # moment decay rates and denominator floor of `adam_step`
 
 
-def _layer_views(layer_dims: list[int], flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer weight and bias views into the last axis of `flat` (all weights, then all biases)."""
-    shapes = list(zip(layer_dims[1:], layer_dims[:-1]))
-    sizes = [fan_out * fan_in for fan_out, fan_in in shapes] + [fan_out for fan_out, _ in shapes]
-    if sum(sizes) != flat.shape[-1]:
-        raise ValueError(f"parameter vector has {flat.shape[-1]} entries, dims {layer_dims} need {sum(sizes)}")
-    pos, lead = 0, flat.shape[:-1]
-    parts = [flat[..., pos : (pos := pos + size)] for size in sizes]
-    return [part.reshape(*lead, *shape) for part, shape in zip(parts, shapes)], parts[len(shapes) :]
+def n_params(layer_dims: list[int]) -> int:
+    """Length of the flat parameter vector of a model with these layer dims: every weight, then every bias."""
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(layer_dims, layer_dims[1:]))
 
 
 class MlpModel:
-    """Layered scorer: weights[l] is a (dims[l+1], dims[l]) view into `params`, or into a gradient via `over`."""
+    """Layered scorer over the flat vector `params` itself (no copy): weights[l] is a (dims[l+1], dims[l]) view.
 
-    def __init__(self, layer_dims: list[int], weights: list[np.ndarray], biases: list[np.ndarray]):
-        shapes = list(zip(layer_dims[1:], layer_dims[:-1]))
-        if [np.shape(w) for w in weights] != shapes or [np.shape(b) for b in biases] != [(o,) for o, _ in shapes]:
-            raise ValueError(f"weight/bias shapes do not match layer dims {layer_dims}")
-        self.layer_dims = list(layer_dims)
-        self.params = np.concatenate([np.ravel(w) for w in weights] + [np.ravel(b) for b in biases], dtype=np.float64)
-        self.weights, self.biases = _layer_views(self.layer_dims, self.params)
+    Over a (k, P) `params`, as `backward` writes one gradient per stacked member, ``weights[l]`` is a
+    (k, dims[l+1], dims[l]) view and ``biases[l]`` a (k, dims[l+1]) one.
+    """
 
-    @classmethod
-    def over(cls, layer_dims: list[int], params: np.ndarray) -> "MlpModel":
-        """A model whose parameters are `params` itself (no copy).
-
-        `params` may carry leading axes: over a (k, P) array, ``weights[l]`` is
-        a (k, dims[l+1], dims[l]) view and ``biases[l]`` a (k, dims[l+1]) one,
-        which is how `backward` writes one gradient per stacked member.
-        """
-        model = cls.__new__(cls)
-        model.layer_dims, model.params = list(layer_dims), params
-        model.weights, model.biases = _layer_views(model.layer_dims, params)
-        return model
+    def __init__(self, layer_dims: list[int], params: np.ndarray):
+        self.layer_dims, self.params = list(layer_dims), params
+        shapes = list(zip(self.layer_dims[1:], self.layer_dims[:-1]))
+        sizes = [fan_out * fan_in for fan_out, fan_in in shapes] + [fan_out for fan_out, _ in shapes]
+        if sum(sizes) != params.shape[-1]:
+            raise ValueError(f"parameter vector has {params.shape[-1]} entries, dims {layer_dims} need {sum(sizes)}")
+        pos, lead = 0, params.shape[:-1]
+        parts = [params[..., pos : (pos := pos + size)] for size in sizes]
+        self.weights = [part.reshape(*lead, *shape) for part, shape in zip(parts, shapes)]
+        self.biases = parts[len(shapes) :]
 
     def n_layers(self) -> int:
         return len(self.weights)
@@ -90,15 +78,13 @@ def init_model(layer_dims: list[int], seed: int | np.random.Generator) -> MlpMod
         raise ValueError(f"output dim must be 1, got {layer_dims[-1]}")
     if any(d < 1 for d in layer_dims):
         raise ValueError(f"all dims must be positive, got {layer_dims}")
-    if sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(layer_dims, layer_dims[1:])) > sys.maxsize // 8:
+    if n_params(layer_dims) > sys.maxsize // 8:
         raise ValueError(f"dims {layer_dims} need more parameters than one float64 array holds")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        std = np.sqrt(2.0 / fan_in)
-        weights.append(rng.normal(0.0, std, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(layer_dims=list(layer_dims), weights=weights, biases=biases)
+    model = MlpModel(layer_dims, np.zeros(n_params(layer_dims)))
+    for w in model.weights:  # (fan_out, fan_in), layer by layer
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[1]), size=w.shape)
+    return model
 
 
 def forward_batch(model: MlpModel, xs: np.ndarray) -> np.ndarray:
@@ -159,7 +145,7 @@ def backward(
     model: MlpModel,
     cache: list[np.ndarray],
     upstream: np.ndarray,
-    grad: MlpModel | None = None,
+    grad: MlpModel,
     deltas: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate per-sample output gradients `upstream`, of shape (n,) or (..., n).
@@ -169,9 +155,9 @@ def backward(
     the first layer's output; ``delta @ model.weights[0]`` is the input
     gradient. ReLU uses the zero subgradient at the kink. `cache` must come
     from `forward_cached` on the same model. The gradient is written into
-    `grad` (a model in this model's layout, as `MlpModel.over` makes) and the
+    `grad`, a model of this model's dims over the caller's vector, and the
     deltas into the leading rows of `deltas`, one buffer of at least n rows for
-    each hidden layer's output l = 1 .. L-1; each is allocated when not given.
+    each hidden layer's output l = 1 .. L-1, allocated when not given.
 
     Leading axes are a stack of independent batches, as `forward_cached`
     takes them: with `upstream` (k, n) and a cache of (k, n, dims[l]) arrays,
@@ -181,8 +167,6 @@ def backward(
     """
     delta = np.asarray(upstream, dtype=np.float64)[..., None]
     n = delta.shape[-2]
-    if grad is None:
-        grad = MlpModel.over(model.layer_dims, np.empty((*delta.shape[:-2], model.params.size)))
     if deltas is None:
         deltas = [np.empty((*delta.shape[:-1], d)) for d in model.layer_dims[1:-1]]
     for l in range(model.n_layers() - 1, -1, -1):
@@ -374,5 +358,5 @@ def load_checkpoint(path: str | Path) -> dict[str, MlpModel]:
             weights.append(np.array([values(pos + r, fan_in) for r in range(fan_out)]))
             biases.append(np.array(values(pos + fan_out, fan_out)))
             pos += fan_out + 1
-        models[name] = MlpModel(layer_dims=dims, weights=weights, biases=biases)
+        models[name] = MlpModel(dims, np.concatenate([w.ravel() for w in weights] + biases))
     return models

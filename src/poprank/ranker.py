@@ -19,7 +19,6 @@ snapshot from the best-validation epoch is the trained model.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -46,21 +45,27 @@ class TrainReport:
 
 
 def pair_logit(model: MlpModel, x_a: np.ndarray, x_b: np.ndarray) -> float:
-    """O = f(A) - f(B) by `forward_cached`, the pass `pair_grad` differentiates; exactly antisymmetric under swap."""
-    return float(mlp.forward_cached(model, x_a)[0][0] - mlp.forward_cached(model, x_b)[0][0])
+    """O = f(A) - f(B) by the stacked pass `_step` runs; exactly antisymmetric under swap."""
+    q = mlp.forward_cached(model, np.stack([np.atleast_2d(x_a), np.atleast_2d(x_b)]))[0]
+    return float(q[0, 0] - q[1, 0])
 
 
 def pair_loss(o: float, label: float) -> float:
-    """Binary cross entropy of a pair logit: -label*o + ln(1+exp(o)), stable."""
-    if o > 0:
-        return (1.0 - label) * o + math.log1p(math.exp(-o))
-    return -label * o + math.log1p(math.exp(o))
+    """Binary cross entropy of a pair logit: -label*o + ln(1+exp(o)), by `_step`'s expression."""
+    o = np.array([o], dtype=np.float64)
+    return float(_losses(o, np.array([label], dtype=np.float64), np.exp(-np.abs(o)))[0])
+
+
+def _losses(o: np.ndarray, labels: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Per-pair loss of the logits `o`, given e = exp(-|o|): ln(1 + exp(o)) never overflows in this arrangement."""
+    return np.where(o > 0, (1.0 - labels) * o, -labels * o) + np.log1p(e)
 
 
 def pair_grad(model: MlpModel, x_a: np.ndarray, x_b: np.ndarray, label: float) -> MlpModel:
     """Exact gradient of pair_loss(pair_logit(...)) w.r.t. the shared parameters, in the model's layout."""
-    _, grad = _step(model, np.stack([np.atleast_2d(x_a), np.atleast_2d(x_b)]), np.array([float(label)]))
-    return MlpModel.over(model.layer_dims, grad)
+    x_ab = np.stack([np.atleast_2d(x_a), np.atleast_2d(x_b)])
+    _, grad = _step(model, x_ab, np.array([float(label)]), _StepBuffers(model, 1))
+    return MlpModel(model.layer_dims, grad)
 
 
 class _StepBuffers:
@@ -69,12 +74,11 @@ class _StepBuffers:
     One stacked set for both members of a pair, member A at index 0 and B at
     1: the gathered inputs, up to (2, rows, dims[0]); the layer outputs,
     (2, rows, dims[l+1]) each; the hidden layers' deltas, (2, rows, dims[l])
-    each; the (2, P) gradient, one row per member, with its `MlpModel.over`
-    views; and the (2, rows) upstream gradient. A batch of fewer pairs hands
-    the passes the buffers whole, and they write the leading rows. Gathered
-    into one buffer, a step frees no input array: a fresh gather per step
-    (256 KiB at 256-d) read about 0.1 MB more peak RSS for `train` on the
-    bench's `embed`.
+    each; a model over the (2, P) gradient, one row per member; and the
+    (2, rows) upstream gradient. A batch of fewer pairs hands the passes the
+    buffers whole, and they write the leading rows. Gathered into one buffer,
+    a step frees no input array: a fresh gather per step (256 KiB at 256-d)
+    read about 0.1 MB more peak RSS for `train` on the bench's `embed`.
     """
 
     def __init__(self, model: MlpModel, rows: int):
@@ -82,7 +86,7 @@ class _StepBuffers:
         self.n_rows = rows
         self.outs = [np.empty((2, rows, d)) for d in dims[1:]]
         self.deltas = [np.empty((2, rows, d)) for d in dims[1:-1]]
-        self.grad = MlpModel.over(dims, np.empty((2, model.params.size)))
+        self.grad = MlpModel(dims, np.empty((2, model.params.size)))
         self.upstream = np.empty((2, rows))
         self.inputs = np.empty(2 * rows * dims[0])
 
@@ -92,28 +96,25 @@ class _StepBuffers:
         return np.take(x, ab, axis=0, out=out, mode="clip")  # row indices, all valid; "raise" would copy `out`
 
 
-def _step(
-    model: MlpModel, x_ab: np.ndarray, labels: np.ndarray, buffers: _StepBuffers | None = None
-) -> tuple[float, np.ndarray]:
+def _step(model: MlpModel, x_ab: np.ndarray, labels: np.ndarray, buffers: _StepBuffers) -> tuple[float, np.ndarray]:
     """Mean pair loss and mean flat gradient over a batch whose (2, n, D) `x_ab` stacks members A and B.
 
     Uses dloss/dO = P - label: one stacked forward and backward pass with
     upstream g for A and -g for B, then the two members' gradient rows summed
-    into A's. With `buffers` the step writes its activations, deltas and
-    gradient there, and the returned gradient is a buffer the next call
-    overwrites; without, each is a fresh array.
+    into A's. The step writes its activations, deltas and gradient into
+    `buffers`, of at least n rows, and the returned gradient is a buffer the
+    next call overwrites.
     """
     n = len(labels)
-    outs, deltas, grad = (buffers.outs, buffers.deltas, buffers.grad) if buffers else (None, None, None)
-    upstream = buffers.upstream[:, :n] if buffers else np.empty((2, n))
-    q, cache = mlp.forward_cached(model, x_ab, outs)
+    upstream = buffers.upstream[:, :n]
+    q, cache = mlp.forward_cached(model, x_ab, buffers.outs)
     o = q[0] - q[1]
     e = np.exp(-np.abs(o))
     p = np.where(o >= 0, 1.0, e) / (1.0 + e)
-    loss = float(np.add.reduce(np.where(o > 0, (1.0 - labels) * o, -labels * o) + np.log1p(e)) / n)
+    loss = float(np.add.reduce(_losses(o, labels, e)) / n)
     g = np.divide(p - labels, n, out=upstream[0])
     np.negative(g, out=upstream[1])
-    grads = mlp.backward(model, cache, upstream, grad, deltas)[0]
+    grads = mlp.backward(model, cache, upstream, buffers.grad, buffers.deltas)[0]
     return loss, np.add(grads[0], grads[1], out=grads[0])
 
 
@@ -162,7 +163,7 @@ def train(
     losses, accs, best_epoch, best = mlp.fit(
         model.params, split, epoch_batches, val_accuracy, config, seeded_rng(config.seed, "train")
     )
-    return TrainReport(losses, accs, best_epoch, MlpModel.over(model.layer_dims, best))
+    return TrainReport(losses, accs, best_epoch, MlpModel(model.layer_dims, best))
 
 
 def score_blocks(model: MlpModel, blocks: Iterable[tuple[Sequence[str], np.ndarray]]) -> dict[str, float]:

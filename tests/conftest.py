@@ -319,9 +319,14 @@ def write_latents_file(path, latent_mu: dict[str, float]) -> None:
         synthgen.write_latents(f, latent_mu.keys(), latent_mu.values())
 
 
+def model_of(layer_dims: list[int], weights, biases) -> mlp.MlpModel:
+    """A model over a new vector holding the given per-layer weights, then biases, for hand-built cases."""
+    return mlp.MlpModel(layer_dims, np.concatenate([np.ravel(w) for w in weights] + [np.ravel(b) for b in biases]))
+
+
 def zero_gradients(model: mlp.MlpModel) -> mlp.MlpModel:
-    """All-zero gradients in the model's layout, for driving Adam by hand."""
-    return mlp.MlpModel.over(model.layer_dims, np.zeros_like(model.params))
+    """All-zero gradients in the model's layout, for driving Adam by hand or for `mlp.backward` to write."""
+    return mlp.MlpModel(model.layer_dims, np.zeros_like(model.params))
 
 
 def row_forward(model: mlp.MlpModel, x: np.ndarray) -> float:
@@ -363,7 +368,7 @@ def per_layer_adam_step(moments, model, grads, effective_lr, l2_penalty, step,
 def reference_train(model: mlp.MlpModel, pairs: list[PDIP], features: FeatureSet, split, config: mlp.TrainConfig):
     """`ranker.train`'s schedule, step by step from allocating parts, as a reference for the buffered loop.
 
-    Each step is the unbuffered `ranker._step` and then
+    Each step is `ranker._step` into buffers made for that step alone, and then
     `per_layer_adam_step`; the shuffle, swap draw, validation and epoch
     selection are written out again here. Trains `model` in place and returns
     (losses, val accuracies, selected epoch, best parameters).
@@ -384,9 +389,10 @@ def reference_train(model: mlp.MlpModel, pairs: list[PDIP], features: FeatureSet
         total = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, grad = ranker._step(model, np.stack([x[a[batch]], x[b[batch]]]), labels[batch])
+            x_ab = np.stack([x[a[batch]], x[b[batch]]])
+            loss, grad = ranker._step(model, x_ab, labels[batch], ranker._StepBuffers(model, len(batch)))
             step += 1
-            per_layer_adam_step(moments, model, mlp.MlpModel.over(model.layer_dims, grad), lr, config.l2_penalty, step)
+            per_layer_adam_step(moments, model, mlp.MlpModel(model.layer_dims, grad), lr, config.l2_penalty, step)
             total += loss * len(batch)
         losses.append(total / len(order))
         lr *= config.lr_decay_per_epoch

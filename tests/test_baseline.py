@@ -21,7 +21,7 @@ from poprank.mining import PDIP
 from poprank.ranker import TrainConfig
 from poprank.util import seeded_rng, split_indices
 
-from conftest import add_user_engagement, baseline_forward, row_forward
+from conftest import add_user_engagement, baseline_forward, model_of, row_forward
 
 
 def _nv(**overrides):
@@ -49,10 +49,7 @@ class TestBaselineForward:
 
     def test_head_dim_enforced(self):
         with pytest.raises(ValueError):
-            AbsolutePopModel(
-                visual_scorer=mlp.init_model([4, 1], seed=0),
-                head=mlp.init_model([6, 4, 1], seed=0),
-            )
+            AbsolutePopModel([4, 1], [6, 4, 1], np.zeros(mlp.n_params([4, 1]) + mlp.n_params([6, 4, 1])))
 
     def test_negative_counts_rejected(self):
         model = init_baseline([3, 1], seed=0)
@@ -61,18 +58,17 @@ class TestBaselineForward:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        model = AbsolutePopModel(
-            visual_scorer=mlp.init_model([3, 2, 1], seed=4),
-            head=mlp.MlpModel(
-                layer_dims=[7, 3, 1],
-                weights=[rng.normal(0, 0.5, size=(3, 7)), rng.normal(0, 0.5, size=(1, 3))],
-                biases=[rng.normal(0, 0.1, size=3), rng.normal(0, 0.1, size=1)],
-            ),
+        visual = mlp.init_model([3, 2, 1], seed=4)
+        head = model_of(
+            [7, 3, 1],
+            [rng.normal(0, 0.5, size=(3, 7)), rng.normal(0, 0.5, size=(1, 3))],
+            [rng.normal(0, 0.1, size=3), rng.normal(0, 0.1, size=1)],
         )
+        model = AbsolutePopModel([3, 2, 1], [7, 3, 1], np.concatenate([visual.params, head.params]))
         xv = rng.normal(size=(4, 3))
         nv_log = np.abs(rng.normal(size=(4, 6)))
         targets = rng.normal(size=4)
-        _, grad = baseline_loss_and_grad(model, xv, nv_log, targets)
+        _, grad = baseline_loss_and_grad(model, xv, nv_log, targets, model.over(np.empty_like(model.params)))
 
         def loss():
             q = mlp.forward_batch(model.visual_scorer, xv)
@@ -161,6 +157,14 @@ class TestTrainBaseline:
         report = train_baseline(init_baseline([16, 8, 1], seed=4), samples, split, config)
         digest = hashlib.sha256(report.model.params.tobytes()).hexdigest()
         assert digest == "c5af0bc269972b0f611ee743b873eba60a22c06a55f00f56b53b9e5e0b9033b7"
+
+    def test_the_report_model_shares_no_memory_with_the_fitted_vector(self):
+        _, _, _, samples = _engagement_dataset()
+        split = split_indices(60, 0.2, seeded_rng(2, "s"))
+        model = init_baseline([16, 8, 1], seed=2)
+        best = train_baseline(model, samples[:60], split, TrainConfig(learning_rate=1e-3, epochs=2, seed=2)).model
+        assert not np.shares_memory(best.params, model.params)
+        assert all(np.shares_memory(net.params, best.params) for net in (best.visual_scorer, best.head))
 
     def test_validation_does_not_use_the_fixed_order_scorer(self, monkeypatch):
         def refuse(*args, **kwargs):

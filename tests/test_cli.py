@@ -18,7 +18,7 @@ from poprank import cli, corpus, evaluate, features as features_mod, mining, mlp
 from poprank.cli import build_parser, main
 from poprank.mining import MinerConfig, read_pairs
 
-from conftest import read_id_values, reference_mine_pairs, write_features_file
+from conftest import model_of, read_id_values, reference_mine_pairs, write_features_file
 from test_digests import DENSE_SYNTH_ARGS, PINNED_DENSE
 
 REF = str(synthgen.reference_time_for(synthgen.SynthConfig(time_span_days=45)))
@@ -710,7 +710,7 @@ class TestOneLineErrors:
             line = len(lines) + 1
         else:  # a two-output scorer used to score by its first output
             dim = int(lines[2].split()[1])
-            two = mlp.MlpModel([dim, 3, 2], [np.ones((3, dim)), np.ones((2, 3))], [np.zeros(3), np.zeros(2)])
+            two = model_of([dim, 3, 2], [np.ones((3, dim)), np.ones((2, 3))], [np.zeros(3), np.zeros(2)])
             mlp.save_checkpoint(bad, {"scorer": two})
             line = 3
         capsys.readouterr()
@@ -1042,6 +1042,27 @@ class TestRerun:
         before = _dir_bytes(manifest.parent)
         assert _run(["rerun", manifest, "--out-dir", manifest.parent]) == 0
         assert _dir_bytes(manifest.parent) == before
+
+    @pytest.mark.parametrize("tamper", ["checkpoint dropped", "pairs added"])
+    def test_inputs_other_than_its_configs_are_refused_and_nothing_is_written(self, pipeline, tmp_path, capsys,
+                                                                               tamper):
+        recorded = json.loads((pipeline / "score_manifest.json").read_text())
+        for entry in recorded["inputs"].values():
+            entry["path"] = str(pipeline / entry["path"])
+        if tamper == "checkpoint dropped":  # the rerun would read the checkpoint path typed at the first run, unchecked
+            del recorded["inputs"]["checkpoint"]
+        else:  # the rerun would read the pairs too, and score only the paired rows
+            pairs = pipeline / "pairs.csv"
+            recorded["inputs"]["pairs"] = {"path": str(pairs), "sha256": hashlib.sha256(pairs.read_bytes()).hexdigest()}
+        manifest, out = tmp_path / "score_manifest.json", tmp_path / "out"
+        manifest.write_text(json.dumps(recorded))
+        out.mkdir()
+        (out / "scores.csv").write_text("post_id,score\n")
+        capsys.readouterr()
+        assert _run(["rerun", manifest, "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest {manifest}: inputs ") and err.count("\n") == 1
+        assert "'checkpoint', 'features'" in err and _dir_bytes(out) == {"scores.csv": b"post_id,score\n"}
 
     def test_input_path_recorded_relative_to_manifest(self, pipeline, tmp_path):
         _, manifest = self._mine_copy(pipeline, tmp_path)

@@ -19,7 +19,7 @@ from poprank.mlp import (
     save_checkpoint,
 )
 
-from conftest import per_layer_adam_step, row_forward, zero_gradients
+from conftest import model_of, per_layer_adam_step, row_forward, zero_gradients
 
 
 def _oracle_forward(model, x):
@@ -52,6 +52,13 @@ class TestInitModel:
         assert abs(samples.std() - np.sqrt(2.0 / 200)) < 0.05 * np.sqrt(2.0 / 200)
         assert abs(samples.mean()) < 3 * samples.std() / np.sqrt(samples.size)
 
+    def test_draws_each_layers_weights_in_order_into_one_vector(self):
+        dims, rng = [7, 5, 3, 1], np.random.default_rng(11)
+        weights = [rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in)) for fan_in, fan_out in
+                   zip(dims, dims[1:])]
+        expected = np.concatenate([w.ravel() for w in weights] + [np.zeros(fan_out) for fan_out in dims[1:]])
+        assert init_model(dims, seed=11).params.tobytes() == expected.tobytes()
+
     def test_biases_zero(self):
         model = init_model([5, 3, 1], seed=1)
         for b in model.biases:
@@ -72,7 +79,7 @@ class TestForward:
 
     def test_single_linear_layer(self):
         w = np.array([[0.5, -1.5, 2.0]])
-        model = MlpModel(layer_dims=[3, 1], weights=[w], biases=[np.array([0.25])])
+        model = model_of([3, 1], [w], [np.array([0.25])])
         x = np.array([1.0, 2.0, 3.0])
         assert forward_batch(model, x[None])[0] == pytest.approx(float((w @ x)[0]) + 0.25, abs=1e-15)
 
@@ -147,19 +154,24 @@ class TestFlatLayout:
 
     def test_copy_is_independent(self):
         model = init_model([3, 2, 1], seed=0)
-        clone = MlpModel.over(model.layer_dims, model.params.copy())
+        clone = MlpModel(model.layer_dims, model.params.copy())
         clone.weights[0][:] = 0.0
         assert not np.array_equal(model.weights[0], clone.weights[0])
         assert clone.layer_dims == model.layer_dims
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            MlpModel(layer_dims=[3, 1], weights=[np.zeros((3, 1))], biases=[np.zeros(1)])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_weights_and_biases_are_views_into_the_vector(self, lead):
+        v = np.arange(11.0 * (2 if lead else 1)).reshape(*lead, 11)
+        model = MlpModel([3, 2, 1], v)
+        parts = model.weights + model.biases
+        assert model.params is v and all(np.shares_memory(part, v) for part in parts)
+        assert [part.shape for part in parts] == [(*lead, 2, 3), (*lead, 1, 2), (*lead, 2), (*lead, 1)]
+        assert np.array_equal(np.concatenate([part.reshape(*lead, -1) for part in parts], axis=-1), v)
 
     @pytest.mark.parametrize("size", [8, 10])
     def test_over_rejects_a_vector_of_the_wrong_length(self, size):
         with pytest.raises(ValueError, match=rf"^parameter vector has {size} entries, dims \[3, 2, 1\] need 11$"):
-            MlpModel.over([3, 2, 1], np.zeros(size))
+            MlpModel([3, 2, 1], np.zeros(size))
 
 
 class TestBackward:
@@ -170,7 +182,7 @@ class TestBackward:
             b[:] = rng.normal(0, 0.1, size=b.shape)
         x = rng.normal(size=4)
         _, cache = forward_cached(model, x)
-        _, delta = mlp.backward(model, cache, np.array([1.0]))
+        _, delta = mlp.backward(model, cache, np.array([1.0]), zero_gradients(model))
         inputs = delta @ model.weights[0]
         h = 1e-6
         for i in range(4):
@@ -190,17 +202,15 @@ class TestBackward:
         for b in model.biases:
             b[:] = rng.normal(0, 0.1, size=b.shape)
         xs, upstream = rng.normal(size=(2, n, dims[0])), rng.normal(size=(2, n))
-        outs = deltas = grad = None
+        flat, outs, deltas = np.empty((2, model.params.size)), None, None
         if buffered:  # buffers with rows for 64, given whole as for an epoch's last batch; the pass writes n rows
-            flat = np.empty((2, model.params.size))
             outs = [np.empty((2, 64, d)) for d in dims[1:]]
             deltas = [np.empty((2, 64, d)) for d in dims[1:-1]]
-            grad = MlpModel.over(dims, flat)
         scores, cache = forward_cached(model, xs, outs)
-        params, delta = mlp.backward(model, cache, upstream, grad, deltas)
-        assert params.shape == (2, model.params.size) and delta.shape == (2, n, dims[1])
+        params, delta = mlp.backward(model, cache, upstream, MlpModel(dims, flat), deltas)
+        assert params is flat and delta.shape == (2, n, dims[1])
         if buffered:
-            assert params is flat and all(np.shares_memory(h, out) for h, out in zip(cache[1:], outs))
+            assert all(np.shares_memory(h, out) for h, out in zip(cache[1:], outs))
             assert all(h.shape == (2, n, out.shape[-1]) for h, out in zip(cache[1:], outs))
 
         def bits(a):
@@ -208,7 +218,7 @@ class TestBackward:
 
         for k in range(2):
             own_scores, own_cache = forward_cached(model, xs[k].copy())
-            own_params, own_delta = mlp.backward(model, own_cache, upstream[k].copy())
+            own_params, own_delta = mlp.backward(model, own_cache, upstream[k].copy(), zero_gradients(model))
             assert np.array_equal(bits(scores[k]), bits(own_scores))
             assert all(np.array_equal(bits(h[k]), bits(own)) for h, own in zip(cache[1:], own_cache[1:]))
             assert np.array_equal(bits(params[k]), bits(own_params))
@@ -217,7 +227,7 @@ class TestBackward:
 
 class TestAdamStep:
     def _scalar_model(self, value=1.0):
-        return MlpModel(layer_dims=[1, 1], weights=[np.array([[value]])], biases=[np.array([0.0])])
+        return model_of([1, 1], [np.array([[value]])], [np.array([0.0])])
 
     def test_zero_gradient_no_move(self):
         model = self._scalar_model(0.7)
@@ -272,7 +282,7 @@ class TestAdamStep:
     def test_flat_update_matches_per_layer_oracle_bitwise(self):
         rng = np.random.default_rng(2024)
         model = init_model([6, 5, 3, 1], seed=4)
-        oracle = MlpModel.over(model.layer_dims, model.params.copy())
+        oracle = MlpModel(model.layer_dims, model.params.copy())
         moments = [(np.zeros_like(a), np.zeros_like(a)) for a in oracle.weights + oracle.biases]
         state = AdamState(model.params)
         for step in range(1, 201):
@@ -319,7 +329,8 @@ class TestFit:
         def loss_and_grad(batch):
             preds, cache = forward_cached(model, xs[batch])
             residuals = preds - ys[batch]
-            return float(np.mean(residuals**2)), mlp.backward(model, cache, 2 * residuals / len(batch))[0]
+            grad = zero_gradients(model)
+            return float(np.mean(residuals**2)), mlp.backward(model, cache, 2 * residuals / len(batch), grad)[0]
 
         config = TrainConfig(learning_rate=1e-3, l2_penalty=1e308, batch_size=5, epochs=3)
         with pytest.raises(ValueError, match=r"^training diverged in epoch 0: non-finite Adam second moment"):
@@ -442,7 +453,7 @@ class TestCheckpointDamage:
 
     def test_an_output_dim_other_than_one_names_its_line(self, tmp_path):
         path = tmp_path / "two_outputs.txt"
-        model = MlpModel([4, 3, 2], weights=[np.ones((3, 4)), np.ones((2, 3))], biases=[np.zeros(3), np.zeros(2)])
+        model = model_of([4, 3, 2], [np.ones((3, 4)), np.ones((2, 3))], [np.zeros(3), np.zeros(2)])
         save_checkpoint(path, {"scorer": model})
         with pytest.raises(ValueError, match=r"^line 3: output dim must be 1, got 2$"):
             load_checkpoint(path)

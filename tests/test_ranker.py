@@ -101,6 +101,15 @@ class TestPairLoss:
                 loss = pair_loss(o, label)
                 assert loss >= 0.0 and math.isfinite(loss)
 
+    @pytest.mark.parametrize("o", [0.0, 1e-300, -1e-300, 30.0, -30.0, 700.0, -700.0, 1e5, -1e5])
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_is_the_training_steps_loss_bitwise(self, o, label):
+        model = init_model([1, 1], seed=0)
+        model.weights[0][:] = 1.0  # f(x) = x, so the pair ([o], [0]) has the logit o exactly
+        x_ab, labels = np.array([[[o]], [[0.0]]]), np.array([label])
+        loss, _ = ranker._step(model, x_ab, labels, ranker._StepBuffers(model, 1))
+        assert np.float64(pair_loss(o, label)).tobytes() == np.float64(loss).tobytes()
+
     def test_matches_naive_formula_in_safe_range(self):
         rng = np.random.default_rng(31)
         for o in rng.normal(0, 3, size=100):
@@ -156,7 +165,7 @@ class TestPairGrad:
         xa = rng.normal(size=(5, 6))
         xb = rng.normal(size=(5, 6))
         labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-        _, batch = ranker._step(model, np.stack([xa, xb]), labels)
+        _, batch = ranker._step(model, np.stack([xa, xb]), labels, ranker._StepBuffers(model, 5))
         singles = [pair_grad(model, xa[i], xb[i], labels[i]) for i in range(5)]
         mean = _flatten(singles[0])
         for s in singles[1:]:
@@ -165,14 +174,10 @@ class TestPairGrad:
         assert np.allclose(batch, mean, atol=1e-12)
 
     def test_unbuffered_results_are_fresh_arrays(self):
-        # without buffers nothing returned aliases another call's result, so a caller may keep every gradient
+        # `pair_grad` makes its own buffers: no gradient it returns aliases another call's, so a caller may keep each
         rng = np.random.default_rng(56)
         model = init_model([6, 4, 3, 1], seed=8)
         xa, xb = rng.normal(size=(2, 5, 6))
-        labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-        first = ranker._step(model, np.stack([xa, xb]), labels)[1]
-        second = ranker._step(model, np.stack([xb, xa]), labels)[1]
-        assert not np.shares_memory(first, second)
         one, two = pair_grad(model, xa[0], xb[0], 1.0), pair_grad(model, xa[1], xb[1], 0.0)
         assert not np.shares_memory(one.params, two.params)
         assert not np.shares_memory(one.params, model.params)
@@ -231,10 +236,11 @@ class TestTrain:
         xa = features.matrix[features.rows([p.id_a for p in pairs])]
         xb = features.matrix[features.rows([p.id_b for p in pairs])]
         labels = np.ones(len(pairs))
-        loss0, grad = ranker._step(model, np.stack([xa, xb]), labels)
+        buffers = ranker._StepBuffers(model, len(pairs))
+        loss0, grad = ranker._step(model, np.stack([xa, xb]), labels, buffers)
         state = mlp.AdamState(model.params)
         mlp.adam_step(state, model.params, grad, effective_lr=1e-6, l2_penalty=0.0)
-        loss1, _ = ranker._step(model, np.stack([xa, xb]), labels)
+        loss1, _ = ranker._step(model, np.stack([xa, xb]), labels, buffers)
         assert loss1 < loss0
 
     @pytest.mark.parametrize("n_pairs, batch_size", [(101, 16), (60, 10**9), (30, 1)])
@@ -243,7 +249,7 @@ class TestTrain:
         pairs, features, split = _toy_training_setup(n_pairs=n_pairs, seed=4)
         config = TrainConfig(learning_rate=3e-2, l2_penalty=1e-3, batch_size=batch_size, epochs=4, seed=4)
         model = init_model([6, 8, 4, 1], seed=4)
-        oracle = mlp.MlpModel.over(model.layer_dims, model.params.copy())
+        oracle = mlp.MlpModel(model.layer_dims, model.params.copy())
         losses, accs, best_epoch, best = reference_train(oracle, pairs, features, split, config)
         tracemalloc.start()
         try:
@@ -285,6 +291,12 @@ class TestTrain:
         model.weights[0][:] = 0.0
         report = train(model, pairs, features, split, TrainConfig(learning_rate=0.0, batch_size=16, epochs=3))
         assert report.val_accuracy == [0.0, 0.0, 0.0] and report.selected_epoch == 0
+
+    def test_the_report_model_shares_no_memory_with_the_fitted_vector(self):
+        pairs, features, split = _toy_training_setup(n_pairs=40, seed=1)
+        model = init_model([6, 4, 1], seed=1)
+        report = train(model, pairs, features, split, TrainConfig(learning_rate=1e-2, epochs=2, seed=1))
+        assert not np.shares_memory(report.model.params, model.params)
 
     def test_missing_feature_fails_before_training(self):
         pairs, features, split = _toy_training_setup(n_pairs=20)
